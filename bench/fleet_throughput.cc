@@ -38,12 +38,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 
+#include "bench_util.hh"
 #include "fleet/fleet.hh"
 #include "ssd/config.hh"
 #include "stats/json_writer.hh"
@@ -51,44 +51,6 @@
 #include "workload/batch.hh"
 
 namespace {
-
-/** Per-process CPU seconds (sums all threads; see the file header). */
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    if (const char *env = std::getenv(name)) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return dflt;
-}
-
-const char *
-codingName(ida::ssd::CodingChoice c)
-{
-    using ida::ssd::CodingChoice;
-    switch (c) {
-    case CodingChoice::Tlc124:
-        return "Tlc124";
-    case CodingChoice::Tlc232:
-        return "Tlc232";
-    case CodingChoice::Mlc12:
-        return "Mlc12";
-    case CodingChoice::Qlc1248:
-        return "Qlc1248";
-    }
-    return "unknown";
-}
 
 /**
  * Everything that makes two BENCH_fleet.json records incomparable:
@@ -101,7 +63,6 @@ writeFingerprint(ida::stats::JsonWriter &w,
                  const ida::fleet::FleetConfig &fc, unsigned host_cores,
                  std::uint64_t requests)
 {
-    const ida::flash::Geometry &g = fc.device.geometry;
     w.key("config");
     w.beginObject();
     w.key("fleet");
@@ -116,38 +77,7 @@ writeFingerprint(ida::stats::JsonWriter &w,
     // A smoke-scale record must not gate against a full-scale baseline.
     w.field("requests", requests);
     w.endObject();
-    w.key("geometry");
-    w.beginObject();
-    w.field("channels", std::uint64_t{g.channels});
-    w.field("chips_per_channel", std::uint64_t{g.chipsPerChannel});
-    w.field("dies_per_chip", std::uint64_t{g.diesPerChip});
-    w.field("planes_per_die", std::uint64_t{g.planesPerDie});
-    w.field("blocks_per_plane", std::uint64_t{g.blocksPerPlane});
-    w.field("pages_per_block", std::uint64_t{g.pagesPerBlock});
-    w.field("page_size_bytes", std::uint64_t{g.pageSizeBytes});
-    w.field("sector_size_bytes", std::uint64_t{g.sectorSizeBytes});
-    w.endObject();
-    w.field("coding", codingName(fc.device.coding));
-    w.field("system", fc.device.systemLabel());
-    w.key("build");
-    w.beginObject();
-    w.field("compiler", __VERSION__);
-#ifdef NDEBUG
-    w.field("ndebug", true);
-#else
-    w.field("ndebug", false);
-#endif
-#ifdef IDA_AUDIT
-    w.field("audit", true);
-#else
-    w.field("audit", false);
-#endif
-#ifdef IDA_TRACE
-    w.field("trace", true);
-#else
-    w.field("trace", false);
-#endif
-    w.endObject();
+    ida::bench::writeDeviceFingerprint(w, fc.device);
     w.endObject();
 }
 
@@ -184,7 +114,7 @@ runLeg(int shards, std::uint64_t requests)
     p.warmupFraction = 0.25;
     p.prewriteFraction = 0.3;
 
-    const double cpu_start = cpuSeconds();
+    const double cpu_start = ida::bench::cpuSeconds();
     const fleet::FleetResult res = fleet::runFleetPreset(fc, p);
     if (res.pastSchedules != 0) {
         std::fprintf(stderr,
@@ -197,7 +127,7 @@ runLeg(int shards, std::uint64_t requests)
 
     Leg leg;
     leg.wallSeconds = res.wallSeconds;
-    const double cpu = cpuSeconds() - cpu_start;
+    const double cpu = ida::bench::cpuSeconds() - cpu_start;
     const double ios =
         static_cast<double>(res.measuredReads + res.measuredWrites);
     leg.iosPerSec = cpu > 0.0 ? ios / cpu : 0.0;
@@ -216,7 +146,7 @@ main()
     using namespace ida;
 
     const std::uint64_t requests =
-        envU64("IDA_FLEET_REQUESTS", 60'000);
+        bench::envU64("IDA_FLEET_REQUESTS", 60'000);
     const char *commit_env = std::getenv("IDA_BENCH_COMMIT");
     const std::string commit = commit_env ? commit_env : "unknown";
     const unsigned host_cores = std::thread::hardware_concurrency();

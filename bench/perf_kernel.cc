@@ -42,11 +42,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "bench_util.hh"
 #include "sim/event_queue.hh"
 #include "ssd/config.hh"
 #include "stats/json_writer.hh"
@@ -62,32 +62,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/**
- * Per-process CPU seconds. The raw-dispatch stage divides by this, not
- * wall time: on a shared machine wall time charges the kernel for every
- * preemption, while CPU time prices exactly the work per event — which
- * is the quantity a kernel change moves.
- */
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    if (const char *env = std::getenv(name)) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return dflt;
 }
 
 double
@@ -127,9 +101,9 @@ class ActorBench
         for (int a = 0; a < actors; ++a)
             step(0x9e3779b9u * static_cast<std::uint32_t>(a + 1),
                  Payload{{1, 2, 3}});
-        const double start = cpuSeconds();
+        const double start = ida::bench::cpuSeconds();
         q_.run();
-        const double secs = cpuSeconds() - start;
+        const double secs = ida::bench::cpuSeconds() - start;
         return static_cast<double>(q_.executed()) / secs;
     }
 
@@ -162,23 +136,6 @@ class ActorBench
     std::uint64_t checksum_ = 0;
 };
 
-const char *
-codingName(ida::ssd::CodingChoice c)
-{
-    using ida::ssd::CodingChoice;
-    switch (c) {
-    case CodingChoice::Tlc124:
-        return "Tlc124";
-    case CodingChoice::Tlc232:
-        return "Tlc232";
-    case CodingChoice::Mlc12:
-        return "Mlc12";
-    case CodingChoice::Qlc1248:
-        return "Qlc1248";
-    }
-    return "unknown";
-}
-
 /** One closed-loop leg; prints and returns its ios/sec. */
 double
 fig10Leg(const char *label, const ida::ssd::SsdConfig &cfg,
@@ -196,52 +153,6 @@ fig10Leg(const char *label, const ida::ssd::SsdConfig &cfg,
     return per_sec;
 }
 
-/**
- * The config/build fingerprint: everything that would make two
- * BENCH_kernel.json records incomparable even on the same machine.
- */
-void
-writeFingerprint(ida::stats::JsonWriter &w, const ida::ssd::SsdConfig &cfg)
-{
-    using ida::stats::JsonWriter;
-    const ida::flash::Geometry &g = cfg.geometry;
-    w.key("config");
-    w.beginObject();
-    w.key("geometry");
-    w.beginObject();
-    w.field("channels", std::uint64_t{g.channels});
-    w.field("chips_per_channel", std::uint64_t{g.chipsPerChannel});
-    w.field("dies_per_chip", std::uint64_t{g.diesPerChip});
-    w.field("planes_per_die", std::uint64_t{g.planesPerDie});
-    w.field("blocks_per_plane", std::uint64_t{g.blocksPerPlane});
-    w.field("pages_per_block", std::uint64_t{g.pagesPerBlock});
-    w.field("page_size_bytes", std::uint64_t{g.pageSizeBytes});
-    w.field("sector_size_bytes", std::uint64_t{g.sectorSizeBytes});
-    w.endObject();
-    w.field("coding", codingName(cfg.coding));
-    w.field("system", cfg.systemLabel());
-    w.key("build");
-    w.beginObject();
-    w.field("compiler", __VERSION__);
-#ifdef NDEBUG
-    w.field("ndebug", true);
-#else
-    w.field("ndebug", false);
-#endif
-#ifdef IDA_AUDIT
-    w.field("audit", true);
-#else
-    w.field("audit", false);
-#endif
-#ifdef IDA_TRACE
-    w.field("trace", true);
-#else
-    w.field("trace", false);
-#endif
-    w.endObject();
-    w.endObject();
-}
-
 } // namespace
 
 int
@@ -249,7 +160,7 @@ main()
 {
     using namespace ida;
 
-    const std::uint64_t events = envU64("IDA_PERF_EVENTS", 4'000'000);
+    const std::uint64_t events = bench::envU64("IDA_PERF_EVENTS", 4'000'000);
     const double scale = envDouble("IDA_PERF_SCALE", 0.15);
     const char *commit_env = std::getenv("IDA_BENCH_COMMIT");
     const std::string commit = commit_env ? commit_env : "unknown";
@@ -313,7 +224,10 @@ main()
         w.field("ios_per_sec_sector", ios_per_sec_sector);
         w.field("ios_per_sec_rcache", ios_per_sec_rcache);
         w.field("wall_ms", wall_ms);
-        writeFingerprint(w, cfg);
+        w.key("config");
+        w.beginObject();
+        bench::writeDeviceFingerprint(w, cfg);
+        w.endObject();
         w.endObject();
         os << "\n";
     }

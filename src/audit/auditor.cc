@@ -25,34 +25,20 @@ cat(Ts &&...parts)
 
 Auditor::Auditor(ssd::Ssd &ssd) : ssd_(ssd)
 {
-    const bool pageMapped =
-        ssd.backend().kind() == ftl::BackendKind::PageMapped;
-    // The flash-level checks are backend-agnostic; the structural and
-    // conservation checks come in one flavor per backend (see the file
-    // comment's catalog).
-    if (pageMapped)
-        registerCheck("mapping-block",
-                      [](Auditor &a) { a.checkMappingBlock(); });
+    registerCheck("mapping-block",
+                  [](Auditor &a) { a.checkMappingBlock(); });
     registerCheck("wordline-cache",
                   [](Auditor &a) { a.checkWordlineCache(); });
     registerCheck("ida-coding", [](Auditor &a) { a.checkIdaCoding(); });
     registerCheck("event-queue", [](Auditor &a) { a.checkEventQueue(); });
-    if (pageMapped)
-        registerCheck("block-accounting",
-                      [](Auditor &a) { a.checkBlockAccounting(); });
+    registerCheck("block-accounting",
+                  [](Auditor &a) { a.checkBlockAccounting(); });
     registerCheck("sector-validity",
                   [](Auditor &a) { a.checkSectorValidity(); });
-    if (pageMapped) {
-        registerCheck("cache-coherence",
-                      [](Auditor &a) { a.checkCacheCoherence(); });
-        registerCheck("conservation",
-                      [](Auditor &a) { a.checkConservation(); });
-    } else {
-        registerCheck("zns-zone-state",
-                      [](Auditor &a) { a.checkZnsZoneState(); });
-        registerCheck("zns-conservation",
-                      [](Auditor &a) { a.checkZnsConservation(); });
-    }
+    registerCheck("cache-coherence",
+                  [](Auditor &a) { a.checkCacheCoherence(); });
+    registerCheck("conservation",
+                  [](Auditor &a) { a.checkConservation(); });
     base_ = captureBaseline();
 }
 
@@ -132,18 +118,6 @@ Auditor::summary() const
 Auditor::Baseline
 Auditor::captureBaseline() const
 {
-    if (ssd_.backend().kind() == ftl::BackendKind::Zns) {
-        const auto &z = ssd_.backend().zns();
-        const auto &cs = ssd_.chips().stats();
-        Baseline b;
-        b.chipPrograms = cs.programs;
-        b.chipErases = cs.erases;
-        b.refreshMigrated = z.stats().refresh.migratedPages;
-        b.znsAppendedPages = z.znsStats().appendedPages;
-        b.znsResetErases = z.znsStats().resetErases;
-        b.znsRefreshErases = z.znsStats().refreshErases;
-        return b;
-    }
     const auto &fs = ssd_.ftl().stats();
     const auto &ws = ssd_.ftl().writeBufferStats();
     const auto &cs = ssd_.chips().stats();
@@ -605,142 +579,6 @@ Auditor::checkConservation()
     if (wb.enabled() && wb.size() > wb.config().capacityPages)
         fail(cat("write buffer occupancy ", wb.size(),
                  " exceeds capacity ", wb.config().capacityPages));
-}
-
-void
-Auditor::checkZnsZoneState()
-{
-    const auto &z = ssd_.backend().zns();
-    const auto &chips = ssd_.chips();
-    const auto &geom = chips.geometry();
-    const std::uint32_t ppb = geom.pagesPerBlock;
-    const std::uint32_t bpz = z.znsConfig().blocksPerZone;
-    const std::uint64_t cap = z.zoneCapacity();
-
-    std::vector<bool> owned(geom.blocks(), false);
-    const auto claim = [&](flash::BlockId b, std::uint32_t zone) {
-        if (b >= geom.blocks()) {
-            fail(cat("zone ", zone, ": block ", b, " out of range"));
-            return false;
-        }
-        if (owned[b]) {
-            fail(cat("block ", b, " owned twice (zone ", zone, ")"));
-            return false;
-        }
-        owned[b] = true;
-        return true;
-    };
-
-    std::uint32_t open = 0;
-    for (std::uint32_t zone = 0; zone < z.zones(); ++zone) {
-        const auto state = z.state(zone);
-        const std::uint64_t wp = z.writePointer(zone);
-        const std::uint64_t prog = z.programmedPages(zone);
-        if (prog > wp)
-            fail(cat("zone ", zone, ": programmed ", prog,
-                     " beyond write pointer ", wp));
-        switch (state) {
-          case ftl::zns::ZoneState::Empty:
-            if (wp != 0 || prog != 0)
-                fail(cat("zone ", zone, ": EMPTY with wp ", wp,
-                         " programmed ", prog));
-            break;
-          case ftl::zns::ZoneState::Open:
-            ++open;
-            [[fallthrough]];
-          case ftl::zns::ZoneState::Closed:
-            // Only zoneFinish detaches wp from the programmed count,
-            // and it always lands the zone in FULL.
-            if (wp != prog || wp >= cap)
-                fail(cat("zone ", zone, ": ",
-                         ftl::zns::zoneStateName(state), " with wp ",
-                         wp, " programmed ", prog, " capacity ", cap));
-            break;
-          case ftl::zns::ZoneState::Full:
-            if (wp != cap)
-                fail(cat("zone ", zone, ": FULL with wp ", wp,
-                         " != capacity ", cap));
-            break;
-        }
-
-        for (std::uint32_t idx = 0; idx < bpz; ++idx)
-            claim(z.zoneBlock(zone, idx), zone);
-        if (z.refreshing(zone))
-            continue; // a migration job holds this zone mid-copy
-        // The programmed prefix maps exactly onto the zone's blocks:
-        // full blocks, then one partial, then erased remainder — and
-        // every programmed page is Valid with a whole-page mask (ZNS
-        // hosts never write or invalidate sub-page ranges).
-        for (std::uint32_t idx = 0; idx < bpz; ++idx) {
-            const flash::BlockId b = z.zoneBlock(zone, idx);
-            if (b >= geom.blocks())
-                continue;
-            const auto &blk = chips.block(b);
-            const std::uint64_t lo = std::uint64_t{idx} * ppb;
-            const std::uint32_t expect = static_cast<std::uint32_t>(
-                std::clamp<std::uint64_t>(
-                    prog > lo ? prog - lo : 0, 0, ppb));
-            if (blk.writePointer() != expect) {
-                fail(cat("zone ", zone, " block ", b,
-                         ": write pointer ", blk.writePointer(),
-                         " != programmed prefix ", expect));
-                continue;
-            }
-            const flash::SectorMask full = blk.fullSectorMask();
-            for (std::uint32_t p = 0; p < ppb; ++p) {
-                if (p < expect) {
-                    if (!blk.isValid(p) || blk.sectorMask(p) != full)
-                        fail(cat("zone ", zone, " block ", b, " page ",
-                                 p, ": programmed page not fully "
-                                 "Valid"));
-                } else if (!blk.isFree(p)) {
-                    fail(cat("zone ", zone, " block ", b, " page ", p,
-                             ": programmed beyond the zone's prefix"));
-                }
-            }
-        }
-    }
-    if (open != z.openZones())
-        fail(cat("openZones ", z.openZones(), " != recount ", open));
-    if (open > z.znsConfig().maxOpenZones)
-        fail(cat("open zones ", open, " exceed the budget ",
-                 z.znsConfig().maxOpenZones));
-
-    for (std::size_t i = 0; i < z.spareBlocks(); ++i) {
-        const flash::BlockId b = z.spareBlock(i);
-        if (!claim(b, z.zones()))
-            continue;
-        if (!chips.block(b).isErased())
-            fail(cat("spare block ", b, " is not erased"));
-    }
-}
-
-void
-Auditor::checkZnsConservation()
-{
-    const auto &z = ssd_.backend().zns();
-    const auto &cs = ssd_.chips().stats();
-    const auto &zs = z.znsStats();
-
-    // Appends and refresh migration are the only timed programs on a
-    // ZNS device (preload uses programImmediate, which chips don't
-    // count); resets and post-migration cleanup issue every erase.
-    const std::uint64_t dPrograms = cs.programs - base_.chipPrograms;
-    const std::uint64_t dAppended =
-        zs.appendedPages - base_.znsAppendedPages;
-    const std::uint64_t dMigrated =
-        z.stats().refresh.migratedPages - base_.refreshMigrated;
-    if (dPrograms != dAppended + dMigrated)
-        fail(cat("programs ", dPrograms, " != appended ", dAppended,
-                 " + migrated ", dMigrated));
-
-    const std::uint64_t dErases = cs.erases - base_.chipErases;
-    const std::uint64_t dReset = zs.resetErases - base_.znsResetErases;
-    const std::uint64_t dRefresh =
-        zs.refreshErases - base_.znsRefreshErases;
-    if (dErases != dReset + dRefresh)
-        fail(cat("erases ", dErases, " != reset ", dReset,
-                 " + refresh ", dRefresh));
 }
 
 } // namespace ida::audit

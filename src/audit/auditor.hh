@@ -4,7 +4,7 @@
  *
  * The simulator's result tables are only as credible as the agreement
  * between its layers: the FTL mapping, the per-block valid bitmaps, the
- * per-wordline IDA coding state, the event kernel's packed heap, and
+ * per-wordline IDA coding state, the event kernel's timing wheel, and
  * the conservation counters that tie host traffic to flash commands.
  * Each layer maintains its own view incrementally for speed; nothing on
  * the hot path re-derives another layer's state. The Auditor closes
@@ -61,8 +61,11 @@ struct Violation
  *                      IdaMerge moves states only upward (ISPP), its
  *                      survivors are consistent, and surviving levels
  *                      never sense more than the conventional coding.
- *  - event-queue:      packed 4-ary heap order, timestamps never behind
- *                      now(), exact slab-pool slot accounting
+ *  - event-queue:      timing-wheel occupancy bitmaps agree with the
+ *                      bucket lists, every node sits in the level and
+ *                      slot the placement rule assigns, bucket lists
+ *                      keep FIFO sequence order, timestamps never
+ *                      behind now(), exact slab-pool slot accounting
  *                      (EventQueue::validateHeap).
  *  - block-accounting: BlockManager free pools / active flags / in-use
  *                      counter agree with per-block recount; no clock
@@ -82,25 +85,6 @@ struct Violation
  *                      still in flight; erases and write-buffer
  *                      occupancy balance the same way; total valid
  *                      pages equal the mapping's mappedCount.
- *
- * The catalog is backend-parameterized: the checks above that read the
- * page-mapped FTL's structures (mapping-block, block-accounting,
- * cache-coherence, conservation) register only on page-mapped devices.
- * The flash-level checks (wordline-cache, ida-coding, event-queue,
- * sector-validity) are backend-agnostic and always register. ZNS
- * devices additionally get:
- *
- *  - zns-zone-state:   every zone's state/write-pointer/programmed
- *                      triple is internally consistent (EMPTY <=> wp=0,
- *                      FULL <=> wp=capacity, otherwise wp==programmed),
- *                      the programmed count matches the zone's blocks'
- *                      write pointers and Valid-page prefix exactly,
- *                      the OPEN count matches recount and respects the
- *                      open-zone budget, spare-pool blocks are erased,
- *                      and no physical block is owned twice.
- *  - zns-conservation: flash programs equal appended pages plus refresh
- *                      migration; erases equal reset plus refresh
- *                      erases (preload uses untimed programImmediate).
  */
 class Auditor
 {
@@ -183,9 +167,6 @@ class Auditor
         std::uint64_t wbTrimmed = 0;
         std::uint64_t wbSize = 0;
         std::uint32_t rmwInFlight = 0;
-        std::uint64_t znsAppendedPages = 0;
-        std::uint64_t znsResetErases = 0;
-        std::uint64_t znsRefreshErases = 0;
     };
 
     // The default catalog.
@@ -197,8 +178,6 @@ class Auditor
     void checkSectorValidity();
     void checkCacheCoherence();
     void checkConservation();
-    void checkZnsZoneState();
-    void checkZnsConservation();
 
     Baseline captureBaseline() const;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "ftl/gauges.hh"
 #include "ftl/gc.hh"
 #include "ftl/refresh.hh"
 #include "sim/log.hh"
@@ -77,19 +76,62 @@ Ftl::quiescent() const
 std::uint64_t
 Ftl::countPartialValidPages() const
 {
-    return ftl::countPartialValidPages(geom_, chips_);
+    // An O(pages) sweep for harvest time, never hot-path code.
+    std::uint64_t n = 0;
+    for (std::uint64_t b = 0; b < geom_.blocks(); ++b) {
+        const auto &blk = chips_.block(b);
+        const flash::SectorMask full = blk.fullSectorMask();
+        for (std::uint32_t p = 0; p < geom_.pagesPerBlock; ++p) {
+            const flash::SectorMask m = blk.sectorMask(p);
+            if (m != 0 && m != full)
+                ++n;
+        }
+    }
+    return n;
 }
 
 std::uint64_t
 Ftl::countIdaEligibleWordlines() const
 {
-    return ftl::countIdaEligibleWordlines(geom_, chips_);
+    // A wordline is IDA-eligible when its LSB-level page is already
+    // invalid while a higher level still holds data (Table I cases
+    // 2/4) — the situation the read classifier credits and refresh
+    // turns into a reduced-sensing coding. Valid ⇔ sectorMask ≠ 0 (the
+    // block invariant), so the scan needs no separate page-state probe.
+    std::uint64_t n = 0;
+    const std::uint32_t bits = geom_.bitsPerCell;
+    const std::uint32_t wordlines = geom_.pagesPerBlock / bits;
+    for (std::uint64_t b = 0; b < geom_.blocks(); ++b) {
+        const auto &blk = chips_.block(b);
+        for (std::uint32_t wl = 0; wl < wordlines; ++wl) {
+            if ((blk.invalidLevelMask(wl) & 1u) == 0)
+                continue; // LSB level still valid (or free)
+            for (std::uint32_t level = 1; level < bits; ++level) {
+                if (blk.sectorMask(wl * bits + level) != 0) {
+                    ++n;
+                    break;
+                }
+            }
+        }
+    }
+    return n;
 }
 
 void
 Ftl::classifyHostRead(Ppn ppn)
 {
-    classifyReadLevels(geom_, chips_, ppn, stats_.readClass);
+    // One invalid-level-mask probe against the block's incrementally
+    // maintained cache (flash/block.hh), no loop over the lower levels.
+    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
+    const std::uint32_t level = geom_.levelOfPage(page);
+    const std::uint32_t wl = geom_.wordlineOfPage(page);
+    const auto &blk = chips_.block(geom_.blockOf(ppn));
+
+    ReadClassStats &rc = stats_.readClass;
+    ++rc.byLevel[level];
+    const auto below = static_cast<flash::LevelMask>((1u << level) - 1);
+    if ((blk.invalidLevelMask(wl) & below) != 0)
+        ++rc.byLevelLowerInvalid[level];
 }
 
 void

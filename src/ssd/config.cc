@@ -23,16 +23,12 @@ SsdConfig::makeCoding() const
 std::string
 SsdConfig::systemLabel() const
 {
-    // The ZNS prefix marks the backend; the page-mapped labels are
-    // unchanged so archived result JSON stays byte-stable.
-    const std::string prefix =
-        backend == ftl::BackendKind::Zns ? "ZNS-" : "";
     if (ftl.moveToLsbAlternative)
-        return prefix + "Move-to-LSB";
+        return "Move-to-LSB";
     if (!ftl.enableIda)
-        return prefix + "Baseline";
+        return "Baseline";
     const int e = static_cast<int>(adjustErrorRate * 100.0 + 0.5);
-    return prefix + "IDA-E" + std::to_string(e);
+    return "IDA-E" + std::to_string(e);
 }
 
 void
@@ -108,16 +104,6 @@ SsdConfig::tiny()
     cfg.ftl.gcFreeThreshold = 2;
     cfg.ftl.refreshPeriod = 10 * sim::kMin;
     cfg.ftl.refreshCheckInterval = sim::kMin;
-    return cfg;
-}
-
-SsdConfig
-SsdConfig::tinyZns()
-{
-    SsdConfig cfg = tiny();
-    cfg.backend = ftl::BackendKind::Zns;
-    cfg.zns.blocksPerZone = 2;
-    cfg.zns.maxOpenZones = 4;
     return cfg;
 }
 

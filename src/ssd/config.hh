@@ -19,7 +19,6 @@
 #include "flash/coding.hh"
 #include "flash/geometry.hh"
 #include "flash/timing.hh"
-#include "ftl/backend.hh"
 #include "ftl/ftl.hh"
 
 namespace ida::ssd {
@@ -34,12 +33,6 @@ struct SsdConfig
     flash::FlashTiming timing;
     CodingChoice coding = CodingChoice::Tlc124;
     ftl::FtlConfig ftl;
-
-    /** Which translation layer the device runs (docs/BACKENDS.md). */
-    ftl::BackendKind backend = ftl::BackendKind::PageMapped;
-
-    /** Zone-shape knobs; consulted only when backend == Zns. */
-    ftl::zns::ZnsConfig zns;
 
     /** Voltage-adjust disturbance rate (the paper's E; Fig. 8). */
     double adjustErrorRate = 0.20;
@@ -85,10 +78,6 @@ struct SsdConfig
 
     /** A tiny configuration for fast unit tests. */
     static SsdConfig tiny();
-
-    /** The tiny configuration on the ZNS backend (small zones, a
-     *  4-zone open budget) for fast zone-state-machine tests. */
-    static SsdConfig tinyZns();
 };
 
 } // namespace ida::ssd

@@ -30,9 +30,8 @@ Ssd::Ssd(const SsdConfig &cfg)
         : ecc::EccModel(cfg_.adjustErrorRate,
                         ecc::RetryModel::lifetimePhase(
                             cfg_.retrySeverity));
-    backend_ = std::make_unique<ftl::FtlBackend>(
-        cfg_.backend, cfg_.geometry, cfg_.ftl, cfg_.zns, *chips_,
-        std::move(ecc), events_, rng_);
+    ftl_ = std::make_unique<ftl::Ftl>(cfg_.geometry, cfg_.ftl, *chips_,
+                                      std::move(ecc), events_, rng_);
 }
 
 Ssd::~Ssd() = default;
@@ -43,13 +42,15 @@ Ssd::preloadSequential(std::uint64_t pages)
     if (pages > logicalPages())
         sim::fatal("Ssd::preloadSequential: footprint exceeds logical "
                    "capacity");
-    backend_->preload(pages);
+    for (flash::Lpn lpn = 0; lpn < pages; ++lpn)
+        ftl_->preloadWrite(lpn);
+    ftl_->finalizePreload();
 }
 
 void
 Ssd::start()
 {
-    backend_->start();
+    ftl_->start();
 }
 
 void
@@ -59,27 +60,19 @@ Ssd::enableTracing(bool retain_spans)
     opts.retainSpans = retain_spans;
     tracer_ = std::make_unique<trace::Recorder>(opts);
     chips_->setTracer(tracer_.get());
-    backend_->setTracer(tracer_.get());
+    ftl_->setTracer(tracer_.get());
 }
 
 void
 Ssd::validateRequest(const HostRequest &req) const
 {
-    if (req.zoneOp != ftl::zns::ZoneOp::None) {
-        if (cfg_.backend != ftl::BackendKind::Zns)
-            sim::fatal("Ssd::submit: zone op on a non-ZNS device");
-        if (req.isTrim)
-            sim::fatal("Ssd::submit: zone op cannot also be a TRIM");
-        if (req.zone >= backend_->zns().zones())
-            sim::fatal("Ssd::submit: zone index beyond the namespace");
-        if (req.zoneOp == ftl::zns::ZoneOp::Append &&
-            req.pageCount == 0)
-            sim::fatal("Ssd::submit: empty zone append");
-        return; // page/sector range fields are ignored for zone ops
-    }
     if (req.pageCount == 0)
         sim::fatal("Ssd::submit: empty request");
-    if (req.startPage + req.pageCount > backend_->logicalPages())
+    // Written so it cannot wrap: startPage + pageCount overflows for
+    // start pages near UINT64_MAX.
+    const std::uint64_t capacity = ftl_->logicalPages();
+    if (req.pageCount > capacity ||
+        req.startPage > capacity - req.pageCount)
         sim::fatal("Ssd::submit: request beyond logical capacity");
     if (req.sectorCount != 0) {
         // A sub-page request's sector range must stay inside its page
@@ -207,53 +200,14 @@ Ssd::dispatchSlot(std::uint32_t slot)
     const std::uint32_t pageCount = rs.req.pageCount;
     const std::uint32_t startSector = rs.req.startSector;
     const std::uint32_t sectorCount = rs.req.sectorCount;
-    const ftl::zns::ZoneOp zoneOp = rs.req.zoneOp;
-    const std::uint32_t zone = rs.req.zone;
-
-    if (zoneOp != ftl::zns::ZoneOp::None) {
-        if (zoneOp == ftl::zns::ZoneOp::Append) {
-            // A multi-page append fans out like a write: one FTL call
-            // per page, completing when the last page lands.
-            requestSlots_[slot].pending = pageCount;
-            for (std::uint32_t i = 0; i < pageCount; ++i)
-                backend_->zoneAppend(
-                    zone, ftl::PageDone{[this, slot](sim::Time when) {
-                        pageDone(slot, when);
-                    }});
-            return;
-        }
-        // Management ops are a single FTL operation; resets complete
-        // when their erases land, the rest complete synchronously.
-        requestSlots_[slot].pending = 1;
-        ftl::PageDone done{[this, slot](sim::Time when) {
-            pageDone(slot, when);
-        }};
-        switch (zoneOp) {
-          case ftl::zns::ZoneOp::Reset:
-            backend_->zoneReset(zone, std::move(done));
-            break;
-          case ftl::zns::ZoneOp::Open:
-            backend_->zoneOpen(zone, std::move(done));
-            break;
-          case ftl::zns::ZoneOp::Close:
-            backend_->zoneClose(zone, std::move(done));
-            break;
-          case ftl::zns::ZoneOp::Finish:
-            backend_->zoneFinish(zone, std::move(done));
-            break;
-          default:
-            sim::panic("Ssd::dispatchSlot: bad zone op");
-        }
-        return;
-    }
 
     if (rs.req.isTrim) {
         // TRIMs are absorbed by the mapping layer: all pages deallocate
         // synchronously at dispatch, with no simulated flash command
         // and no response-time sample.
         for (std::uint32_t i = 0; i < pageCount; ++i)
-            backend_->hostTrim(startPage + i,
-                               pageMaskOf(startSector, sectorCount, i));
+            ftl_->hostTrim(startPage + i,
+                           pageMaskOf(startSector, sectorCount, i));
         RequestSlot &trimmed = requestSlots_[slot];
         const sim::Time arrival = trimmed.req.arrival;
         // Host-API boundary type: the caller's completion callback is
@@ -279,9 +233,9 @@ Ssd::dispatchSlot(std::uint32_t slot)
             pageDone(slot, when);
         }};
         if (isRead)
-            backend_->hostRead(lpn, mask, std::move(done));
+            ftl_->hostRead(lpn, mask, std::move(done));
         else
-            backend_->hostWrite(lpn, mask, std::move(done));
+            ftl_->hostWrite(lpn, mask, std::move(done));
     }
 }
 
@@ -302,27 +256,16 @@ Ssd::pageDone(std::uint32_t slot, sim::Time when)
         req.onComplete(lastDone);
     if (req.arrival < stats_.measureStart)
         return; // warm-up request
-    if (req.zoneOp != ftl::zns::ZoneOp::None &&
-        req.zoneOp != ftl::zns::ZoneOp::Append) {
-        // Zone management, like TRIM, is metadata work: counted but
-        // contributing no read/write response sample.
-        ++stats_.zoneMgmtRequests;
-        stats_.lastCompletion = std::max(stats_.lastCompletion, lastDone);
-        return;
-    }
     const double resp = sim::toUsec(lastDone - req.arrival);
-    // Appends are whole-page writes whatever isRead says; the sector
-    // fields are ignored for zone ops.
-    const bool isAppend = req.zoneOp == ftl::zns::ZoneOp::Append;
     const std::uint64_t bytes =
-        req.sectorCount != 0 && !isAppend
+        req.sectorCount != 0
             ? std::uint64_t{req.sectorCount} *
                   cfg_.geometry.sectorSizeBytes
             : std::uint64_t{req.pageCount} *
                   cfg_.geometry.pageSizeBytes;
     SsdStats &st = stats_;
     st.lastCompletion = std::max(st.lastCompletion, lastDone);
-    if (req.isRead && !isAppend) {
+    if (req.isRead) {
         ++st.readRequests;
         st.readResponseUs.add(resp);
         st.readHist.add(resp);
@@ -338,7 +281,7 @@ bool
 Ssd::drained() const
 {
     return inflightRequests_ == 0 && chips_->inflight() == 0 &&
-           backend_->quiescent();
+           ftl_->quiescent();
 }
 
 } // namespace ida::ssd

@@ -14,9 +14,7 @@
 
 #include "ecc/ecc_model.hh"
 #include "flash/chip.hh"
-#include "ftl/backend.hh"
 #include "ftl/ftl.hh"
-#include "ftl/zns/zone_types.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "ssd/config.hh"
@@ -46,16 +44,6 @@ struct HostRequest
     std::uint32_t startSector = 0;
     /** Sectors touched; 0 = whole pages (the page-granular default). */
     std::uint32_t sectorCount = 0;
-    /**
-     * Zone operation (ZNS backend only). None = a conventional
-     * read/write/trim. Append writes `pageCount` pages at the zone's
-     * write pointer (startPage/startSector/sectorCount ignored);
-     * Reset/Open/Close/Finish are zone-management ops where only
-     * `zone` is consulted.
-     */
-    ftl::zns::ZoneOp zoneOp = ftl::zns::ZoneOp::None;
-    /** Target zone for zoneOp != None. */
-    std::uint32_t zone = 0;
     /** Optional notification when the whole request completes. */
     std::function<void(sim::Time)> onComplete;
 };
@@ -69,8 +57,6 @@ struct SsdStats
     std::uint64_t readRequests = 0;  // measured only
     std::uint64_t writeRequests = 0;
     std::uint64_t trimRequests = 0;  // measured only; no response stats
-    /** Zone reset/open/close/finish requests (measured only). */
-    std::uint64_t zoneMgmtRequests = 0;
     std::uint64_t bytesRead = 0;     // measured only
     std::uint64_t bytesWritten = 0;
     sim::Time measureStart{};
@@ -101,16 +87,15 @@ class Ssd
     const sim::EventQueue &events() const { return events_; }
     flash::ChipArray &chips() { return *chips_; }
     const flash::ChipArray &chips() const { return *chips_; }
-    /** The translation layer behind its backend-agnostic facade. */
-    ftl::FtlBackend &backend() { return *backend_; }
-    const ftl::FtlBackend &backend() const { return *backend_; }
-    /** The page-mapped FTL (fatal on a ZNS device). */
-    ftl::Ftl &ftl() { return backend_->pageMapped(); }
-    const ftl::Ftl &ftl() const { return backend_->pageMapped(); }
+    /** The page-mapped FTL. */
+    ftl::Ftl &ftl() { return *ftl_; }
+    const ftl::Ftl &ftl() const { return *ftl_; }
+    /** Same object as ftl(); kept for callers written against it. */
+    ftl::Ftl &backend() { return *ftl_; }
     const flash::CodingScheme &coding() const { return coding_; }
 
     /** Exported logical capacity in pages. */
-    std::uint64_t logicalPages() const { return backend_->logicalPages(); }
+    std::uint64_t logicalPages() const { return ftl_->logicalPages(); }
 
     /** Instantly install logical pages [0, pages) (no simulated time). */
     void preloadSequential(std::uint64_t pages);
@@ -204,7 +189,7 @@ class Ssd
     sim::EventQueue events_;
     sim::Rng rng_;
     std::unique_ptr<flash::ChipArray> chips_;
-    std::unique_ptr<ftl::FtlBackend> backend_;
+    std::unique_ptr<ftl::Ftl> ftl_;
     std::unique_ptr<trace::Recorder> tracer_;
     SsdStats stats_;
     std::vector<RequestSlot> requestSlots_;

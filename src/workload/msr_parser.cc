@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <vector>
 
 #include "sim/log.hh"
@@ -70,18 +71,21 @@ MsrTrace::parseLine(const std::string &line, std::uint32_t page_size,
         is_read = false;
     else
         return false;
-    if (size == 0)
+    // offset + size - 1 below must not wrap: a record whose byte range
+    // runs past 2^64 would otherwise parse as a device-wide request.
+    if (size == 0 || size > UINT64_MAX - offset)
         return false;
 
     raw_timestamp = ts;
     out.isRead = is_read;
     const std::uint64_t first_page = offset / page_size;
     const std::uint64_t last_page = (offset + size - 1) / page_size;
-    auto pages = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(last_page - first_page + 1, logical_pages));
-    out.pageCount = std::max<std::uint32_t>(pages, 1);
+    const auto pages = static_cast<std::uint32_t>(
+        std::min({last_page - first_page + 1, logical_pages,
+                  std::uint64_t{UINT32_MAX}}));
+    out.pageCount = pages;
     out.startPage = first_page % logical_pages;
-    if (out.startPage + out.pageCount > logical_pages)
+    if (out.startPage > logical_pages - out.pageCount)
         out.startPage = logical_pages - out.pageCount;
     return true;
 }

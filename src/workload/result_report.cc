@@ -88,29 +88,6 @@ RunResult::writeJson(stats::JsonWriter &w, bool include_volatile) const
 
     w.field("trimRequests", trimRequests);
 
-    // ZNS-only: the whole object is absent on the page-mapped backend,
-    // keeping its archived JSON byte-identical to the pre-backend era.
-    if (znsBackend) {
-        w.key("zns");
-        w.beginObject();
-        w.field("appends", zns.appends);
-        w.field("appendedPages", zns.appendedPages);
-        w.field("resets", zns.resets);
-        w.field("resetPages", zns.resetPages);
-        w.field("resetErases", zns.resetErases);
-        w.field("opens", zns.opens);
-        w.field("implicitOpens", zns.implicitOpens);
-        w.field("closes", zns.closes);
-        w.field("finishes", zns.finishes);
-        w.field("illegalOps", zns.illegalOps);
-        w.field("deferredResets", zns.deferredResets);
-        w.field("refreshErases", zns.refreshErases);
-        w.field("maxOpenZones", zns.maxOpenZones);
-        w.field("preloadPages", zns.preloadPages);
-        w.field("zoneMgmtRequests", zoneMgmtRequests);
-        w.endObject();
-    }
-
     w.key("chip");
     w.beginObject();
     w.field("reads", chip.reads);
@@ -243,24 +220,6 @@ makeReport(const RunResult &r)
         rep.add("fills", r.cache.fills);
         rep.add("evictions", r.cache.evictions);
         rep.add("invalidations", r.cache.invalidations);
-    }
-
-    if (r.znsBackend) {
-        rep.section("zns");
-        rep.add("appends", r.zns.appends);
-        rep.add("appended_pages", r.zns.appendedPages);
-        rep.add("resets", r.zns.resets);
-        rep.add("reset_pages", r.zns.resetPages);
-        rep.add("reset_erases", r.zns.resetErases);
-        rep.add("opens", r.zns.opens);
-        rep.add("implicit_opens", r.zns.implicitOpens);
-        rep.add("closes", r.zns.closes);
-        rep.add("finishes", r.zns.finishes);
-        rep.add("illegal_ops", r.zns.illegalOps);
-        rep.add("deferred_resets", r.zns.deferredResets);
-        rep.add("refresh_erases", r.zns.refreshErases);
-        rep.add("max_open_zones", r.zns.maxOpenZones);
-        rep.add("zone_mgmt_requests", r.zoneMgmtRequests);
     }
 
     rep.section("flash");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "ftl/gauges.hh"
 #include "sim/log.hh"
 #include "trace/recorder.hh"
 
@@ -122,7 +121,7 @@ runStream(const ssd::SsdConfig &device, TraceStream &trace,
     const sim::Time measure_start = warmup_fraction * horizon;
     ssd.setMeasureStart(measure_start);
     ssd.events().schedule(measure_start, [&ssd] {
-        ssd.backend().resetReadClassification();
+        ssd.ftl().resetReadClassification();
     });
     ssd.start();
 
@@ -159,29 +158,17 @@ harvestResult(const ssd::Ssd &ssd, const std::string &workload_label,
     r.throughputMBps = st.readThroughputMBps();
     r.measuredReads = st.readRequests;
     r.measuredWrites = st.writeRequests;
-    r.ftl = ssd.backend().stats();
+    r.ftl = ssd.ftl().stats();
     r.chip = ssd.chips().stats();
     r.wear = ftl::captureWear(ssd.chips());
     r.trimRequests = st.trimRequests;
     r.pastSchedules = ssd.events().pastSchedules();
-    r.partialValidPages = ftl::countPartialValidPages(
-        ssd.config().geometry, ssd.chips());
-    r.idaEligibleWordlines = ftl::countIdaEligibleWordlines(
-        ssd.config().geometry, ssd.chips());
+    r.partialValidPages = ssd.ftl().countPartialValidPages();
+    r.idaEligibleWordlines = ssd.ftl().countIdaEligibleWordlines();
     if (ssd.tracer())
         r.attribution = ssd.tracer()->summary();
-    if (ssd.backend().kind() == ftl::BackendKind::Zns) {
-        const ftl::zns::ZnsFtl &z = ssd.backend().zns();
-        r.znsBackend = true;
-        r.zns = z.znsStats();
-        r.zoneMgmtRequests = st.zoneMgmtRequests;
-        // Every zone-table block is mapped space on a ZNS device.
-        r.inUseBlocksEnd =
-            std::uint64_t{z.zones()} * ssd.config().zns.blocksPerZone;
-    } else {
-        r.cache = ssd.ftl().readCacheStats();
-        r.inUseBlocksEnd = ssd.ftl().blocks().inUseBlocks();
-    }
+    r.cache = ssd.ftl().readCacheStats();
+    r.inUseBlocksEnd = ssd.ftl().blocks().inUseBlocks();
     r.totalBlocks = ssd.config().geometry.blocks();
     r.footprintPages = footprint_pages;
     r.simulatedTime = ssd.events().now();

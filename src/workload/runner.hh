@@ -34,15 +34,6 @@ struct RunResult
     std::uint64_t measuredWrites = 0;
 
     ftl::FtlStats ftl;       // classification, refresh, GC counters
-    /**
-     * ZNS backend counters; populated (and serialized, as a "zns"
-     * object) only when znsBackend is true, so page-mapped result JSON
-     * is unchanged by the backend abstraction.
-     */
-    ftl::zns::ZnsStats zns;
-    bool znsBackend = false;
-    /** Zone reset/open/close/finish requests (measured window). */
-    std::uint64_t zoneMgmtRequests = 0;
     flash::ChipStats chip;   // command counts / busy times
     ftl::WearSnapshot wear;  // erase distribution at end of run
     cache::ReadCacheStats cache; // read/page cache hit/miss/merge counters

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "flash/geometry.hh"
-#include "ftl/zns/zone_types.hh"
 #include "sim/time.hh"
 
 namespace ida::workload {
@@ -27,10 +26,6 @@ struct IoRequest
     std::uint32_t startSector = 0;
     /** Sectors touched; 0 = whole pages (the page-granular default). */
     std::uint32_t sectorCount = 0;
-    /** Zone operation (ZNS devices); None = conventional read/write. */
-    ftl::zns::ZoneOp zoneOp = ftl::zns::ZoneOp::None;
-    /** Target zone when zoneOp != None. */
-    std::uint32_t zone = 0;
 };
 
 /**

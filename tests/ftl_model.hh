@@ -1,21 +1,16 @@
 /**
  * @file
- * Backend-agnostic model-based test driver.
+ * Model-based test driver for the FTL.
  *
  * Replays a seeded op sequence against a live Ssd *and* a trivial
- * reference model of what an FTL must guarantee, independent of
- * backend:
+ * reference model of what an FTL must guarantee:
  *
  *  - read-your-writes: a read of data the host wrote (and has not
- *    trimmed/reset) never takes the unmapped-read path, and a read of
+ *    trimmed) never takes the unmapped-read path, and a read of
  *    never-written data always does — checked exactly, by predicting
  *    the device's unmapped-read counter from the model;
- *  - mapping agreement (page-mapped): the reference map of which
- *    logical pages hold data matches the L2P table entry-for-entry at
- *    every drain point;
- *  - zone agreement (ZNS): every zone's state/write-pointer/programmed
- *    triple matches the reference zone state machine at every drain
- *    point, and the zone-op counters match the model's tally;
+ *  - mapping agreement: the reference map of which logical pages hold
+ *    data matches the L2P table entry-for-entry at every drain point;
  *  - conservation and IDA mask validity: a cross-layer Auditor runs
  *    throughout (and at every drain point); any violation fails.
  *
@@ -23,13 +18,10 @@
  * arrival times, so the model — which applies each op instantly — sees
  * exactly the state the device will have when the op dispatches (state
  * mutates synchronously at dispatch; flash commands carry timing only).
- * The one asynchronous transition, zone reset completion, is handled by
- * ending the admission batch at each reset and draining before the
- * model continues.
  *
  * Determinism: everything derives from ModelConfig::seed, so a failing
- * (backend, seed, ops) triple is a complete reproducer; shrink by
- * re-running with a smaller `ops`.
+ * (seed, ops) pair is a complete reproducer; shrink by re-running with
+ * a smaller `ops`.
  */
 #pragma once
 
@@ -40,7 +32,6 @@
 #include <vector>
 
 #include "audit/auditor.hh"
-#include "ftl/backend.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
 
@@ -49,7 +40,6 @@ namespace ida::testing {
 /** One model run's parameters. */
 struct ModelConfig
 {
-    ftl::BackendKind backend = ftl::BackendKind::PageMapped;
     std::uint64_t seed = 1;
     std::uint64_t ops = 10'000;
     /** Ops admitted between drain-and-validate points. */
@@ -84,21 +74,19 @@ class ModelDriver
 
     ModelOutcome run()
     {
-        ssd::SsdConfig cfg = mc_.backend == ftl::BackendKind::Zns
-                                 ? ssd::SsdConfig::tinyZns()
-                                 : ssd::SsdConfig::tiny();
+        ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
         cfg.seed = mc_.seed;
         cfg.ftl.enableIda = true; // IDA wordlines feed the mask audit
         // ~500us between ops puts a 10k-op run at ~5 simulated
         // seconds; a 10s refresh period with preload ages spread over
-        // it guarantees refresh-migration coverage on both backends.
+        // it guarantees refresh-migration coverage.
         cfg.ftl.refreshPeriod = 10 * sim::kSec;
         cfg.ftl.refreshCheckInterval = sim::kSec;
         cfg.ftl.maxConcurrentRefresh = 2;
         // The model admits ops faster than the default-tuned GC hover
-        // level can absorb (allocation happens at dispatch): give the
-        // page-mapped GC enough free-block headroom per plane that a
-        // whole batch fits between drain points.
+        // level can absorb (allocation happens at dispatch): give GC
+        // enough free-block headroom per plane that a whole batch fits
+        // between drain points.
         cfg.ftl.gcFreeThreshold = 6;
 
         ssd::Ssd ssd(cfg);
@@ -109,10 +97,7 @@ class ModelDriver
         auditor.arm(4096);
 #endif
 
-        if (mc_.backend == ftl::BackendKind::Zns)
-            setupZns();
-        else
-            setupPage();
+        setup();
         ssd.start();
 
         while (outcome_.opsIssued < mc_.ops) {
@@ -131,8 +116,7 @@ class ModelDriver
         outcome_.auditSummary = auditor.summary();
         outcome_.executedEvents = ssd.events().executed();
         outcome_.unmappedReads = predictedUnmapped_;
-        outcome_.refreshes =
-            ssd.backend().stats().refresh.refreshes;
+        outcome_.refreshes = ssd.ftl().stats().refresh.refreshes;
         ssd_ = nullptr;
         auditor_ = nullptr;
         return outcome_;
@@ -163,11 +147,7 @@ class ModelDriver
         for (std::uint64_t i = 0; i < n; ++i) {
             clock_ += rng_.uniformInt(100, 900) * sim::kUsec;
             ++outcome_.opsIssued;
-            const bool barrier = mc_.backend == ftl::BackendKind::Zns
-                                     ? oneZnsOp()
-                                     : onePageOp();
-            if (barrier)
-                break; // e.g. a zone reset: drain before continuing
+            oneOp();
         }
     }
 
@@ -191,21 +171,16 @@ class ModelDriver
 
     void validate()
     {
-        if (mc_.backend == ftl::BackendKind::Zns)
-            validateZns();
-        else
-            validatePage();
+        validateMapping();
         const std::uint64_t observed =
-            ssd_->backend().stats().hostReadsUnmapped;
+            ssd_->ftl().stats().hostReadsUnmapped;
         if (observed != predictedUnmapped_)
             fail(cat("read-your-writes: device served ", observed,
                      " unmapped reads, the reference map predicts ",
                      predictedUnmapped_));
     }
 
-    // ---- page-mapped backend ---------------------------------------
-
-    void setupPage()
+    void setup()
     {
         footprint_ = ssd_->logicalPages() * 8 / 10;
         const std::uint64_t preloaded = footprint_ / 2;
@@ -217,8 +192,7 @@ class ModelDriver
                   true);
     }
 
-    /** Returns true when the batch must end (never, for pages). */
-    bool onePageOp()
+    void oneOp()
     {
         const double kind = rng_.uniform01();
         auto lpn = static_cast<flash::Lpn>(
@@ -231,7 +205,7 @@ class ModelDriver
             r.pageCount = 1;
             mapped_[lpn] = false;
             ssd_->submit(r);
-            return false;
+            return;
         }
         r.isRead = kind < 0.5;
         r.pageCount =
@@ -248,10 +222,9 @@ class ModelDriver
             }
         }
         ssd_->submit(r);
-        return false;
     }
 
-    void validatePage()
+    void validateMapping()
     {
         const auto &map = ssd_->ftl().mapping();
         for (flash::Lpn lpn = 0; lpn < footprint_; ++lpn) {
@@ -266,230 +239,6 @@ class ModelDriver
         }
     }
 
-    // ---- ZNS backend ------------------------------------------------
-
-    enum class MZone : std::uint8_t {
-        Empty,
-        Open,
-        Closed,
-        Full,
-        Resetting
-    };
-
-    void setupZns()
-    {
-        const auto &z = ssd_->backend().zns();
-        zones_ = z.zones();
-        zoneCap_ = z.zoneCapacity();
-        maxOpen_ = ssd_->config().zns.maxOpenZones;
-        zstate_.assign(zones_, MZone::Empty);
-        zwp_.assign(zones_, 0);
-        zprog_.assign(zones_, 0);
-        const std::uint32_t preloaded = zones_ / 2;
-        ssd_->preloadSequential(std::uint64_t{preloaded} * zoneCap_);
-        for (std::uint32_t i = 0; i < preloaded; ++i) {
-            zstate_[i] = MZone::Full;
-            zwp_[i] = zprog_[i] = zoneCap_;
-        }
-    }
-
-    std::uint32_t openCount() const
-    {
-        std::uint32_t n = 0;
-        for (MZone s : zstate_)
-            n += s == MZone::Open;
-        return n;
-    }
-
-    /** A zone in one of @p a / @p b, uniformly; zones_ when none. */
-    std::uint32_t pickZone(MZone a, MZone b)
-    {
-        std::uint32_t count = 0;
-        for (MZone s : zstate_)
-            count += (s == a || s == b);
-        if (count == 0)
-            return zones_;
-        std::uint64_t skip = rng_.uniformInt(0, count - 1);
-        for (std::uint32_t zn = 0; zn < zones_; ++zn)
-            if (zstate_[zn] == a || zstate_[zn] == b) {
-                if (skip == 0)
-                    return zn;
-                --skip;
-            }
-        return zones_;
-    }
-
-    void submitZoneOp(ftl::zns::ZoneOp op, std::uint32_t zone,
-                      std::uint32_t pages = 1)
-    {
-        ssd::HostRequest r;
-        r.arrival = clock_;
-        r.isRead = false;
-        r.zoneOp = op;
-        r.zone = zone;
-        r.pageCount = pages;
-        ssd_->submit(r);
-    }
-
-    /** Returns true when the batch must end (after a reset). */
-    bool oneZnsOp()
-    {
-        const double kind = rng_.uniform01();
-        if (kind < 0.50) {
-            znsRead();
-            return false;
-        }
-        if (kind < 0.85)
-            return znsAppendTurn();
-        if (kind < 0.89) { // finish an open zone early
-            const std::uint32_t zn = pickZone(MZone::Open, MZone::Open);
-            if (zn == zones_)
-                return znsAppendTurn();
-            submitZoneOp(ftl::zns::ZoneOp::Finish, zn);
-            zstate_[zn] = MZone::Full;
-            zwp_[zn] = zoneCap_; // programmed pages stay behind
-            ++predictedFinishes_;
-            return false;
-        }
-        if (kind < 0.93) { // close an open zone
-            const std::uint32_t zn = pickZone(MZone::Open, MZone::Open);
-            if (zn == zones_)
-                return znsAppendTurn();
-            submitZoneOp(ftl::zns::ZoneOp::Close, zn);
-            zstate_[zn] = zwp_[zn] == 0 ? MZone::Empty : MZone::Closed;
-            ++predictedCloses_;
-            return false;
-        }
-        if (kind < 0.97) { // reset the fullest thing available
-            const std::uint32_t zn = pickZone(MZone::Full, MZone::Closed);
-            if (zn == zones_)
-                return znsAppendTurn();
-            submitZoneOp(ftl::zns::ZoneOp::Reset, zn);
-            zstate_[zn] = MZone::Resetting;
-            resetting_.push_back(zn);
-            ++predictedResets_;
-            return true; // barrier: completion settles at the drain
-        }
-        // Explicit open (budget permitting).
-        const std::uint32_t zn = pickZone(MZone::Empty, MZone::Closed);
-        if (zn == zones_ || openCount() >= maxOpen_)
-            return znsAppendTurn();
-        submitZoneOp(ftl::zns::ZoneOp::Open, zn);
-        zstate_[zn] = MZone::Open;
-        ++predictedOpens_;
-        return false;
-    }
-
-    void znsRead()
-    {
-        // Any non-resetting zone; beyond-prefix offsets exercise the
-        // unmapped path (empty zones, finished zones' tails).
-        std::uint32_t zn = static_cast<std::uint32_t>(
-            rng_.uniformInt(0, zones_ - 1));
-        for (std::uint32_t tries = 0;
-             zstate_[zn] == MZone::Resetting && tries < zones_; ++tries)
-            zn = (zn + 1) % zones_;
-        if (zstate_[zn] == MZone::Resetting)
-            return; // everything mid-reset; skip the turn
-        const std::uint64_t off = rng_.uniformInt(0, zoneCap_ - 1);
-        if (off >= zprog_[zn])
-            ++predictedUnmapped_;
-        ssd::HostRequest r;
-        r.arrival = clock_;
-        r.isRead = true;
-        r.startPage = std::uint64_t{zn} * zoneCap_ + off;
-        r.pageCount = 1;
-        ssd_->submit(r);
-    }
-
-    bool znsAppendTurn()
-    {
-        // Append to an open zone, implicitly opening one when the
-        // budget allows and nothing is open.
-        std::uint32_t zn = pickZone(MZone::Open, MZone::Open);
-        if (zn == zones_) {
-            if (openCount() >= maxOpen_)
-                return false; // skip the turn
-            zn = pickZone(MZone::Empty, MZone::Closed);
-            if (zn == zones_)
-                return false; // no space left to open
-            ++predictedImplicitOpens_; // append opens EMPTY and CLOSED alike
-            zstate_[zn] = MZone::Open;
-        }
-        const std::uint32_t count = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(1 + rng_.uniformInt(0, 3),
-                                    zoneCap_ - zwp_[zn]));
-        submitZoneOp(ftl::zns::ZoneOp::Append, zn, count);
-        // Ssd fans a pageCount-page append request out into pageCount
-        // zoneAppend calls; the FTL counts each one.
-        predictedAppends_ += count;
-        predictedAppendedPages_ += count;
-        zwp_[zn] += count;
-        zprog_[zn] = zwp_[zn];
-        if (zwp_[zn] == zoneCap_)
-            zstate_[zn] = MZone::Full;
-        return false;
-    }
-
-    void validateZns()
-    {
-        // Drained: every submitted reset has applied and completed.
-        for (std::uint32_t zn : resetting_) {
-            zstate_[zn] = MZone::Empty;
-            zwp_[zn] = zprog_[zn] = 0;
-        }
-        resetting_.clear();
-
-        const auto &z = ssd_->backend().zns();
-        for (std::uint32_t zn = 0; zn < zones_; ++zn) {
-            const auto want = [&]() -> ftl::zns::ZoneState {
-                switch (zstate_[zn]) {
-                  case MZone::Empty:
-                    return ftl::zns::ZoneState::Empty;
-                  case MZone::Open:
-                    return ftl::zns::ZoneState::Open;
-                  case MZone::Closed:
-                    return ftl::zns::ZoneState::Closed;
-                  default:
-                    return ftl::zns::ZoneState::Full;
-                }
-            }();
-            if (z.state(zn) != want || z.writePointer(zn) != zwp_[zn] ||
-                z.programmedPages(zn) != zprog_[zn]) {
-                fail(cat("zone ", zn, ": device (",
-                         ftl::zns::zoneStateName(z.state(zn)), ", wp ",
-                         z.writePointer(zn), ", prog ",
-                         z.programmedPages(zn), ") != model (",
-                         ftl::zns::zoneStateName(want), ", wp ",
-                         zwp_[zn], ", prog ", zprog_[zn], ")"));
-                return;
-            }
-        }
-        const auto &zs = z.znsStats();
-        if (zs.illegalOps != 0)
-            fail(cat("device rejected ", zs.illegalOps,
-                     " ops the model thought legal"));
-        if (zs.appends != predictedAppends_ ||
-            zs.appendedPages != predictedAppendedPages_)
-            fail(cat("append tally: device ", zs.appends, "/",
-                     zs.appendedPages, " pages, model ",
-                     predictedAppends_, "/", predictedAppendedPages_));
-        if (zs.resets != predictedResets_)
-            fail(cat("reset tally: device ", zs.resets, ", model ",
-                     predictedResets_));
-        if (zs.opens != predictedOpens_ ||
-            zs.implicitOpens != predictedImplicitOpens_)
-            fail(cat("open tally: device ", zs.opens, "+",
-                     zs.implicitOpens, " implicit, model ",
-                     predictedOpens_, "+", predictedImplicitOpens_));
-        if (zs.closes != predictedCloses_)
-            fail(cat("close tally: device ", zs.closes, ", model ",
-                     predictedCloses_));
-        if (zs.finishes != predictedFinishes_)
-            fail(cat("finish tally: device ", zs.finishes, ", model ",
-                     predictedFinishes_));
-    }
-
     ModelConfig mc_;
     sim::Rng rng_;
     ssd::Ssd *ssd_ = nullptr;
@@ -497,26 +246,11 @@ class ModelDriver
     ModelOutcome outcome_;
     sim::Time clock_{};
 
-    // page-mapped reference state
+    // reference state
     std::uint64_t footprint_ = 0;
     std::vector<bool> mapped_;
 
-    // ZNS reference state
-    std::uint32_t zones_ = 0;
-    std::uint64_t zoneCap_ = 0;
-    std::uint32_t maxOpen_ = 0;
-    std::vector<MZone> zstate_;
-    std::vector<std::uint64_t> zwp_;
-    std::vector<std::uint64_t> zprog_;
-    std::vector<std::uint32_t> resetting_;
     std::uint64_t predictedUnmapped_ = 0;
-    std::uint64_t predictedAppends_ = 0;
-    std::uint64_t predictedAppendedPages_ = 0;
-    std::uint64_t predictedResets_ = 0;
-    std::uint64_t predictedOpens_ = 0;
-    std::uint64_t predictedImplicitOpens_ = 0;
-    std::uint64_t predictedCloses_ = 0;
-    std::uint64_t predictedFinishes_ = 0;
 };
 
 } // namespace detail

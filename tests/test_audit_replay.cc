@@ -20,7 +20,6 @@
 #include <string>
 
 #include "audit/auditor.hh"
-#include "ftl_model.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
 
@@ -206,77 +205,6 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
     EXPECT_GT(refreshes, 0u);
     EXPECT_GT(idaRefreshes, 0u);
     EXPECT_GT(trims, 0u);
-}
-
-// ---- ZNS scenario family -------------------------------------------
-//
-// The zoned backend has no TRIM/GC mix to replay; its seeded workloads
-// come from the model driver in tests/ftl_model.hh, which generates
-// legal zone-op sequences (append/read/open/close/finish/reset under
-// refresh migration), audits throughout — the ZNS catalog adds the
-// zns-zone-state and zns-conservation checks — and cross-checks every
-// drain point against a reference zone state machine. The family rides
-// the same IDA_AUDIT_REPLAY_SEEDS widening as the page-mapped one
-// (tools/run_audit.sh).
-
-std::uint64_t
-runZnsScenario(std::uint64_t seed, std::uint64_t ops,
-               ida::testing::ModelOutcome &out)
-{
-    ida::testing::ModelConfig mc;
-    mc.backend = ftl::BackendKind::Zns;
-    mc.seed = seed;
-    mc.ops = ops;
-    out = ida::testing::runFtlModel(mc);
-    return out.auditViolations + out.modelFailures;
-}
-
-std::uint64_t
-shrinkZnsFailure(std::uint64_t seed, std::uint64_t ops)
-{
-    std::uint64_t lo = 1, hi = ops;
-    while (lo < hi) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        ida::testing::ModelOutcome probe;
-        if (runZnsScenario(seed, mid, probe) > 0)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-TEST(AuditReplay, ZnsSeededWorkloadsStayClean)
-{
-    constexpr std::uint64_t kOps = 800;
-    int nSeeds = 3;
-    if (const char *env = std::getenv("IDA_AUDIT_REPLAY_SEEDS"))
-        nSeeds = std::max(
-            2, static_cast<int>(std::strtol(env, nullptr, 10)) / 4);
-
-    std::uint64_t refreshes = 0, unmapped = 0;
-    for (int s = 1; s <= nSeeds; ++s) {
-        ida::testing::ModelOutcome out;
-        const std::uint64_t bad =
-            runZnsScenario(static_cast<std::uint64_t>(s), kOps, out);
-        EXPECT_GE(out.audits, 2u)
-            << "seed " << s << ": the auditor never ran";
-        refreshes += out.refreshes;
-        unmapped += out.unmappedReads;
-        if (bad > 0) {
-            ADD_FAILURE()
-                << "zns seed " << s << ": "
-                << (out.modelFailures ? out.firstFailure
-                                      : out.auditSummary)
-                << "\nminimal failing op count: "
-                << shrinkZnsFailure(static_cast<std::uint64_t>(s), kOps)
-                << " (of " << kOps << ")";
-        }
-    }
-    // Coverage: the family must see refresh migration and the
-    // unmapped-read path, or the zns checks audit nothing interesting.
-    EXPECT_GT(refreshes, 0u);
-    EXPECT_GT(unmapped, 0u);
 }
 
 TEST(AuditReplay, ReplayIsDeterministic)

@@ -1,14 +1,13 @@
 /**
  * @file
- * Differential golden test for the FTL backend refactor: fixed-seed
- * runs through the public runner API must reproduce the committed
- * result JSON byte-for-byte (RunResult::writeJson with volatile fields
- * omitted). The goldens were generated *before* the FtlBackend
- * extraction, so a byte-identical match proves `PageMappedBackend`
- * behind the new interface is a pure re-homing of the seed behavior —
- * no timing, counter, or serialization drift.
+ * Differential golden test for the page-mapped FTL: fixed-seed runs
+ * through the public runner API must reproduce the committed result
+ * JSON byte-for-byte (RunResult::writeJson with volatile fields
+ * omitted). A byte-identical match proves a refactor of the FTL or the
+ * device layer around it is behavior-neutral — no timing, counter, or
+ * serialization drift.
  *
- * Three legs pin the surfaces the refactor touches:
+ * Three legs pin the surfaces such refactors touch:
  *   fig10  — closed-loop throughput (baseline + IDA-E20), the shape of
  *            bench/fig10_throughput at miniature scale.
  *   sector — open-loop sector-mode run with write buffer + read cache,
@@ -111,8 +110,8 @@ compareOrUpdate(const std::string &actual, const char *file)
                   << ", first difference at byte " << firstDiff
                   << " (context: ..."
                   << want.substr(firstDiff > 40 ? firstDiff - 40 : 0, 80)
-                  << "...). The page-mapped backend must stay "
-                     "byte-identical to the pre-refactor seed; "
+                  << "...). The page-mapped FTL must stay "
+                     "byte-identical to the committed golden; "
                      "regenerate with IDA_UPDATE_GOLDEN=1 only for an "
                      "intentional behavior change.";
 }

@@ -1,18 +1,17 @@
 /**
  * @file
- * Model-based differential tests for both FTL backends.
+ * Model-based differential tests for the FTL.
  *
  * tests/ftl_model.hh replays seeded op sequences against a live device
- * and a reference model, asserting read-your-writes, mapping/zone-state
- * agreement, op-counter conservation, and a clean cross-layer audit at
- * every drain point. These tests are the backend abstraction's
- * acceptance gate: each backend takes >= 10,000 seeded ops per CI run
- * with zero model divergences and zero audit violations.
+ * and a reference model, asserting read-your-writes, mapping agreement,
+ * and a clean cross-layer audit at every drain point. Each CI run
+ * drives >= 10,000 seeded ops per seed with zero model divergences and
+ * zero audit violations.
  *
  * IDA_MODEL_OPS (env) scales the sequence length for deeper local
  * sweeps, the same way IDA_AUDIT_REPLAY_SEEDS widens the replay
- * harness. A failure reports (backend, seed, ops) — a complete
- * reproducer; shrink by re-running with smaller ops.
+ * harness. A failure reports (seed, ops) — a complete reproducer;
+ * shrink by re-running with smaller ops.
  */
 #include <cstdint>
 #include <cstdlib>
@@ -23,7 +22,6 @@
 
 namespace {
 
-using ida::ftl::BackendKind;
 using ida::testing::ModelConfig;
 using ida::testing::ModelOutcome;
 using ida::testing::runFtlModel;
@@ -36,42 +34,21 @@ opsPerRun()
     return 10'000;
 }
 
-ModelOutcome
-expectClean(BackendKind backend, std::uint64_t seed)
-{
-    ModelConfig mc;
-    mc.backend = backend;
-    mc.seed = seed;
-    mc.ops = opsPerRun();
-    ModelOutcome out = runFtlModel(mc);
-    EXPECT_EQ(out.opsIssued, mc.ops)
-        << "backend " << ida::ftl::backendName(backend) << " seed "
-        << seed;
-    EXPECT_EQ(out.modelFailures, 0u)
-        << "backend " << ida::ftl::backendName(backend) << " seed "
-        << seed << " ops " << mc.ops << ": " << out.firstFailure;
-    EXPECT_EQ(out.auditViolations, 0u)
-        << "backend " << ida::ftl::backendName(backend) << " seed "
-        << seed << ": " << out.auditSummary;
-    EXPECT_GT(out.audits, 0u);
-    return out;
-}
-
 TEST(FtlModel, PageMappedSeededOpsStayClean)
 {
     for (std::uint64_t seed : {1, 2}) {
-        const ModelOutcome out =
-            expectClean(BackendKind::PageMapped, seed);
+        ModelConfig mc;
+        mc.seed = seed;
+        mc.ops = opsPerRun();
+        const ModelOutcome out = runFtlModel(mc);
+        EXPECT_EQ(out.opsIssued, mc.ops) << "seed " << seed;
+        EXPECT_EQ(out.modelFailures, 0u)
+            << "seed " << seed << " ops " << mc.ops << ": "
+            << out.firstFailure;
+        EXPECT_EQ(out.auditViolations, 0u)
+            << "seed " << seed << ": " << out.auditSummary;
+        EXPECT_GT(out.audits, 0u);
         // The sequence must actually exercise the interesting paths.
-        EXPECT_GT(out.unmappedReads, 0u) << "seed " << seed;
-        EXPECT_GT(out.refreshes, 0u) << "seed " << seed;
-    }
-}
-
-TEST(FtlModel, ZnsSeededOpsStayClean)
-{
-    for (std::uint64_t seed : {1, 2}) {
-        const ModelOutcome out = expectClean(BackendKind::Zns, seed);
         EXPECT_GT(out.unmappedReads, 0u) << "seed " << seed;
         EXPECT_GT(out.refreshes, 0u) << "seed " << seed;
     }
@@ -79,20 +56,15 @@ TEST(FtlModel, ZnsSeededOpsStayClean)
 
 TEST(FtlModel, RunsAreDeterministic)
 {
-    for (BackendKind backend :
-         {BackendKind::PageMapped, BackendKind::Zns}) {
-        ModelConfig mc;
-        mc.backend = backend;
-        mc.seed = 7;
-        mc.ops = 2'000;
-        const ModelOutcome a = runFtlModel(mc);
-        const ModelOutcome b = runFtlModel(mc);
-        EXPECT_EQ(a.executedEvents, b.executedEvents)
-            << ida::ftl::backendName(backend);
-        EXPECT_EQ(a.unmappedReads, b.unmappedReads);
-        EXPECT_EQ(a.modelFailures, b.modelFailures);
-        EXPECT_EQ(a.auditViolations, b.auditViolations);
-    }
+    ModelConfig mc;
+    mc.seed = 7;
+    mc.ops = 2'000;
+    const ModelOutcome a = runFtlModel(mc);
+    const ModelOutcome b = runFtlModel(mc);
+    EXPECT_EQ(a.executedEvents, b.executedEvents);
+    EXPECT_EQ(a.unmappedReads, b.unmappedReads);
+    EXPECT_EQ(a.modelFailures, b.modelFailures);
+    EXPECT_EQ(a.auditViolations, b.auditViolations);
 }
 
 } // namespace

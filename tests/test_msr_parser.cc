@@ -4,9 +4,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
+#include "sim/rng.hh"
 #include "workload/msr_parser.hh"
 
 namespace ida::workload {
@@ -60,6 +64,74 @@ TEST(MsrParseLine, RejectsMalformedRecords)
                                      ts));
     EXPECT_FALSE(MsrTrace::parseLine("x,h,0,Read,0,4096,1", 8192, 1000,
                                      r, ts));
+    // offset + size runs past 2^64: must not wrap into a request that
+    // covers the whole device.
+    EXPECT_FALSE(MsrTrace::parseLine(
+        "1,h,0,Read,18446744073709551000,8192,10", 4096, 1000, r, ts));
+}
+
+/** One field of a generated record: well-formed, extreme, or junk. */
+std::string
+fuzzField(sim::Rng &rng, bool numeric)
+{
+    static const char *const kJunk[] = {
+        "",   "-1", " 1", "1 ", "0x10", "1e3", "+5", "abc", "\t",
+        "18446744073709551616", "99999999999999999999999", "Read ",
+        "read", "W", "R", "Flush", "Write", "Read",
+    };
+    const double kind = rng.uniform01();
+    if (kind < 0.3 || !numeric)
+        return kJunk[rng.uniformInt(0, std::size(kJunk) - 1)];
+    if (kind < 0.5)
+        return std::to_string(UINT64_MAX - rng.uniformInt(0, 1 << 20));
+    if (kind < 0.7)
+        return std::to_string(rng.uniformInt(0, UINT64_MAX - 1));
+    return std::to_string(rng.uniformInt(0, 1 << 24));
+}
+
+TEST(MsrParseLine, SeededMalformedInputNeverEscapesCapacity)
+{
+    // Every generated line is either rejected or lands inside the
+    // logical space with a nonempty page count.
+    sim::Rng rng(0x5eed'4d53'5250ull);
+    constexpr std::uint32_t kPageSizes[] = {1, 512, 4096, 8192, 65536};
+    constexpr std::uint64_t kCapacities[] = {1, 2, 1000, 1u << 20,
+                                             UINT64_MAX / 3, UINT64_MAX};
+    std::uint64_t accepted = 0, rejected = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        std::string line;
+        // Mostly record-shaped (6-8 fields), sometimes truncated.
+        const auto fields = rng.uniform01() < 0.8 ? rng.uniformInt(6, 8)
+                                                   : rng.uniformInt(0, 5);
+        for (std::uint64_t f = 0; f < fields; ++f) {
+            if (f > 0)
+                line += ',';
+            // Fields 0/4/5 are numeric, 3 is the op type; keep the
+            // others junk so only the parse rules decide.
+            const bool numeric = f == 0 || f == 4 || f == 5;
+            line += f == 3 && rng.uniform01() < 0.7
+                        ? (rng.uniform01() < 0.5 ? "Read" : "Write")
+                        : fuzzField(rng, numeric);
+        }
+        const std::uint32_t page =
+            kPageSizes[rng.uniformInt(0, std::size(kPageSizes) - 1)];
+        const std::uint64_t cap =
+            kCapacities[rng.uniformInt(0, std::size(kCapacities) - 1)];
+        IoRequest r;
+        std::uint64_t ts = 0;
+        if (!MsrTrace::parseLine(line, page, cap, r, ts)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_GE(r.pageCount, 1u) << line;
+        ASSERT_LE(r.pageCount, cap) << line;
+        ASSERT_LE(r.startPage, cap - r.pageCount)
+            << line << " (page " << page << ", capacity " << cap << ")";
+    }
+    // The generator must exercise both outcomes.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 TEST(MsrParseLine, OffsetWrapsIntoLogicalSpace)

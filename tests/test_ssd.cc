@@ -210,6 +210,14 @@ TEST(SsdDeath, RequestBeyondCapacityIsFatal)
     r.startPage = ssd.logicalPages();
     r.pageCount = 1;
     EXPECT_EXIT(ssd.submit(r), ::testing::ExitedWithCode(1), "beyond");
+    // startPage + pageCount wraps to 1 here; the check must not.
+    r.startPage = ~std::uint64_t{0};
+    r.pageCount = 2;
+    EXPECT_EXIT(ssd.submit(r), ::testing::ExitedWithCode(1), "beyond");
+    // More pages than the whole device, starting at page 0.
+    r.startPage = 0;
+    r.pageCount = static_cast<std::uint32_t>(ssd.logicalPages() + 1);
+    EXPECT_EXIT(ssd.submit(r), ::testing::ExitedWithCode(1), "beyond");
 }
 
 TEST(SsdDeath, OversizedPreloadIsFatal)

@@ -18,7 +18,7 @@ namespace {
 const std::vector<std::string> kHotPathDirs = {
     "src/sim/",
     "src/flash/",
-    "src/ftl/",   // prefix match: includes src/ftl/zns/ (ZNS backend)
+    "src/ftl/",
     "src/cache/", // read-cache lookups sit on every host-read dispatch
     "src/fleet/", // staging/merge runs once per host IO per epoch
 };

@@ -4,13 +4,9 @@
 # auditor's own suite plus the seeded replay harness at full strength.
 # IDA_AUDIT_REPLAY_SEEDS widens the replay sweep far beyond the tier-1
 # default of 4 seeds; each seed is a distinct synthetic workload
-# (mixed read/write/TRIM, GC pressure, refresh with IDA on and off;
-# the zns family reuses the same env, scaled down 4x, to replay zone
-# churn + refresh + IDA through the model driver). The gate also runs
-# the ZNS suites here because illegal zone transitions only panic —
-# and the death tests only bite — under IDA_AUDIT, and the model-based
-# differential suite (FtlModel*) so both backends take their seeded
-# op sequences with the full audit catalog armed.
+# (mixed read/write/TRIM, GC pressure, refresh with IDA on and off).
+# The gate also runs the model-based differential suite (FtlModel*) so
+# its seeded op sequences run with the full audit catalog armed.
 #
 # Usage: tools/run_audit.sh [build-dir] [seeds]
 #   build-dir: default build-audit (kept separate from the release
@@ -27,7 +23,7 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
 cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
 
 IDA_AUDIT_REPLAY_SEEDS="$SEEDS" "$BUILD_DIR/tests/idaflash_tests" \
-    --gtest_filter='Auditor*:AuditReplay*:Zns*:FtlModel*' \
+    --gtest_filter='Auditor*:AuditReplay*:FtlModel*' \
     --gtest_brief=1
 
 echo "audit: OK ($SEEDS replay seeds clean under IDA_AUDIT)"

@@ -2,7 +2,7 @@
 # Coverage gate: build with gcov instrumentation (plus IDA_TRACE, so
 # the span-stamping paths are part of the measured surface), run the
 # full unit-test binary, and aggregate line coverage over the flash,
-# cache, trace and ftl/zns sources. Fails when the aggregate drops below
+# cache and trace sources. Fails when the aggregate drops below
 # the recorded floor in tools/coverage_baseline.txt — raise the floor
 # when coverage genuinely improves, never lower it to make a regression
 # pass.
@@ -32,13 +32,13 @@ find "$BUILD_DIR" -name '*.gcda' -delete
 REPORT="$BUILD_DIR/coverage_report.txt"
 OBJ_ROOT="$BUILD_DIR/src/CMakeFiles/idaflash.dir"
 
-# One gcov pass per flash/cache/trace/ftl-zns translation unit; keep
+# One gcov pass per flash/cache/trace translation unit; keep
 # each TU's own .cc entry (headers repeat across TUs and would
 # double-count).
 {
-    echo "# line coverage of src/flash + src/cache + src/trace + src/ftl/zns (gcov, Debug -O0)"
+    echo "# line coverage of src/flash + src/cache + src/trace (gcov, Debug -O0)"
     find "$OBJ_ROOT/flash" "$OBJ_ROOT/cache" "$OBJ_ROOT/trace" \
-         "$OBJ_ROOT/ftl/zns" -name '*.gcno' | sort |
+         -name '*.gcno' | sort |
     while read -r gcno; do
         gcov -n "$gcno" 2>/dev/null
     done | awk '
@@ -47,13 +47,13 @@ OBJ_ROOT="$BUILD_DIR/src/CMakeFiles/idaflash.dir"
             gsub(/\x27/, "", file)
         }
         /^Lines executed:/ {
-            if (file ~ /src\/(flash|cache|trace|ftl\/zns)\/[^\/]+\.cc$/) {
+            if (file ~ /src\/(flash|cache|trace)\/[^\/]+\.cc$/) {
                 pct = $0
                 sub(/^Lines executed:/, "", pct)
                 sub(/%.*/, "", pct)
                 n = $0
                 sub(/.* of /, "", n)
-                sub(/src\/(flash|cache|trace|ftl\/zns)\//, "&", file)
+                sub(/src\/(flash|cache|trace)\//, "&", file)
                 printf "%-40s %6.2f%% of %d\n", file, pct, n
                 covered += pct * n
                 total += n
@@ -77,7 +77,7 @@ TOTAL="$(awk '/^TOTAL /{print $2}' "$REPORT")"
 BASELINE="$(cat "$BASELINE_FILE")"
 PASS="$(awk -v t="$TOTAL" -v b="$BASELINE" 'BEGIN{print (t >= b) ? 1 : 0}')"
 if [ "$PASS" != 1 ]; then
-    echo "run_coverage: FAIL - flash+cache+trace+ftl/zns line coverage $TOTAL% is" \
+    echo "run_coverage: FAIL - flash+cache+trace line coverage $TOTAL% is" \
          "below the recorded floor $BASELINE%" >&2
     exit 1
 fi
