@@ -150,6 +150,17 @@ struct SchemeCase
     CodingScheme (*make)();
 };
 
+/**
+ * Print a case by name. Without this gtest dumps the raw object bytes,
+ * which hold a string and a function address that move with ASLR, so
+ * the listed test names would differ on every run.
+ */
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class MergeProperty : public ::testing::TestWithParam<SchemeCase>
 {
 };

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ssd/ssd.hh"
 #include "workload/synthetic.hh"
 
@@ -22,6 +24,17 @@ struct SystemCase
     double readRatio;
     std::uint64_t seed;
 };
+
+/**
+ * Print a case by name. Without this gtest dumps the raw object bytes,
+ * which hold a string address that moves with ASLR and uninitialised
+ * padding, so the listed test names would differ on every run.
+ */
+void
+PrintTo(const SystemCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SystemProperty : public ::testing::TestWithParam<SystemCase>
 {
