@@ -67,7 +67,7 @@ main()
     // Age the block and let the refresh scanner pick it up. The window
     // is shorter than the refresh period, so exactly one refresh runs
     // (a second one would force-migrate the new IDA block).
-    ftl.blocks().meta(target).refreshedAt(-100 * sim::kSec);
+    ftl.blocks().setRefreshedAt(target, -100 * sim::kSec);
     ftl.start();
     events.runUntil(events.now() + 5 * sim::kSec);
 

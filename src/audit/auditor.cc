@@ -377,6 +377,30 @@ Auditor::checkBlockAccounting()
         sim::Time{},
         ftl.config().preloadAgeSpread - ftl.config().refreshPeriod);
 
+    // The age index holds closed blocks only, each keyed by its current
+    // refreshedAt, in strictly increasing (refreshedAt, id) order.
+    std::vector<bool> indexed(geom.blocks(), false);
+    bool first = true;
+    flash::BlockId prevId = 0;
+    sim::Time prevKey{};
+    bm.forEachByAge([&](flash::BlockId b, sim::Time key) {
+        if (indexed[b])
+            fail(cat("age index: block ", b, " appears twice"));
+        indexed[b] = true;
+        const auto m = bm.meta(b);
+        if (m.inFreePool() || m.hostActive() || m.internalActive())
+            fail(cat("age index: block ", b, " is not closed"));
+        if (key != m.refreshedAt())
+            fail(cat("age index: block ", b, " keyed at ", key,
+                     " but refreshedAt is ", m.refreshedAt()));
+        if (!first && (key < prevKey || (key == prevKey && b < prevId)))
+            fail(cat("age index: block ", b, " (", key,
+                     ") follows block ", prevId, " (", prevKey, ")"));
+        first = false;
+        prevId = b;
+        prevKey = key;
+    });
+
     std::vector<std::uint64_t> freeByPlane(geom.planes(), 0);
     std::uint64_t closed = 0;
     for (flash::BlockId b = 0; b < geom.blocks(); ++b) {
@@ -394,6 +418,8 @@ Auditor::checkBlockAccounting()
                 fail(cat("block ", b, ": pooled but not erased"));
         } else if (!m.hostActive() && !m.internalActive()) {
             ++closed;
+            if (!indexed[b])
+                fail(cat("block ", b, ": closed but not in the age index"));
         }
         if (m.refreshedAt() > now + refreshSlack)
             fail(cat("block ", b, ": refreshedAt ", m.refreshedAt(),

@@ -68,7 +68,10 @@ struct Violation
  *                      behind now(), exact slab-pool slot accounting
  *                      (EventQueue::validateHeap).
  *  - block-accounting: BlockManager free pools / active flags / in-use
- *                      counter agree with per-block recount; no clock
+ *                      counter agree with per-block recount; the age
+ *                      index holds exactly the closed blocks, keyed by
+ *                      their current refreshedAt, in strictly
+ *                      increasing (refreshedAt, id) order; no clock
  *                      field is ahead of the event clock.
  *  - sector-validity:  per-page sector masks agree with the page state
  *                      (Valid ⇔ mask non-empty, Free/Invalid ⇒ empty)

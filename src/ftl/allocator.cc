@@ -62,7 +62,7 @@ PageAllocator::allocateOn(std::uint64_t plane, bool internal)
             m.internalActive(true);
         else
             m.hostActive(true);
-        m.refreshedAt(chips_.now());
+        blocks_.setRefreshedAt(b, chips_.now());
         open[plane] = b;
         if (lowFree_)
             lowFree_(plane);

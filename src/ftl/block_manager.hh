@@ -6,19 +6,35 @@
  *
  * The metadata is stored structure-of-arrays: one packed flags byte per
  * block plus a parallel refreshed-at timestamp array, both carved from
- * the device arena (see flash::ChipArray::arena). The GC-victim and
- * refresh-candidate scans walk the whole device every policy tick, so a
- * 1-byte-per-block eligibility test keeps those sweeps inside a few KiB
- * of cache instead of striding a 16-byte AoS record.
+ * the device arena (see flash::ChipArray::arena). The GC-victim scan
+ * walks one plane per GC start, so a 1-byte-per-block eligibility test
+ * keeps it inside a few KiB of cache instead of striding a 16-byte AoS
+ * record.
+ *
+ * Refresh candidates come from an age index instead of a scan: every
+ * closed data block sits in an intrusive doubly-linked list, also in
+ * arena arrays, kept sorted by (refreshedAt, block id). The id breaks
+ * ties between equal ages, so the order is fully determined and
+ * portable. A block joins the list in closeActive, leaves
+ * it in release, and setRefreshedAt re-keys it; new keys are almost
+ * always "now", so inserts walk back from the tail past only the
+ * blocks closed since. The refresh policy walks from the head and
+ * stops at the first block younger than the period, so a query costs
+ * the blocks it returns plus the busy or empty ones it skips.
  */
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "flash/chip.hh"
 #include "flash/geometry.hh"
+
+namespace ida::audit::testing {
+struct BlockManagerPeer;
+}
 
 namespace ida::ftl {
 
@@ -75,13 +91,6 @@ class BlockManager
         void busyWithJob(bool v) { set(kBusyWithJob, v); }
         void forceMigrateNextRefresh(bool v) {
             set(kForceMigrateNextRefresh, v);
-        }
-        void refreshedAt(sim::Time t) { *refreshedAt_ = t; }
-
-        /** Back to the freshly-pooled state (free, untouched, young). */
-        void reset() {
-            *flags_ = kInFreePool;
-            *refreshedAt_ = sim::Time{};
         }
 
       private:
@@ -150,14 +159,46 @@ class BlockManager
      */
     BlockId takeFree(std::uint64_t plane);
 
-    /** Return an erased block to its plane's pool. */
+    /**
+     * Return an erased block to its plane's pool (leaving the age index
+     * if it was closed).
+     */
     void release(BlockId b);
 
     /**
      * Mark a full active block as closed (plain in-use data block,
-     * GC/refresh eligible).
+     * GC/refresh eligible); it joins the age index.
      */
     void closeActive(BlockId b);
+
+    /**
+     * Stamp @p b's data generation time. A closed block is re-keyed in
+     * the age index; this is the only writer of refreshedAt.
+     */
+    void setRefreshedAt(BlockId b, sim::Time t);
+
+    /**
+     * Bulk loading: closeActive stops linking blocks into the age index
+     * until restampAges rebuilds it in one sort. Refresh queries panic
+     * in between.
+     */
+    void deferAgeIndex() { ageIndexDeferred_ = true; }
+
+    /**
+     * Set refreshedAt to @p age_of(b) for every block outside the free
+     * pool, in ascending id order, then rebuild the age index from the
+     * closed blocks in one sort.
+     */
+    template <typename AgeOf>
+    void
+    restampAges(AgeOf &&age_of)
+    {
+        for (BlockId b = 0; b < geom_.blocks(); ++b) {
+            if (!(flags_[b] & kInFreePool))
+                refreshedAt_[b] = age_of(b);
+        }
+        rebuildAgeIndex();
+    }
 
     /**
      * Select a GC victim on @p plane: the full, idle block with the
@@ -169,10 +210,34 @@ class BlockManager
 
     /**
      * Enumerate refresh candidates: full, idle data blocks whose data
-     * generation is older than @p period at time @p now.
+     * generation is older than @p period at time @p now, in ascending
+     * block id order.
      */
     std::vector<BlockId> refreshCandidates(sim::Time now,
                                            sim::Time period) const;
+
+    /**
+     * The oldest refresh candidates first, in (refreshedAt, id) order:
+     * fill @p out with at most out.size() of them and return how many.
+     * Allocates nothing.
+     */
+    std::size_t oldestRefreshCandidates(sim::Time now, sim::Time period,
+                                        std::span<BlockId> out) const;
+
+    /**
+     * Walk the age index from the oldest block, calling
+     * @p visit(block, key) for each entry; stops after blocks() steps
+     * so a corrupt (cyclic) list still terminates. For the auditor.
+     */
+    template <typename Visit>
+    void
+    forEachByAge(Visit &&visit) const
+    {
+        std::uint32_t n = age_[head()].next;
+        for (BlockId steps = 0; n != head() && steps < geom_.blocks();
+             ++steps, n = age_[n].next)
+            visit(BlockId{n}, age_[n].key);
+    }
 
     /** First global block id of @p plane. */
     BlockId firstBlockOf(std::uint64_t plane) const {
@@ -180,13 +245,45 @@ class BlockManager
     }
 
   private:
+    // Fault injection for the auditor's negative tests only.
+    friend struct ida::audit::testing::BlockManagerPeer;
+
+    /** One age-index entry; age_[blocks()] is the list's sentinel. */
+    struct AgeNode
+    {
+        sim::Time key;
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+    /** prev/next of a block that is not in the index. */
+    static constexpr std::uint32_t kUnlinked = ~std::uint32_t{0};
+
     bool gcEligible(BlockId b) const;
+    std::uint32_t head() const {
+        return static_cast<std::uint32_t>(geom_.blocks());
+    }
+    bool indexed(BlockId b) const { return age_[b].next != kUnlinked; }
+    /** Insert @p b under @p key, walking back from the tail. */
+    void link(BlockId b, sim::Time key);
+    void unlink(BlockId b);
+    void rebuildAgeIndex();
+
+    /**
+     * Visit refresh candidates oldest first until @p visit returns
+     * false or the next indexed block is younger than @p period.
+     */
+    template <typename Visit>
+    void forEachRefreshCandidate(sim::Time now, sim::Time period,
+                                 Visit &&visit) const;
 
     const flash::Geometry &geom_;
     flash::ChipArray &chips_;
     /** SoA metadata, device-arena backed: flags byte + timestamp. */
     std::uint8_t *flags_;
     sim::Time *refreshedAt_;
+    /** Age index of the closed blocks, device-arena backed. */
+    AgeNode *age_;
+    bool ageIndexDeferred_ = false;
     std::vector<std::deque<BlockId>> freePool_;
     std::uint64_t inUse_ = 0;
 };

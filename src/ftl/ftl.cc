@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
-#include "ftl/gc.hh"
-#include "ftl/refresh.hh"
 #include "sim/log.hh"
 #include "trace/recorder.hh"
 
@@ -23,7 +22,10 @@ Ftl::Ftl(const flash::Geometry &geom, const FtlConfig &cfg,
       blocks_(geom, chips),
       allocator_(geom, chips, blocks_,
                  [this](std::uint64_t plane) { maybeStartGc(plane); }),
-      gcRunning_(geom.planes(), false),
+      gcJobs_(geom.planes()),
+      refreshJobs_(static_cast<std::size_t>(
+          std::max(0, cfg.maxConcurrentRefresh))),
+      refreshPick_(refreshJobs_.size()),
       fastQ_(geom.planes()),
       slowQ_(geom.planes()),
       wbuf_(cfg.writeBuffer),
@@ -65,8 +67,8 @@ Ftl::resetReadClassification()
 bool
 Ftl::quiescent() const
 {
-    for (bool g : gcRunning_) {
-        if (g)
+    for (const auto &gc : gcJobs_) {
+        if (gc && !gc->finished())
             return false;
     }
     return activeRefresh_ == 0 && flushesInFlight_ == 0 &&
@@ -514,6 +516,7 @@ Ftl::preloadWrite(Lpn lpn)
 {
     ++stats_.preloadWrites;
     preloading_ = true;
+    blocks_.deferAgeIndex();
     const Ppn dst = allocator_.allocateHostPage();
     const Ppn old = mapping_.remap(lpn, dst);
     if (old != kInvalidPpn) {
@@ -535,13 +538,10 @@ Ftl::finalizePreload()
                                   ? cfg_.preloadAgeSpread
                                   : cfg_.refreshPeriod;
     const auto spread = static_cast<std::uint64_t>(spreadT.count());
-    for (std::uint64_t b = 0; b < geom_.blocks(); ++b) {
-        auto m = blocks_.meta(b);
-        if (m.inFreePool())
-            continue;
-        m.refreshedAt(events_.now() - cfg_.refreshPeriod +
-                      sim::Time{rng_.uniformInt(0, spread)});
-    }
+    blocks_.restampAges([this, spread](BlockId) {
+        return events_.now() - cfg_.refreshPeriod +
+               sim::Time{rng_.uniformInt(0, spread)};
+    });
     noteInUse();
     for (std::uint64_t plane = 0; plane < geom_.planes(); ++plane)
         maybeStartGc(plane);
@@ -663,19 +663,16 @@ Ftl::maybeStartGc(std::uint64_t plane)
 {
     if (preloading_)
         return;
-    if (gcRunning_[plane])
+    std::optional<GcJob> &slot = gcJobs_[plane];
+    if (slot && !slot->finished())
         return;
     if (blocks_.freeCount(plane) > cfg_.gcFreeThreshold)
         return;
     BlockId victim;
     if (!blocks_.pickGcVictim(plane, victim))
         return;
-    gcRunning_[plane] = true;
     ++stats_.gc.invocations;
-    auto job = std::make_unique<GcJob>(*this, victim);
-    GcJob *raw = job.get();
-    gcJobs_.push_back(std::move(job));
-    raw->start();
+    slot.emplace(*this, victim).start();
 }
 
 // Runs as an event-queue callback, so everything it reaches is
@@ -683,12 +680,10 @@ Ftl::maybeStartGc(std::uint64_t plane)
 void
 Ftl::onGcFinished(std::uint64_t plane)
 {
-    gcRunning_[plane] = false;
-    events_.scheduleAfter(sim::Time{}, [this, plane] {
-        std::erase_if(gcJobs_,
-                      [](const auto &j) { return j->finished(); });
-        maybeStartGc(plane);
-    });
+    // The finished job is still on the stack: its slot is reused from
+    // a later event.
+    events_.scheduleAfter(sim::Time{},
+                          [this, plane] { maybeStartGc(plane); });
 }
 
 void
@@ -696,20 +691,19 @@ Ftl::startRefreshCandidates()
 {
     if (!started_ || activeRefresh_ >= cfg_.maxConcurrentRefresh)
         return;
-    auto cands = blocks_.refreshCandidates(events_.now(),
-                                           cfg_.refreshPeriod);
-    std::sort(cands.begin(), cands.end(), [this](BlockId a, BlockId b) {
-        return blocks_.meta(a).refreshedAt() <
-               blocks_.meta(b).refreshedAt();
-    });
-    for (BlockId b : cands) {
-        if (activeRefresh_ >= cfg_.maxConcurrentRefresh)
-            break;
+    const std::span<BlockId> pick(
+        refreshPick_.data(),
+        static_cast<std::size_t>(cfg_.maxConcurrentRefresh - activeRefresh_));
+    const std::size_t n = blocks_.oldestRefreshCandidates(
+        events_.now(), cfg_.refreshPeriod, pick);
+    auto slot = refreshJobs_.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+        // activeRefresh_ counts the unfinished jobs, so a free slot
+        // exists for every pick.
+        while (*slot && !(*slot)->finished())
+            ++slot;
         ++activeRefresh_;
-        auto job = std::make_unique<RefreshJob>(*this, b);
-        RefreshJob *raw = job.get();
-        refreshJobs_.push_back(std::move(job));
-        raw->start();
+        slot->emplace(*this, pick[i]).start();
     }
 }
 
@@ -730,11 +724,7 @@ Ftl::onRefreshFinished(BlockId)
     --activeRefresh_;
     // Keep the refresh pipeline full: pull the next overdue block as
     // soon as a slot frees instead of waiting for the next scan tick.
-    events_.scheduleAfter(sim::Time{}, [this] {
-        std::erase_if(refreshJobs_,
-                      [](const auto &j) { return j->finished(); });
-        startRefreshCandidates();
-    });
+    events_.scheduleAfter(sim::Time{}, [this] { startRefreshCandidates(); });
 }
 
 } // namespace ida::ftl

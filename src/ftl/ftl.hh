@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/read_cache.hh"
@@ -22,7 +22,9 @@
 #include "flash/chip.hh"
 #include "ftl/allocator.hh"
 #include "ftl/block_manager.hh"
+#include "ftl/gc.hh"
 #include "ftl/mapping.hh"
+#include "ftl/refresh.hh"
 #include "ftl/write_buffer.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -32,9 +34,6 @@ class Recorder;
 }
 
 namespace ida::ftl {
-
-class GcJob;
-class RefreshJob;
 
 /** FTL policy knobs; defaults follow the paper's Table II system. */
 struct FtlConfig
@@ -425,9 +424,17 @@ class Ftl
     };
     static constexpr std::uint32_t kNilRmw = ~std::uint32_t{0};
 
-    std::vector<std::unique_ptr<GcJob>> gcJobs_;
-    std::vector<std::unique_ptr<RefreshJob>> refreshJobs_;
-    std::vector<bool> gcRunning_; // per plane
+    /**
+     * Job slots, sized at construction and never resized (in-flight
+     * commands hold pointers to the jobs): one GC slot per plane and
+     * maxConcurrentRefresh refresh slots. A slot is free once its job
+     * has finished; the finished job is destroyed when a later event
+     * emplaces the next one, never from inside its own completion.
+     */
+    std::vector<std::optional<GcJob>> gcJobs_;
+    std::vector<std::optional<RefreshJob>> refreshJobs_;
+    /** Scratch for the refresh candidates one start pulls. */
+    std::vector<BlockId> refreshPick_;
     std::vector<std::deque<PendingMigration>> fastQ_; // per plane
     std::vector<std::deque<PendingMigration>> slowQ_; // per plane
     WriteBuffer wbuf_;

@@ -254,7 +254,7 @@ RefreshJob::finish(bool applied_ida)
     // (paper Sec. III-C, "After the Data Refresh").
     meta.busyWithJob(false);
     meta.forceMigrateNextRefresh(true);
-    meta.refreshedAt(chips.now());
+    ftl_.blocks().setRefreshedAt(target_, chips.now());
     finished_ = true;
     ftl_.onRefreshFinished(target_);
 }

@@ -5,9 +5,9 @@
  * The auditor is only trustworthy if it *fires* on corrupt state, so
  * these tests need to corrupt state that the production API (correctly)
  * refuses to corrupt. The peer structs are befriended by the hot-path
- * classes (see the forward declarations in sim/event_queue.hh and
- * flash/block.hh) and live in the test tree: nothing outside tests/ can
- * reach the private members through them.
+ * classes (see the forward declarations in sim/event_queue.hh,
+ * flash/block.hh and ftl/block_manager.hh) and live in the test tree:
+ * nothing outside tests/ can reach the private members through them.
  */
 #pragma once
 
@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "flash/block.hh"
+#include "ftl/block_manager.hh"
 #include "sim/event_queue.hh"
 
 namespace ida::audit::testing {
@@ -124,6 +125,25 @@ struct BlockPeer
     setProgramTime(flash::Block &b, sim::Time t)
     {
         b.programTime_ = t;
+    }
+};
+
+/** Reaches into ftl::BlockManager's age index. */
+struct BlockManagerPeer
+{
+    /** Store refreshedAt without re-keying the block in the age index. */
+    static void
+    setRefreshedAtRaw(ftl::BlockManager &m, flash::BlockId b, sim::Time t)
+    {
+        m.refreshedAt_[b] = t;
+    }
+
+    /** Rewrite a block's key and refreshedAt, leaving it where it is. */
+    static void
+    setAgeKeyInPlace(ftl::BlockManager &m, flash::BlockId b, sim::Time t)
+    {
+        m.refreshedAt_[b] = t;
+        m.age_[b].key = t;
     }
 };
 

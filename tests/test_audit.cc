@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "audit/auditor.hh"
 #include "audit_peers.hh"
@@ -18,6 +20,7 @@ namespace ida::audit {
 namespace {
 
 using testing_peers_block = ida::audit::testing::BlockPeer;
+using testing_peers_blocks = ida::audit::testing::BlockManagerPeer;
 using testing_peers_queue = ida::audit::testing::EventQueuePeer;
 
 bool
@@ -236,6 +239,50 @@ TEST(AuditorNegative, BlockAccountingCheckCatchesPoolFlagDrift)
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
     EXPECT_TRUE(fired(a, "block-accounting")) << a.summary();
+}
+
+TEST(AuditorNegative, BlockAccountingCheckCatchesUnindexedAgeWrite)
+{
+    WarmSsd w;
+    auto &bm = w.ssd.ftl().blocks();
+    flash::BlockId oldest = 0;
+    sim::Time key{};
+    bool found = false;
+    bm.forEachByAge([&](flash::BlockId b, sim::Time k) {
+        if (!found) {
+            oldest = b;
+            key = k;
+            found = true;
+        }
+    });
+    ASSERT_TRUE(found);
+    testing_peers_blocks::setRefreshedAtRaw(bm, oldest, key + sim::kSec);
+
+    Auditor a(w.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "block-accounting")) << a.summary();
+    EXPECT_NE(a.summary().find("keyed at"), std::string::npos)
+        << a.summary();
+}
+
+TEST(AuditorNegative, BlockAccountingCheckCatchesAgeIndexDisorder)
+{
+    WarmSsd w;
+    auto &bm = w.ssd.ftl().blocks();
+    std::vector<std::pair<flash::BlockId, sim::Time>> order;
+    bm.forEachByAge([&](flash::BlockId b, sim::Time k) {
+        order.emplace_back(b, k);
+    });
+    ASSERT_GE(order.size(), 2u);
+    // Make the youngest block older than the oldest without moving it.
+    testing_peers_blocks::setAgeKeyInPlace(
+        bm, order.back().first, order.front().second - sim::kSec);
+
+    Auditor a(w.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "block-accounting")) << a.summary();
+    EXPECT_NE(a.summary().find("follows block"), std::string::npos)
+        << a.summary();
 }
 
 TEST(AuditorNegative, BlockAccountingCheckCatchesFutureClock)

@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests for FTL block pools, GC victim selection, and refresh
- * candidate enumeration.
+ * candidate enumeration, plus a seeded property test of the age index
+ * against a brute-force scan.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "ftl/block_manager.hh"
+#include "sim/rng.hh"
 
 namespace ida::ftl {
 namespace {
@@ -122,25 +128,240 @@ TEST(BlockManager, RefreshCandidatesRespectAgeAndValidity)
     f.mgr.meta(young).hostActive(true);
     f.fill(young);
     f.mgr.closeActive(young);
-    f.mgr.meta(young).refreshedAt(sim::Time{900});
+    f.mgr.setRefreshedAt(young, sim::Time{900});
 
     const flash::BlockId old1 = f.mgr.takeFree(0);
     f.mgr.meta(old1).hostActive(true);
     f.fill(old1);
     f.mgr.closeActive(old1);
-    f.mgr.meta(old1).refreshedAt(sim::Time{});
+    f.mgr.setRefreshedAt(old1, sim::Time{});
 
     const flash::BlockId empty = f.mgr.takeFree(1);
     f.mgr.meta(empty).hostActive(true);
     f.fill(empty);
     f.mgr.closeActive(empty);
-    f.mgr.meta(empty).refreshedAt(sim::Time{});
+    f.mgr.setRefreshedAt(empty, sim::Time{});
     for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p)
         f.chips.block(empty).invalidate(p); // nothing valid to protect
 
     const auto cands = f.mgr.refreshCandidates(sim::Time{1000}, sim::Time{500});
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0], old1);
+}
+
+TEST(BlockManager, EqualAgesComeOutInAscendingBlockIdOrder)
+{
+    Fixture f;
+    // Close four full blocks in descending id order, all the same age.
+    std::vector<flash::BlockId> ids;
+    for (std::uint64_t plane = 0; plane < 2; ++plane) {
+        for (int i = 0; i < 2; ++i)
+            ids.push_back(f.mgr.takeFree(plane));
+    }
+    std::sort(ids.rbegin(), ids.rend());
+    for (const flash::BlockId b : ids) {
+        f.mgr.meta(b).hostActive(true);
+        f.mgr.setRefreshedAt(b, sim::Time{});
+        f.fill(b);
+        f.mgr.closeActive(b);
+    }
+    std::vector<flash::BlockId> oldest(ids.size());
+    ASSERT_EQ(f.mgr.oldestRefreshCandidates(sim::kSec, sim::kSec, oldest),
+              ids.size());
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(oldest, ids);
+
+    // Re-keying to an equal age keeps the id order too.
+    f.mgr.setRefreshedAt(ids.front(), sim::Time{});
+    ASSERT_EQ(f.mgr.oldestRefreshCandidates(sim::kSec, sim::kSec, oldest),
+              ids.size());
+    EXPECT_EQ(oldest, ids);
+}
+
+/** A larger device for the property test: 4 planes x 16 blocks. */
+struct PropertyFixture
+{
+    sim::EventQueue events;
+    flash::Geometry geom = [] {
+        flash::Geometry g;
+        g.channels = 1;
+        g.chipsPerChannel = 1;
+        g.diesPerChip = 2;
+        g.planesPerDie = 2;
+        g.blocksPerPlane = 16;
+        g.pagesPerBlock = 6;
+        g.bitsPerCell = 3;
+        return g;
+    }();
+    flash::ChipArray chips{geom, flash::FlashTiming{},
+                           flash::CodingScheme::tlc124(), events};
+    BlockManager mgr{geom, chips};
+
+    bool
+    active(flash::BlockId b) const
+    {
+        const auto m = mgr.meta(b);
+        return m.hostActive() || m.internalActive();
+    }
+
+    bool
+    closed(flash::BlockId b) const
+    {
+        return !mgr.meta(b).inFreePool() && !active(b);
+    }
+
+    void
+    program(flash::BlockId b, std::uint32_t pages)
+    {
+        auto &blk = chips.block(b);
+        for (std::uint32_t i = 0; i < pages && !blk.isFull(); ++i)
+            chips.programImmediate(geom.firstPpnOf(b) + blk.writePointer());
+    }
+
+    /** The scan the age index replaced: every block, ascending ids. */
+    std::vector<flash::BlockId>
+    flatScan(sim::Time now, sim::Time period) const
+    {
+        std::vector<flash::BlockId> out;
+        for (flash::BlockId b = 0; b < geom.blocks(); ++b) {
+            const auto m = mgr.meta(b);
+            if (m.inFreePool() || active(b) || m.busyWithJob())
+                continue;
+            if (now - m.refreshedAt() < period)
+                continue;
+            const auto &blk = chips.block(b);
+            if (blk.isFull() && blk.validCount() != 0)
+                out.push_back(b);
+        }
+        return out;
+    }
+};
+
+TEST(BlockManagerProperty, AgeIndexMatchesFlatScanOverRandomLifecycles)
+{
+    PropertyFixture f;
+    sim::Rng rng(20261017);
+    const sim::Time period = 10 * sim::kSec;
+    // Ages come from 40 whole seconds, so equal ages are common.
+    auto randomAge = [&rng] {
+        return static_cast<std::int64_t>(rng.uniformInt(0, 39)) * sim::kSec;
+    };
+    auto pick = [&](auto &&want) -> std::optional<flash::BlockId> {
+        std::vector<flash::BlockId> ok;
+        for (flash::BlockId b = 0; b < f.geom.blocks(); ++b) {
+            if (want(b))
+                ok.push_back(b);
+        }
+        if (ok.empty())
+            return std::nullopt;
+        return ok[rng.uniformInt(0, ok.size() - 1)];
+    };
+    auto isActive = [&f](flash::BlockId b) { return f.active(b); };
+    auto isClosed = [&f](flash::BlockId b) { return f.closed(b); };
+
+    constexpr int kOps = 12000;
+    for (int op = 0; op < kOps; ++op) {
+        const std::uint64_t kind = rng.uniformInt(0, 8);
+        if (kind == 0) { // take a free block and open it
+            const std::uint64_t plane =
+                rng.uniformInt(0, f.geom.planes() - 1);
+            if (f.mgr.freeCount(plane) != 0) {
+                const flash::BlockId b = f.mgr.takeFree(plane);
+                if (rng.chance(0.5))
+                    f.mgr.meta(b).hostActive(true);
+                else
+                    f.mgr.meta(b).internalActive(true);
+                f.mgr.setRefreshedAt(b, randomAge());
+                f.program(b, static_cast<std::uint32_t>(
+                                 rng.uniformInt(0, f.geom.pagesPerBlock)));
+            }
+        } else if (kind == 1) { // fill an open block
+            const auto b = pick(isActive);
+            if (b)
+                f.program(*b, f.geom.pagesPerBlock);
+        } else if (kind == 2) { // close an open block (full or not)
+            const auto b = pick(isActive);
+            if (b)
+                f.mgr.closeActive(*b);
+        } else if (kind == 3) { // set the age of an open or closed block
+            const auto b = pick([&](flash::BlockId x) {
+                return !f.mgr.meta(x).inFreePool();
+            });
+            if (b)
+                f.mgr.setRefreshedAt(*b, randomAge());
+        } else if (kind == 4) { // start or finish a job on a closed block
+            const auto b = pick(isClosed);
+            if (b) {
+                auto m = f.mgr.meta(*b);
+                m.busyWithJob(!m.busyWithJob());
+            }
+        } else if (kind == 5) { // invalidate one page of a closed block
+            const auto b = pick([&](flash::BlockId x) {
+                return f.closed(x) && f.chips.block(x).validCount() != 0;
+            });
+            if (b) {
+                auto &blk = f.chips.block(*b);
+                for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p) {
+                    if (blk.isValid(p)) {
+                        blk.invalidate(p);
+                        break;
+                    }
+                }
+            }
+        } else if (kind == 6) { // empty a closed block
+            const auto b = pick(isClosed);
+            if (b) {
+                auto &blk = f.chips.block(*b);
+                for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p) {
+                    if (blk.isValid(p))
+                        blk.invalidate(p);
+                }
+            }
+        } else if (kind == 7) { // erase and release a closed block
+            const auto b = pick(isClosed);
+            if (b) {
+                f.chips.block(*b).erase();
+                f.mgr.release(*b);
+            }
+        } else if (rng.chance(0.05)) { // bulk load, as a preload does
+            f.mgr.deferAgeIndex();
+            for (flash::BlockId b = 0; b < f.geom.blocks(); ++b) {
+                if (f.active(b) && rng.chance(0.5))
+                    f.mgr.closeActive(b);
+            }
+            f.mgr.restampAges([&](flash::BlockId) { return randomAge(); });
+        }
+
+        const sim::Time now =
+            static_cast<std::int64_t>(rng.uniformInt(0, 59)) * sim::kSec;
+        const auto flat = f.flatScan(now, period);
+        ASSERT_EQ(f.mgr.refreshCandidates(now, period), flat)
+            << "op " << op;
+
+        auto oldest = flat;
+        std::stable_sort(oldest.begin(), oldest.end(),
+                         [&](flash::BlockId a, flash::BlockId b) {
+                             return f.mgr.meta(a).refreshedAt() <
+                                    f.mgr.meta(b).refreshedAt();
+                         });
+        std::vector<flash::BlockId> got(f.geom.blocks());
+        got.resize(f.mgr.oldestRefreshCandidates(now, period, got));
+        ASSERT_EQ(got, oldest) << "op " << op;
+
+        // A short (or empty) span returns the same order, cut at its
+        // size.
+        std::vector<flash::BlockId> prefix(rng.uniformInt(0, 4));
+        prefix.resize(f.mgr.oldestRefreshCandidates(now, period, prefix));
+        oldest.resize(std::min(oldest.size(), prefix.size()));
+        ASSERT_EQ(prefix, oldest) << "op " << op;
+    }
+}
+
+TEST(BlockManagerDeath, RefreshQueryWhileAgeIndexDeferredPanics)
+{
+    Fixture f;
+    f.mgr.deferAgeIndex();
+    EXPECT_DEATH(f.mgr.refreshCandidates(sim::kSec, sim::kSec), "deferred");
 }
 
 TEST(BlockManagerDeath, ReleaseUnerasedBlockPanics)

@@ -70,6 +70,34 @@ operator delete[](void *p, std::size_t) noexcept
     ::operator delete(p);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// them): left to the runtime, their blocks would come back through the
+// free() above, which ASan reports as an alloc/dealloc mismatch.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    ++g_news;
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
 namespace ida::sim {
 namespace {
 

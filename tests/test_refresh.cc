@@ -55,9 +55,8 @@ struct RefreshRig : FtlFixture
     ageAndRefresh()
     {
         for (std::uint64_t b = 0; b < geom.blocks(); ++b) {
-            auto m = ftl.blocks().meta(b);
-            if (!m.inFreePool())
-                m.refreshedAt(events.now() - 200 * sim::kSec);
+            if (!ftl.blocks().meta(b).inFreePool())
+                ftl.blocks().setRefreshedAt(b, events.now() - 200 * sim::kSec);
         }
         ftl.start();
         events.runUntil(events.now() + 50 * sim::kSec);
