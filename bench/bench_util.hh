@@ -249,11 +249,6 @@ writeDeviceFingerprint(stats::JsonWriter &w, const ssd::SsdConfig &cfg)
 #else
     w.field("audit", false);
 #endif
-#ifdef IDA_TRACE
-    w.field("trace", true);
-#else
-    w.field("trace", false);
-#endif
     w.endObject();
 }
 

@@ -9,9 +9,6 @@
  *
  * Usage: trace_demo [--ida 0|1] [--requests N] [--seed S]
  *                   [--trace-out FILE] [--attr-out FILE]
- *
- * Works in every build; in default (IDA_TRACE=OFF) builds the stamps
- * are compiled out, so the exports are schema-valid but empty.
  */
 #include <algorithm>
 #include <cstdio>
@@ -128,10 +125,7 @@ main(int argc, char **argv)
     }
 
     const trace::AttributionSummary sum = rec.summary();
-    std::printf("system: %s%s\n", cfg.systemLabel().c_str(),
-                trace::compiledIn() ? ""
-                                    : "  (IDA_TRACE off: stamps compiled "
-                                      "out, attribution empty)");
+    std::printf("system: %s\n", cfg.systemLabel().c_str());
     std::printf("spans: %llu  hostReads: %llu  wbufHits: %llu  "
                 "internal: %llu\n",
                 static_cast<unsigned long long>(sum.counters.spans),

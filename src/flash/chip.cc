@@ -33,6 +33,7 @@ ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
                              geom_.sectorsPerPage(), *arena_);
     dies_.resize(geom_.dies());
     channelFree_.assign(geom_.channels, sim::Time{});
+    spans_.resize(1); // slot 0 is kNoSpan
 }
 
 sim::Time
@@ -55,8 +56,7 @@ ChipArray::currentReadLatency(Ppn ppn) const
 
 void
 ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
-                    DoneCallback done, [[maybe_unused]] Lpn lpn,
-                    std::uint32_t sectors)
+                    DoneCallback done, Lpn lpn, std::uint32_t sectors)
 {
     const BlockId bid = geom_.blockOf(ppn);
     const Block &blk = blocks_[bid];
@@ -82,22 +82,15 @@ ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
     cmd.transferTime = transferTimeFor(sectors);
     cmd.postLatency = timing_.eccDecode;
     cmd.done = std::move(done);
-#ifdef IDA_TRACE
     if (tracer_) {
-        trace::Span &sp = cmd.span;
-        sp.id = tracer_->nextId();
-        sp.kind = host_read ? trace::SpanKind::HostRead
-                            : trace::SpanKind::InternalRead;
-        sp.lpn = lpn;
-        sp.ppn = ppn;
-        sp.die = die;
-        sp.channel = geom_.channelOfDie(die);
-        sp.start = events_.now();
+        cmd.span = openSpan(host_read ? trace::SpanKind::HostRead
+                                      : trace::SpanKind::InternalRead,
+                            ppn, die, lpn);
+        trace::Span &sp = spans_[cmd.span];
         sp.senses = static_cast<std::uint16_t>(senses);
         sp.sensesConventional = static_cast<std::uint16_t>(conv);
         sp.retryRounds = static_cast<std::uint8_t>(extra_rounds);
     }
-#endif
     enqueue(die, std::move(cmd));
     ++stats_.reads;
     stats_.senseTime += sense;
@@ -115,8 +108,8 @@ ChipArray::programImmediate(Ppn ppn)
 }
 
 void
-ChipArray::programPage(Ppn ppn, DoneCallback done, [[maybe_unused]] Lpn lpn,
-                       [[maybe_unused]] bool host_data, SectorMask sectors)
+ChipArray::programPage(Ppn ppn, DoneCallback done, Lpn lpn, bool host_data,
+                       SectorMask sectors)
 {
     const BlockId bid = geom_.blockOf(ppn);
     Block &blk = blocks_[bid];
@@ -134,19 +127,10 @@ ChipArray::programPage(Ppn ppn, DoneCallback done, [[maybe_unused]] Lpn lpn,
                                std::popcount(sectors)));
     cmd.done = std::move(done);
     const DieId die = geom_.dieOfBlock(bid);
-#ifdef IDA_TRACE
-    if (tracer_) {
-        trace::Span &sp = cmd.span;
-        sp.id = tracer_->nextId();
-        sp.kind = host_data ? trace::SpanKind::HostWrite
-                            : trace::SpanKind::InternalProgram;
-        sp.lpn = lpn;
-        sp.ppn = ppn;
-        sp.die = die;
-        sp.channel = geom_.channelOfDie(die);
-        sp.start = events_.now();
-    }
-#endif
+    if (tracer_)
+        cmd.span = openSpan(host_data ? trace::SpanKind::HostWrite
+                                      : trace::SpanKind::InternalProgram,
+                            ppn, die, lpn);
     enqueue(die, std::move(cmd));
     ++stats_.programs;
 }
@@ -160,17 +144,9 @@ ChipArray::eraseBlock(BlockId b, DoneCallback done)
     cmd.senseOrBusyTime = timing_.blockErase;
     cmd.done = std::move(done);
     const DieId die = geom_.dieOfBlock(b);
-#ifdef IDA_TRACE
-    if (tracer_) {
-        trace::Span &sp = cmd.span;
-        sp.id = tracer_->nextId();
-        sp.kind = trace::SpanKind::Erase;
-        sp.ppn = geom_.firstPpnOf(b);
-        sp.die = die;
-        sp.channel = geom_.channelOfDie(die);
-        sp.start = events_.now();
-    }
-#endif
+    if (tracer_)
+        cmd.span = openSpan(trace::SpanKind::Erase, geom_.firstPpnOf(b),
+                            die, kInvalidLpn);
     enqueue(die, std::move(cmd));
     ++stats_.erases;
 }
@@ -185,19 +161,44 @@ ChipArray::adjustWordline(BlockId b, std::uint32_t wl, LevelMask mask,
     cmd.senseOrBusyTime = timing_.voltageAdjust;
     cmd.done = std::move(done);
     const DieId die = geom_.dieOfBlock(b);
-#ifdef IDA_TRACE
-    if (tracer_) {
-        trace::Span &sp = cmd.span;
-        sp.id = tracer_->nextId();
-        sp.kind = trace::SpanKind::AdjustWl;
-        sp.ppn = geom_.firstPpnOf(b) + geom_.pageOfWordline(wl, 0);
-        sp.die = die;
-        sp.channel = geom_.channelOfDie(die);
-        sp.start = events_.now();
-    }
-#endif
+    if (tracer_)
+        cmd.span = openSpan(trace::SpanKind::AdjustWl,
+                            geom_.firstPpnOf(b) + geom_.pageOfWordline(wl, 0),
+                            die, kInvalidLpn);
     enqueue(die, std::move(cmd));
     ++stats_.adjusts;
+}
+
+std::uint32_t
+ChipArray::openSpan(trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn)
+{
+    std::uint32_t h;
+    if (!freeSpans_.empty()) {
+        h = freeSpans_.back();
+        freeSpans_.pop_back();
+    } else {
+        h = static_cast<std::uint32_t>(spans_.size());
+        spans_.emplace_back();
+    }
+    trace::Span &sp = spans_[h];
+    sp = trace::Span{};
+    sp.id = tracer_->nextId();
+    sp.kind = kind;
+    sp.lpn = lpn;
+    sp.ppn = ppn;
+    sp.die = die;
+    sp.channel = geom_.channelOfDie(die);
+    sp.start = events_.now();
+    return h;
+}
+
+void
+ChipArray::closeSpan(std::uint32_t handle, sim::Time complete)
+{
+    spans_[handle].complete = complete;
+    if (tracer_)
+        tracer_->record(spans_[handle]);
+    freeSpans_.push_back(handle);
 }
 
 std::uint32_t
@@ -281,10 +282,7 @@ ChipArray::trySuspend(DieId die)
     stats_.dieBusy -= d.suspendedRemaining; // re-added on resume
     d.suspendedDone = std::move(d.runningDone);
     d.runningDone = nullptr;
-#ifdef IDA_TRACE
-    d.suspendedSpan = d.runningSpan;
-    d.runningSpan = trace::Span{};
-#endif
+    d.suspendedSpan = std::exchange(d.runningSpan, kNoSpan);
     ++d.endGen;
     d.busy = false;
     d.suspendable = false;
@@ -314,16 +312,10 @@ ChipArray::onDieOpEnd(DieId die, std::uint64_t gen)
         return; // the op was suspended; a new end event will come
     d.busy = false;
     d.suspendable = false;
-#ifdef IDA_TRACE
-    // Finalize before invoking the completion callback: it may issue
-    // new work on this very die and start the next traced command.
-    if (d.runningSpan.traced()) {
-        d.runningSpan.complete = events_.now();
-        if (tracer_)
-            tracer_->record(d.runningSpan);
-        d.runningSpan = trace::Span{};
-    }
-#endif
+    // Close before invoking the completion callback: it may issue new
+    // work on this very die and start the next traced command.
+    if (d.runningSpan != kNoSpan)
+        closeSpan(std::exchange(d.runningSpan, kNoSpan), events_.now());
     if (d.runningDone) {
         DoneCallback done = std::move(d.runningDone);
         d.runningDone = nullptr;
@@ -341,10 +333,7 @@ ChipArray::resumeSuspended(DieId die)
     const sim::Time end = events_.now() + timing_.suspendResumeOverhead +
                           d.suspendedRemaining;
     stats_.dieBusy += end - events_.now();
-#ifdef IDA_TRACE
-    d.runningSpan = d.suspendedSpan;
-    d.suspendedSpan = trace::Span{};
-#endif
+    d.runningSpan = std::exchange(d.suspendedSpan, kNoSpan);
     occupyDie(die, end, true, std::move(d.suspendedDone));
     d.suspendedDone = nullptr;
 }
@@ -395,19 +384,16 @@ ChipArray::tryStart(DieId die)
         // parked in the pending-read slab; the event carries only the
         // slot index.
         const sim::Time completion = ch_end + cmd.postLatency;
-#ifdef IDA_TRACE
         // A read's timeline is fully determined here (reads are never
-        // suspended), so the span finalizes at die-start time.
-        if (cmd.span.traced()) {
-            cmd.span.dieStart = now;
-            cmd.span.senseEnd = sense_done;
-            cmd.span.channelStart = ch_start;
-            cmd.span.channelEnd = ch_end;
-            cmd.span.complete = completion;
-            if (tracer_)
-                tracer_->record(cmd.span);
+        // suspended), so the span closes at die-start time.
+        if (cmd.span != kNoSpan) {
+            trace::Span &sp = spans_[cmd.span];
+            sp.dieStart = now;
+            sp.senseEnd = sense_done;
+            sp.channelStart = ch_start;
+            sp.channelEnd = ch_end;
+            closeSpan(cmd.span, completion);
         }
-#endif
         const std::uint32_t slot =
             acquireReadSlot(std::move(cmd.done), completion);
         events_.schedule(completion, [this, slot] { finishRead(slot); });
@@ -437,15 +423,14 @@ ChipArray::tryStart(DieId die)
         stats_.channelBusy += cmd.transferTime;
         const sim::Time end = ch_end + cmd.senseOrBusyTime;
         stats_.dieBusy += end - now;
-#ifdef IDA_TRACE
-        if (cmd.span.traced()) {
-            cmd.span.dieStart = now;
-            cmd.span.senseEnd = now;
-            cmd.span.channelStart = ch_start;
-            cmd.span.channelEnd = ch_end;
-            d.runningSpan = cmd.span; // finalized in onDieOpEnd
+        if (cmd.span != kNoSpan) {
+            trace::Span &sp = spans_[cmd.span];
+            sp.dieStart = now;
+            sp.senseEnd = now;
+            sp.channelStart = ch_start;
+            sp.channelEnd = ch_end;
         }
-#endif
+        d.runningSpan = cmd.span; // closed in onDieOpEnd
         occupyDie(die, end, true, std::move(cmd.done));
         break;
       }
@@ -453,15 +438,14 @@ ChipArray::tryStart(DieId die)
       case Command::Op::AdjustWl: {
         const sim::Time end = now + cmd.senseOrBusyTime;
         stats_.dieBusy += end - now;
-#ifdef IDA_TRACE
-        if (cmd.span.traced()) {
-            cmd.span.dieStart = now;
-            cmd.span.senseEnd = now;
-            cmd.span.channelStart = now;
-            cmd.span.channelEnd = now;
-            d.runningSpan = cmd.span; // finalized in onDieOpEnd
+        if (cmd.span != kNoSpan) {
+            trace::Span &sp = spans_[cmd.span];
+            sp.dieStart = now;
+            sp.senseEnd = now;
+            sp.channelStart = now;
+            sp.channelEnd = now;
         }
-#endif
+        d.runningSpan = cmd.span; // closed in onDieOpEnd
         occupyDie(die, end, true, std::move(cmd.done));
         break;
       }

@@ -35,10 +35,7 @@
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
-
-#ifdef IDA_TRACE
 #include "trace/span.hh"
-#endif
 
 namespace ida::trace {
 class Recorder;
@@ -175,31 +172,36 @@ class ChipArray
     std::uint64_t inflight() const { return inflight_; }
 
     /**
-     * Attach the span recorder (null detaches). Spans are only stamped
-     * in IDA_TRACE builds; in default builds this stores a pointer that
-     * is never read.
+     * Attach the span recorder (null detaches). Commands issued while a
+     * recorder is attached open a span in this array's slab; commands
+     * issued without one carry handle 0 and take the untraced path.
+     * Spans still open when the recorder is replaced or detached stay
+     * valid (the slab is ours) and go to whichever recorder is attached
+     * when they complete, or nowhere.
      */
     void setTracer(trace::Recorder *tracer) { tracer_ = tracer; }
 
   private:
+    /** Span handle of an untraced command (slot 0 is never handed out). */
+    static constexpr std::uint32_t kNoSpan = 0;
+
+    /** Small fields first, so the span handle fills padding (88 bytes). */
     struct Command
     {
-        enum class Op { Read, Program, Erase, AdjustWl };
+        enum class Op : std::uint8_t { Read, Program, Erase, AdjustWl };
         Op op;
         bool hostRead = false;
-        /** Precomputed die occupancy of the pre-transfer stage. */
-        sim::Time senseOrBusyTime{};
         /** True when the op uses the channel (read out / program in). */
         bool usesChannel = false;
+        /** Open-span handle into spans_ (kNoSpan when untraced). */
+        std::uint32_t span = kNoSpan;
+        /** Precomputed die occupancy of the pre-transfer stage. */
+        sim::Time senseOrBusyTime{};
         /** Channel occupancy: pageTransfer scaled by the sector count. */
         sim::Time transferTime{};
         /** Extra latency after resources are released (ECC pipeline). */
         sim::Time postLatency{};
         DoneCallback done;
-#ifdef IDA_TRACE
-        /** Span under construction (kind None when untraced). */
-        trace::Span span;
-#endif
     };
 
     struct Die
@@ -223,23 +225,22 @@ class ChipArray
         sim::Time endTime{};
         /** Whether the running op may be suspended by a host read. */
         bool suspendable = false;
+        /**
+         * Span handle of the running program/erase/adjust; closed at
+         * the *actual* die-op end (onDieOpEnd), so suspension
+         * stretches land in the span instead of a precomputed
+         * completion time. Reads never park here — their completion is
+         * fully determined at start (tryStart closes them immediately).
+         */
+        std::uint32_t runningSpan = kNoSpan;
         /** Completion callback of the running non-read op. */
         DoneCallback runningDone;
         /** A suspended op waiting to resume (remaining die time). */
         bool hasSuspended = false;
+        /** Span handle of the suspended op (see runningSpan). */
+        std::uint32_t suspendedSpan = kNoSpan;
         sim::Time suspendedRemaining{};
         DoneCallback suspendedDone;
-#ifdef IDA_TRACE
-        /**
-         * Span of the running program/erase/adjust; finalized at the
-         * *actual* die-op end (onDieOpEnd), so suspension stretches
-         * land in the span instead of a precomputed completion time.
-         * Reads never park here — their completion is fully determined
-         * at start (tryStart records them immediately).
-         */
-        trace::Span runningSpan;
-        trace::Span suspendedSpan;
-#endif
     };
 
     /**
@@ -269,6 +270,9 @@ class ChipArray
     void resumeSuspended(DieId die);
     std::uint32_t acquireReadSlot(DoneCallback done, sim::Time completion);
     void finishRead(std::uint32_t slot);
+    std::uint32_t openSpan(trace::SpanKind kind, Ppn ppn, DieId die,
+                           Lpn lpn);
+    void closeSpan(std::uint32_t handle, sim::Time complete);
 
     const Geometry geom_;
     const FlashTiming timing_;
@@ -282,6 +286,14 @@ class ChipArray
     std::vector<sim::Time> channelFree_;
     std::vector<PendingRead> pendingReads_;
     std::uint32_t freeReadSlot_ = kNilSlot;
+    /**
+     * Open spans of traced commands in flight, indexed by handle (slot
+     * 0 unused), with recycled handles on freeSpans_. Owned here rather
+     * than by the Recorder so replacing or detaching it mid-run never
+     * strands a queued command's handle.
+     */
+    std::vector<trace::Span> spans_;
+    std::vector<std::uint32_t> freeSpans_;
     ChipStats stats_;
     std::uint64_t inflight_ = 0;
     trace::Recorder *tracer_ = nullptr;

@@ -37,6 +37,10 @@ Ftl::Ftl(const flash::Geometry &geom, const FtlConfig &cfg,
                    "mutually exclusive");
     if (cfg_.overProvision <= 0.0 || cfg_.overProvision >= 0.9)
         sim::fatal("FtlConfig: overProvision out of range");
+    // refreshScan reschedules itself this far ahead: a non-positive
+    // interval would re-fire at the same tick forever.
+    if (cfg_.refreshCheckInterval <= sim::Time{})
+        sim::fatal("FtlConfig::refreshCheckInterval must be positive");
     stats_.readClass.byLevel.assign(geom.bitsPerCell, 0);
     stats_.readClass.byLevelLowerInvalid.assign(geom.bitsPerCell, 0);
 }
@@ -158,11 +162,9 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // dragging a `this` along just to re-read the clock.
         wbuf_.noteReadHit();
         const sim::Time t = events_.now() + wbuf_.config().dramLatency;
-#ifdef IDA_TRACE
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                    events_.now(), t);
-#endif
         events_.schedule(t, [done = std::move(done), t] { done(t); });
         return;
     }
@@ -173,11 +175,9 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // comes from the read cache: a cache hit at DRAM latency.
         rcache_.noteHit();
         const sim::Time t = events_.now() + rcache_.config().dramLatency;
-#ifdef IDA_TRACE
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::CacheReadHit, lpn,
                                    events_.now(), t);
-#endif
         events_.schedule(t, [done = std::move(done), t] { done(t); });
         return;
     }
@@ -190,22 +190,18 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
             ++stats_.sector.zeroFillReads;
             wbuf_.noteReadHit();
             const sim::Time t = events_.now() + wbuf_.config().dramLatency;
-#ifdef IDA_TRACE
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                        events_.now(), t);
-#endif
             events_.schedule(t, [done = std::move(done), t] { done(t); });
             return;
         }
         // Never-written data: served without touching the flash array.
         ++stats_.hostReadsUnmapped;
         const sim::Time t = events_.now();
-#ifdef IDA_TRACE
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::UnmappedRead, lpn, t,
                                    t);
-#endif
         events_.schedule(t, [done = std::move(done), t] { done(t); });
         return;
     }
@@ -223,25 +219,17 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         if ((cached & need) != 0) {
             rcache_.noteHit();
             t += rcache_.config().dramLatency;
-#ifdef IDA_TRACE
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::CacheReadHit, lpn,
                                        events_.now(), t);
-#endif
         } else if ((dirty & need) != 0) {
             wbuf_.noteReadHit();
             t += wbuf_.config().dramLatency;
-#ifdef IDA_TRACE
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                        events_.now(), t);
-#endif
-        } else {
-#ifdef IDA_TRACE
-            if (tracer_)
-                tracer_->recordInstant(trace::SpanKind::UnmappedRead, lpn,
-                                       t, t);
-#endif
+        } else if (tracer_) {
+            tracer_->recordInstant(trace::SpanKind::UnmappedRead, lpn, t, t);
         }
         events_.schedule(t, [done = std::move(done), t] { done(t); });
         return;
@@ -328,11 +316,9 @@ Ftl::hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done)
             }
         }
         const sim::Time t = events_.now() + wbuf_.config().dramLatency;
-#ifdef IDA_TRACE
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufWrite, lpn,
                                    events_.now(), t);
-#endif
         events_.schedule(t, [done = std::move(done), t] {
             if (done)
                 done(t);

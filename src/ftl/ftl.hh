@@ -328,9 +328,10 @@ class Ftl
 
     /**
      * Attach the span recorder for the FTL's instantly-served host
-     * operations (write-buffer hits/absorbs, unmapped reads); flash
-     * commands are stamped by ChipArray. Only active in IDA_TRACE
-     * builds (see trace/recorder.hh).
+     * operations (write-buffer hits/absorbs, read-cache hits, unmapped
+     * reads); flash
+     * commands are stamped by ChipArray. Null detaches; a detached
+     * FTL records nothing and pays one null test per such operation.
      */
     void setTracer(trace::Recorder *tracer) { tracer_ = tracer; }
 

@@ -128,10 +128,12 @@ class Ssd
 
     /**
      * Create the span recorder and attach it to the chip array and the
-     * FTL (idempotent: replaces any previous recorder). Span *stamping*
-     * only happens in IDA_TRACE builds (trace::compiledIn()); in
-     * default builds the recorder stays empty. @p retain_spans keeps
-     * every raw span for chrome-trace export — leave off for long runs.
+     * FTL (replaces any previous recorder). May be called at any time,
+     * also mid-run: commands issued from then on are stamped, commands
+     * already queued finish untraced, and the simulation itself is not
+     * perturbed. Without this call nothing is stamped. @p retain_spans
+     * keeps every raw span for chrome-trace export — leave off for
+     * long runs.
      */
     void enableTracing(bool retain_spans = false);
 

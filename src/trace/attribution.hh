@@ -77,9 +77,8 @@ struct AttributionCounters
 
 /**
  * Copyable attribution snapshot, safe to embed in RunResult without
- * dragging the histogram state along. `enabled` is false when the
- * instrumentation was not compiled in (IDA_TRACE off) or no recorder
- * was attached — the JSON schema stays identical either way.
+ * dragging the histogram state along. `enabled` is false when no
+ * recorder was attached — the JSON schema stays identical either way.
  */
 struct AttributionSummary
 {

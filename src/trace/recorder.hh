@@ -8,10 +8,11 @@
  * raw spans are additionally kept for the chrome://tracing exporter
  * (trace/chrome_trace.hh).
  *
- * The recorder itself is always compiled (and unit-tested) — only the
- * *stamping* in the flash/FTL hot paths is gated behind the IDA_TRACE
- * compile option, mirroring the IDA_AUDIT pattern: a default build
- * carries a never-written null pointer and nothing else.
+ * Attaching is a runtime choice in every build. A device with no
+ * recorder stamps nothing: each flash op tests one null pointer or
+ * span handle and moves on. Spans still open on the flash side live in
+ * ChipArray's slab, not here, so a recorder can be replaced or dropped
+ * while commands are in flight.
  */
 #pragma once
 
@@ -22,17 +23,6 @@
 #include "trace/span.hh"
 
 namespace ida::trace {
-
-/** True when the IDA_TRACE instrumentation is compiled into this build. */
-inline constexpr bool
-compiledIn()
-{
-#ifdef IDA_TRACE
-    return true;
-#else
-    return false;
-#endif
-}
 
 class Recorder
 {
@@ -85,10 +75,8 @@ class Recorder
 
     const Attribution &attribution() const { return attribution_; }
 
-    /** Snapshot for RunResult; enabled iff the stamps could have fired. */
-    AttributionSummary summary() const {
-        return attribution_.summary(compiledIn());
-    }
+    /** Snapshot for RunResult (enabled: a recorder was attached). */
+    AttributionSummary summary() const { return attribution_.summary(true); }
 
     /** Retained spans (empty unless Options::retainSpans). */
     const std::vector<Span> &spans() const { return spans_; }

@@ -7,8 +7,8 @@
  * model crosses (die-queue grant, sense completion, channel grant,
  * transfer end, final completion) is stamped with the simulated clock.
  * Spans are produced by the instrumentation points in flash::ChipArray
- * and ftl::Ftl (compiled in only under IDA_TRACE; see
- * docs/ARCHITECTURE.md "IO tracing & latency attribution") and consumed
+ * and ftl::Ftl while a recorder is attached (see docs/ARCHITECTURE.md
+ * "IO tracing & latency attribution") and consumed
  * by trace::Recorder, which folds them into per-phase histograms and
  * optionally retains them for the chrome://tracing exporter.
  *

@@ -56,11 +56,6 @@ runStream(const ssd::SsdConfig &device, TraceStream &trace,
             std::max(warmup_fraction * duration_hint, sim::kSec);
     }
     ssd::Ssd ssd(cfg);
-    // Fold spans as they complete (no retention: memory stays fixed).
-    // Free in default builds: the stamps are compiled out and the
-    // recorder never sees a span.
-    if (trace::compiledIn())
-        ssd.enableTracing();
 
     const std::uint64_t footprint = std::min<std::uint64_t>(
         footprint_pages,
@@ -216,8 +211,6 @@ runClosedLoop(const ssd::SsdConfig &device, const WorkloadPreset &preset,
     // their IDA adjustments) happen during the warm-up portion.
     cfg.ftl.preloadAgeSpread = sim::kSec;
     ssd::Ssd ssd(cfg);
-    if (trace::compiledIn())
-        ssd.enableTracing();
 
     SyntheticTrace trace(preset.synth);
     const std::uint64_t footprint = std::min<std::uint64_t>(

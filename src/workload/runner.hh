@@ -53,10 +53,11 @@ struct RunResult
     std::uint64_t idaEligibleWordlines = 0;
     /**
      * Per-phase latency attribution (src/trace). Populated (enabled ==
-     * true) only in IDA_TRACE builds; the JSON schema is identical
-     * either way, with zeroed phases when the stamps are compiled out.
-     * Covers the whole run including warm-up (spans are device-side and
-     * have no measurement window).
+     * true) only when the harvested device had a recorder attached
+     * (Ssd::enableTracing); the runner's own runs attach none, so their
+     * archives carry zeroed phases under the same JSON schema. Covers
+     * the whole run including warm-up (spans are device-side and have
+     * no measurement window).
      */
     trace::AttributionSummary attribution;
     std::uint64_t inUseBlocksEnd = 0;

@@ -13,9 +13,8 @@
  *   sector — open-loop sector-mode run with write buffer + read cache,
  *            exercising the sub-page masks and the cache hierarchy.
  *
- * Skipped under IDA_TRACE: the attribution block serializes measured
- * phase totals there, which legitimately differ from the zeroed
- * release-build values the goldens pin.
+ * The runner attaches no span recorder, so the attribution block is
+ * the zeroed `enabled: false` object the goldens pin.
  *
  * To regenerate after an *intentional* behavior change, run with
  * IDA_UPDATE_GOLDEN=1 and commit the diff alongside the change.
@@ -28,7 +27,6 @@
 #include <string>
 
 #include "ssd/config.hh"
-#include "trace/recorder.hh"
 #include "workload/runner.hh"
 
 namespace ida::workload {
@@ -118,22 +116,16 @@ compareOrUpdate(const std::string &actual, const char *file)
 
 TEST(BackendGolden, Fig10BaselineLegMatchesSeed)
 {
-    if (trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE changes attribution values";
     compareOrUpdate(fig10Leg(false), "backend_fig10_baseline.json");
 }
 
 TEST(BackendGolden, Fig10IdaLegMatchesSeed)
 {
-    if (trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE changes attribution values";
     compareOrUpdate(fig10Leg(true), "backend_fig10_ida.json");
 }
 
 TEST(BackendGolden, SectorModeLegMatchesSeed)
 {
-    if (trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE changes attribution values";
     compareOrUpdate(sectorLeg(), "backend_sector_mode.json");
 }
 

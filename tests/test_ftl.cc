@@ -163,5 +163,16 @@ TEST(FtlDeath, IdaAndMoveToLsbAreExclusive)
                 "mutually exclusive");
 }
 
+TEST(FtlDeath, NonPositiveRefreshCheckIntervalIsRejected)
+{
+    FtlConfig cfg;
+    cfg.refreshCheckInterval = sim::Time{};
+    EXPECT_EXIT(FtlFixture f(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::refreshCheckInterval");
+    cfg.refreshCheckInterval = -sim::kSec;
+    EXPECT_EXIT(FtlFixture f(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::refreshCheckInterval");
+}
+
 } // namespace
 } // namespace ida::ftl

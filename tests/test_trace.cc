@@ -3,8 +3,8 @@
  * Tests of the latency-attribution layer (src/trace):
  *  - always-on units: phase decomposition, attribution folding, the
  *    recorder, the chrome-trace writer, and the always-maintained
- *    ChipStats sensing counters (they don't need IDA_TRACE);
- *  - an IDA_TRACE-gated whole-device cross-check driving a mixed
+ *    ChipStats sensing counters (they need no recorder);
+ *  - a whole-device cross-check driving a mixed
  *    read / write / trim workload (with write-buffer, GC, refresh and
  *    read-retry traffic) and verifying for *every* span that the phase
  *    durations sum exactly to the end-to-end latency and that the
@@ -25,6 +25,7 @@
 #include "trace/attribution.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/recorder.hh"
+#include "workload/runner.hh"
 
 namespace ida {
 namespace {
@@ -236,7 +237,7 @@ TEST(TraceChrome, WriterEmitsLanesAndEvents)
     EXPECT_EQ(j.back(), '\n');
 }
 
-// ---- Always-on chip counters (no IDA_TRACE needed). ---------------------
+// ---- Always-on chip counters (no recorder needed). ----------------------
 
 TEST(TraceChipCounters, SensingSavingsMatchFig5)
 {
@@ -299,13 +300,12 @@ TEST(TraceChipCounters, ConventionalReadsSaveNothing)
     EXPECT_EQ(st.sensingOpsSaved, 0u);
 }
 
-// ---- Whole-device cross-check (needs the IDA_TRACE stamps). -------------
+// ---- Whole-device cross-check. -------------------------------------------
 
-TEST(TraceCrossCheck, PhaseSumsMatchObservedCompletions)
+/** tiny() with IDA, read retries, a write buffer and fast refresh. */
+ssd::SsdConfig
+busyTiny()
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE stamps not compiled in";
-
     ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
     cfg.ftl.enableIda = true;
     cfg.adjustErrorRate = 0.2;
@@ -314,7 +314,12 @@ TEST(TraceCrossCheck, PhaseSumsMatchObservedCompletions)
     cfg.ftl.refreshPeriod = 2 * sim::kMin;
     cfg.ftl.refreshCheckInterval = 5 * sim::kSec;
     cfg.ftl.preloadAgeSpread = 30 * sim::kSec;
+    return cfg;
+}
 
+TEST(TraceCrossCheck, PhaseSumsMatchObservedCompletions)
+{
+    const ssd::SsdConfig cfg = busyTiny();
     ssd::Ssd dev(cfg);
     dev.enableTracing(/*retain_spans=*/true);
     const auto footprint = static_cast<std::uint64_t>(
@@ -401,6 +406,159 @@ TEST(TraceCrossCheck, PhaseSumsMatchObservedCompletions)
     EXPECT_EQ(sum.counters.sensingOps, dev.chips().stats().sensingOps);
     EXPECT_EQ(sum.counters.sensingOpsSaved,
               dev.chips().stats().sensingOpsSaved);
+}
+
+// ---- Runtime attach. -----------------------------------------------------
+
+enum class Attach { Never, FromStart, MidRun };
+
+struct AttachRun
+{
+    std::vector<sim::Time> completions; ///< per request, by submit order
+    std::string archive;                ///< harvestResult JSON
+    trace::AttributionSummary attribution;
+};
+
+/** The archive with its "attribution" object cut out. */
+std::string
+withoutAttribution(const std::string &json)
+{
+    const std::size_t key = json.find("\"attribution\": {");
+    if (key == std::string::npos)
+        return json;
+    std::size_t i = json.find('{', key);
+    for (int depth = 0; i < json.size(); ++i) {
+        depth += json[i] == '{' ? 1 : json[i] == '}' ? -1 : 0;
+        if (depth == 0)
+            break;
+    }
+    return json.substr(0, key) + json.substr(i + 1);
+}
+
+AttachRun
+runAttached(Attach attach)
+{
+    ssd::SsdConfig cfg = busyTiny();
+    cfg.seed = 11;
+
+    ssd::Ssd dev(cfg);
+    if (attach == Attach::FromStart)
+        dev.enableTracing();
+    const auto footprint = static_cast<std::uint64_t>(
+        0.6 * static_cast<double>(dev.logicalPages()));
+    dev.preloadSequential(footprint);
+    dev.start();
+
+    AttachRun out;
+    const int kRequests = 400;
+    out.completions.assign(kRequests, sim::Time{-1});
+    sim::Rng rng(5);
+    sim::Time arrival{};
+    for (int i = 0; i < kRequests; ++i) {
+        arrival += sim::Time{static_cast<std::int64_t>(rng.exponential(
+            static_cast<double>((2 * sim::kMin).count()) / kRequests))};
+        ssd::HostRequest hr;
+        hr.arrival = arrival;
+        hr.isRead = rng.uniform01() < 0.65;
+        hr.pageCount = 1 + static_cast<std::uint32_t>(rng.uniformInt(0, 2));
+        hr.startPage = rng.uniformInt(0, footprint - hr.pageCount);
+        hr.onComplete = [&out, i](sim::Time t) { out.completions[i] = t; };
+        dev.submit(hr);
+    }
+
+    // Every mode takes the same runUntil steps; only the attach differs.
+    // The mid-run attach waits for a moment with flash commands queued
+    // or running, so spans open on commands issued after it while older
+    // ones finish untraced.
+    dev.events().runUntil(sim::kMin);
+    const sim::Time step_limit = dev.events().now() + sim::kMin;
+    while (dev.chips().inflight() == 0 && dev.events().now() < step_limit)
+        dev.events().runUntil(dev.events().now() + 100 * sim::kUsec);
+    EXPECT_GT(dev.chips().inflight(), 0u) << "no command in flight to "
+                                             "attach across";
+    if (attach == Attach::MidRun)
+        dev.enableTracing();
+    dev.events().runUntil(std::max<sim::Time>(2 * sim::kMin, arrival));
+    const sim::Time drain_limit = dev.events().now() + 10 * sim::kMin;
+    while (!dev.drained() && dev.events().now() < drain_limit)
+        dev.events().runUntil(dev.events().now() + sim::kSec);
+    EXPECT_TRUE(dev.drained());
+
+    const workload::RunResult r =
+        workload::harvestResult(dev, "attach", footprint);
+    out.archive = r.toJson(/*include_volatile=*/false);
+    out.attribution = r.attribution;
+    return out;
+}
+
+TEST(TraceAttach, TracingDoesNotPerturbTheSimulation)
+{
+    const AttachRun never = runAttached(Attach::Never);
+    const AttachRun start = runAttached(Attach::FromStart);
+    const AttachRun mid = runAttached(Attach::MidRun);
+
+    EXPECT_EQ(std::count(never.completions.begin(), never.completions.end(),
+                         sim::Time{-1}),
+              0);
+    EXPECT_EQ(start.completions, never.completions);
+    EXPECT_EQ(mid.completions, never.completions);
+
+    ASSERT_NE(never.archive.find("\"attribution\": {"), std::string::npos);
+    EXPECT_EQ(withoutAttribution(start.archive),
+              withoutAttribution(never.archive));
+    EXPECT_EQ(withoutAttribution(mid.archive),
+              withoutAttribution(never.archive));
+
+    EXPECT_FALSE(never.attribution.enabled);
+    EXPECT_TRUE(start.attribution.enabled);
+    EXPECT_TRUE(mid.attribution.enabled);
+    EXPECT_GT(mid.attribution.counters.spans, 0u);
+    EXPECT_LT(mid.attribution.counters.spans,
+              start.attribution.counters.spans);
+}
+
+// ---- Read-cache spans. ----------------------------------------------------
+
+TEST(TraceCache, CacheHitSpansMatchTheCacheCounter)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.ftl.sectorMode = true;
+    cfg.ftl.readCache.capacityPages = 16;
+    cfg.ftl.writeBuffer.capacityPages = 8;
+
+    ssd::Ssd dev(cfg);
+    dev.enableTracing();
+    const std::uint64_t footprint = 64;
+    dev.preloadSequential(footprint);
+    dev.start();
+
+    // Whole- and sub-page reads over a hot set that fits the cache,
+    // with writes churning it (coherence invalidations, merged fills).
+    const std::uint32_t spp = cfg.geometry.sectorsPerPage();
+    sim::Rng rng(3);
+    sim::Time arrival{};
+    for (int i = 0; i < 600; ++i) {
+        arrival += 200 * sim::kUsec;
+        ssd::HostRequest hr;
+        hr.arrival = arrival;
+        hr.isRead = rng.uniform01() < 0.8;
+        hr.startPage = rng.uniformInt(0, hr.isRead ? 11 : footprint - 1);
+        if (rng.uniform01() < 0.5) {
+            hr.startSector =
+                static_cast<std::uint32_t>(rng.uniformInt(0, spp - 1));
+            hr.sectorCount = 1;
+        }
+        dev.submit(hr);
+    }
+    dev.events().runUntil(arrival);
+    const sim::Time drain_limit = dev.events().now() + sim::kMin;
+    while (!dev.drained() && dev.events().now() < drain_limit)
+        dev.events().runUntil(dev.events().now() + sim::kSec);
+    ASSERT_TRUE(dev.drained());
+
+    const trace::AttributionSummary sum = dev.tracer()->summary();
+    EXPECT_GT(sum.counters.cacheReadHits, 0u);
+    EXPECT_EQ(sum.counters.cacheReadHits, dev.ftl().readCacheStats().hits);
 }
 
 } // namespace

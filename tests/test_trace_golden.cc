@@ -6,8 +6,8 @@
  * the phase decomposition, the JSON writer, or the simulator's timing
  * itself — anything that moves a single event shows up as a diff.
  *
- * Gated on IDA_TRACE (the stamps must be compiled in). To regenerate
- * the goldens after an *intentional* change, run
+ * The run attaches its own recorder (Ssd::enableTracing). To
+ * regenerate the goldens after an *intentional* change, run
  * `tools/update_trace_golden.sh` (or set IDA_UPDATE_GOLDEN=1 when
  * invoking this test) and commit the diff alongside the change that
  * caused it — see docs/TESTING.md.
@@ -156,15 +156,11 @@ compareOrUpdate(const std::string &actual, const char *file)
 
 TEST(TraceGolden, ChromeTraceMatchesGolden)
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE stamps not compiled in";
     compareOrUpdate(runMini().chrome, "trace_mini.json");
 }
 
 TEST(TraceGolden, AttributionMatchesGolden)
 {
-    if (!trace::compiledIn())
-        GTEST_SKIP() << "IDA_TRACE stamps not compiled in";
     const Exports e = runMini();
     compareOrUpdate(e.attribution, "attr_mini.json");
     // Beyond byte equality: the golden run itself must demonstrate the

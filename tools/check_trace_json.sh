@@ -35,8 +35,8 @@ grep -q '"die 0' "$TRACE" || fail "no die lane metadata ($TRACE)"
 grep -q '"channel 0"' "$TRACE" || fail "no channel lane metadata ($TRACE)"
 grep -q '"ph": "M"' "$TRACE" || fail "no metadata events ($TRACE)"
 
-# Duration events only appear when spans were recorded (IDA_TRACE
-# builds); require them when savings are required (a real traced run).
+# Duration events only appear when spans were recorded (a recorder was
+# attached); require them when savings are required (a real traced run).
 if [ "$REQUIRE_SAVINGS" = 1 ]; then
     grep -q '"ph": "X"' "$TRACE" || \
         fail "no duration events in a traced run ($TRACE)"

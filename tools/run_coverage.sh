@@ -1,8 +1,8 @@
 #!/bin/sh
-# Coverage gate: build with gcov instrumentation (plus IDA_TRACE, so
-# the span-stamping paths are part of the measured surface), run the
-# full unit-test binary, and aggregate line coverage over the flash,
-# cache and trace sources. Fails when the aggregate drops below
+# Coverage gate: build with gcov instrumentation, run the full
+# unit-test binary (its trace tests attach recorders, so the
+# span-stamping paths are part of the measured surface), and aggregate
+# line coverage over the flash, cache and trace sources. Fails when the aggregate drops below
 # the recorded floor in tools/coverage_baseline.txt — raise the floor
 # when coverage genuinely improves, never lower it to make a regression
 # pass.
@@ -21,7 +21,7 @@ command -v gcov >/dev/null 2>&1 || {
 }
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
-    -DCMAKE_BUILD_TYPE=Debug -DIDA_COVERAGE=ON -DIDA_TRACE=ON
+    -DCMAKE_BUILD_TYPE=Debug -DIDA_COVERAGE=ON
 cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
 
 # Fresh counters: stale .gcda from a previous run would inflate numbers.

@@ -15,7 +15,8 @@ BUILD_DIR="${1:-build}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR"
-cmake --build "$BUILD_DIR" --parallel --target batch_demo fleet_demo
+cmake --build "$BUILD_DIR" --parallel --target batch_demo fleet_demo \
+    trace_demo
 
 # Lint first: the scanner gate is seconds, so a violation fails fast
 # before the minutes of build/run below. Format gate is diff-only and
@@ -71,13 +72,10 @@ echo "smoke: OK (fleet deterministic across --shards 1/2, pastSchedules == 0)"
 
 cmake --build "$BUILD_DIR" --parallel --target bench_smoke
 
-# Trace smoke: separate IDA_TRACE build (flag flip never touches the
-# release tree), run the trace demo with IDA on, and validate both
-# exports — including that the run actually saved sensing operations.
-cmake -B "$BUILD_DIR-trace" -S "$SRC_DIR" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIDA_TRACE=ON
-cmake --build "$BUILD_DIR-trace" --parallel --target trace_demo
-"$BUILD_DIR-trace/examples/trace_demo" --ida 1 --requests 500 \
+# Trace smoke: run the trace demo (it attaches its own recorder) with
+# IDA on, and validate both exports — including that the run actually
+# saved sensing operations.
+"$BUILD_DIR/examples/trace_demo" --ida 1 --requests 500 \
     --trace-out "$OUT_DIR/trace.json" --attr-out "$OUT_DIR/attr.json"
 "$SRC_DIR/tools/check_trace_json.sh" \
     "$OUT_DIR/trace.json" "$OUT_DIR/attr.json" --require-savings

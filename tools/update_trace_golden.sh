@@ -6,14 +6,13 @@
 # event timing — and commit the resulting diff together with the change
 # (see docs/TESTING.md, "Golden tests").
 #
-# Usage: tools/update_trace_golden.sh [build-dir]   (default: build-trace)
+# Usage: tools/update_trace_golden.sh [build-dir]   (default: build)
 set -eu
 
-BUILD_DIR="${1:-build-trace}"
+BUILD_DIR="${1:-build}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DIDA_TRACE=ON
+cmake -B "$BUILD_DIR" -S "$SRC_DIR"
 cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
 
 IDA_UPDATE_GOLDEN=1 "$BUILD_DIR/tests/idaflash_tests" \
