@@ -31,6 +31,7 @@ Auditor::Auditor(ssd::Ssd &ssd) : ssd_(ssd)
                   [](Auditor &a) { a.checkWordlineCache(); });
     registerCheck("ida-coding", [](Auditor &a) { a.checkIdaCoding(); });
     registerCheck("event-queue", [](Auditor &a) { a.checkEventQueue(); });
+    registerCheck("admission", [](Auditor &a) { a.checkAdmission(); });
     registerCheck("block-accounting",
                   [](Auditor &a) { a.checkBlockAccounting(); });
     registerCheck("sector-validity",
@@ -360,6 +361,14 @@ Auditor::checkEventQueue()
 {
     std::string why;
     if (!ssd_.events().validateHeap(&why))
+        fail(std::move(why));
+}
+
+void
+Auditor::checkAdmission()
+{
+    std::string why;
+    if (!ssd_.validateAdmission(&why))
         fail(std::move(why));
 }
 

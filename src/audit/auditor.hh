@@ -67,6 +67,11 @@ struct Violation
  *                      keep FIFO sequence order, timestamps never
  *                      behind now(), exact slab-pool slot accounting
  *                      (EventQueue::validateHeap).
+ *  - admission:        Ssd's arrival FIFO is sorted by (arrival, seq)
+ *                      with no entry behind now(); an arrival event is
+ *                      pending at its oldest run iff it is non-empty;
+ *                      inflightRequests() equals FIFO entries plus live
+ *                      request slots (Ssd::validateAdmission).
  *  - block-accounting: BlockManager free pools / active flags / in-use
  *                      counter agree with per-block recount; the age
  *                      index holds exactly the closed blocks, keyed by
@@ -177,6 +182,7 @@ class Auditor
     void checkWordlineCache();
     void checkIdaCoding();
     void checkEventQueue();
+    void checkAdmission();
     void checkBlockAccounting();
     void checkSectorValidity();
     void checkCacheCoherence();

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <span>
+#include <string>
 
 #include "sim/log.hh"
 #include "trace/recorder.hh"
@@ -41,6 +42,14 @@ Ftl::Ftl(const flash::Geometry &geom, const FtlConfig &cfg,
     // interval would re-fire at the same tick forever.
     if (cfg_.refreshCheckInterval <= sim::Time{})
         sim::fatal("FtlConfig::refreshCheckInterval must be positive");
+    // GC must start before a plane's last free block is gone (it needs
+    // one to migrate into), and must be able to stop: at or above the
+    // plane's block count the pool is always "low" and GC never idles.
+    if (cfg_.gcFreeThreshold == 0 ||
+        cfg_.gcFreeThreshold >= geom.blocksPerPlane)
+        sim::fatal("FtlConfig::gcFreeThreshold must be in [1, " +
+                   std::to_string(geom.blocksPerPlane) +
+                   ") (blocks per plane)");
     stats_.readClass.byLevel.assign(geom.bitsPerCell, 0);
     stats_.readClass.byLevelLowerInvalid.assign(geom.bitsPerCell, 0);
 }

@@ -60,6 +60,33 @@ EventQueue::appendOverflow(std::uint32_t idx)
 }
 
 void
+EventQueue::insertOverflow(std::uint32_t idx)
+{
+    if (overflowTail_ != kNil && node(overflowTail_).seq > node(idx).seq)
+        linkBeforeYounger(overflowHead_, idx);
+    else
+        appendOverflow(idx);
+}
+
+void
+EventQueue::linkBeforeYounger(std::uint32_t &head, std::uint32_t idx)
+{
+    Node &n = node(idx);
+    if (node(head).seq > n.seq) {
+        n.next = head;
+        head = idx;
+        return;
+    }
+    // A younger node follows, so the walk stops before the list's end
+    // (whose link is dead in a tail-terminated bucket).
+    std::uint32_t prev = head;
+    while (node(node(prev).next).seq < n.seq)
+        prev = node(prev).next;
+    n.next = node(prev).next;
+    node(prev).next = idx;
+}
+
+void
 EventQueue::cascadeBucket(unsigned level, std::uint32_t slot)
 {
     Bucket &b = bucket(level, slot);
@@ -227,6 +254,8 @@ EventQueue::validateHeap(std::string *why) const
             return fail("overflow list is cyclic");
         if (levelOf(node(n).when, cur_) < kLevels)
             return fail("overflow node belongs in the wheel");
+        if (lastOv != kNil && node(n).seq <= node(lastOv).seq)
+            return fail("overflow list breaks seq order");
         lastOv = n;
     }
     if (lastOv != overflowTail_)
@@ -256,6 +285,33 @@ EventQueue::validateHeap(std::string *why) const
     if (cur_ > now_.count())
         return fail("structural cursor ahead of the clock");
     return true;
+}
+
+bool
+EventQueue::contains(Time when, std::uint64_t seq) const
+{
+    const std::int64_t w = when.count();
+    if (w < cur_)
+        return false;
+    const auto matches = [&](std::uint32_t n) {
+        return node(n).when == w && node(n).seq == seq;
+    };
+    const unsigned level = levelOf(w, cur_);
+    if (level >= kLevels) {
+        for (std::uint32_t n = overflowHead_; n != kNil; n = node(n).next)
+            if (matches(n))
+                return true;
+        return false;
+    }
+    const Bucket &b = bucket(level, slotOf(w, level));
+    if (b.head == kNil)
+        return false;
+    for (std::uint32_t n = b.head;; n = node(n).next) {
+        if (matches(n))
+            return true;
+        if (n == b.tail)
+            return false;
+    }
 }
 
 // ida-lint: hot-path-root

@@ -45,12 +45,14 @@
  * dispatched and before any new event can be appended directly at a
  * lower level of that window (a new event only places below level l
  * once the cursor shares the window, which is after the cascade).
- * Appends happen in schedule order and cascades preserve relative list
- * order, so every bucket list is sorted by sequence number, and buckets
- * are drained in strictly increasing time order. Hence dispatch order
- * is exactly (when, seq) lexicographic — the same order the previous
- * 4-ary-heap kernel produced, pinned byte-for-byte by
- * tests/test_event_order.cc and the trace goldens.
+ * A plain schedule() takes the newest seq and appends; a schedule under
+ * a reserved seq (reserveSeq()) is inserted at its seq position in the
+ * same bucket (or the overflow list); cascades preserve relative list
+ * order. So every bucket list, and the overflow list, is sorted by
+ * sequence number, and buckets are drained in strictly increasing time
+ * order. Hence dispatch order is exactly (when, seq) lexicographic —
+ * the same order the previous 4-ary-heap kernel produced, pinned
+ * byte-for-byte by tests/test_event_order.cc and the trace goldens.
  *
  * `runUntil(limit)` never advances the structural cursor into a window
  * whose base lies beyond the limit (the public clock advances to the
@@ -147,17 +149,31 @@ class EventQueue
     void
     schedule(Time when, F &&cb)
     {
-        if (when < now_) {
-            notePastSchedule(when);
-            when = now_;
-        }
-        const std::uint32_t idx = acquireSlot();
-        Node &n = node(idx);
-        n.cb = std::forward<F>(cb);
-        n.when = when.count();
-        n.seq = nextSeq_++;
-        placeNode(idx);
-        ++pendingCount_;
+        placeNode(makeNode(when, nextSeq_++, std::forward<F>(cb)));
+    }
+
+    /**
+     * Hand out the next sequence number now, for an event that is only
+     * scheduled later through schedule(when, seq, cb). The event then
+     * dispatches where one scheduled at the reservation would have:
+     * after same-tick events scheduled before the reservation, before
+     * those scheduled after it. This lets a caller park work outside
+     * the queue (Ssd's arrival FIFO) without moving its place in the
+     * (when, seq) order.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * schedule() under a sequence number from reserveSeq(); each
+     * reserved number may be used once. Past times are clamped or
+     * panic exactly as in schedule().
+     */
+    template <typename F>
+    void
+    schedule(Time when, std::uint64_t seq, F &&cb)
+    {
+        assert(seq < nextSeq_ && "seq must come from reserveSeq()");
+        insertNode(makeNode(when, seq, std::forward<F>(cb)));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -208,8 +224,9 @@ class EventQueue
      * Full structural verification of the timing-wheel representation,
      * used by the cross-layer auditor (src/audit): occupancy bitmaps
      * agree with the bucket lists, every node sits in the exact slot
-     * and level the placement rule assigns it, bucket lists are sorted
-     * by sequence number (the FIFO guarantee), no pending timestamp is
+     * and level the placement rule assigns it, bucket lists and the
+     * overflow list are sorted by sequence number (the FIFO guarantee,
+     * reserved seqs included), no pending timestamp is
      * behind now(), sequence numbers stay below the allocation cursor,
      * and exact node-slot accounting (every pool slot is referenced by
      * exactly one bucket, the overflow list, or one free-list link).
@@ -219,6 +236,13 @@ class EventQueue
      * description of the first failure in @p why (when non-null).
      */
     bool validateHeap(std::string *why = nullptr) const;
+
+    /**
+     * True when an event is pending at exactly (@p when, @p seq). Looks
+     * only where the placement rule puts such an event, so it is
+     * O(one bucket); for audits, never called on the dispatch path.
+     */
+    bool contains(Time when, std::uint64_t seq) const;
 
 #ifdef IDA_AUDIT
     /**
@@ -451,7 +475,33 @@ class EventQueue
         }
     }
 
-    /** Append node @p idx to the bucket its (when, cur_) placement picks. */
+    /**
+     * Fill a pool slot with (when, seq, cb), clamping a past @p when
+     * per the PastSchedulePolicy, and count it pending. The caller
+     * links it into the wheel.
+     */
+    template <typename F>
+    std::uint32_t
+    makeNode(Time when, std::uint64_t seq, F &&cb)
+    {
+        if (when < now_) {
+            notePastSchedule(when);
+            when = now_;
+        }
+        const std::uint32_t idx = acquireSlot();
+        Node &n = node(idx);
+        n.cb = std::forward<F>(cb);
+        n.when = when.count();
+        n.seq = seq;
+        ++pendingCount_;
+        return idx;
+    }
+
+    /**
+     * Append node @p idx to the bucket its (when, cur_) placement picks.
+     * Only for a node younger than everything in that bucket: a fresh
+     * seq, or a cascade replaying a sorted list into emptied buckets.
+     */
     void
     placeNode(std::uint32_t idx)
     {
@@ -461,7 +511,34 @@ class EventQueue
             appendOverflow(idx);
             return;
         }
+        appendNode(idx, level, slotOf(n.when, level));
+    }
+
+    /**
+     * Place node @p idx like placeNode(), but at its seq position in
+     * the target list: a reserved seq may be older than nodes already
+     * there. The common case (it is the youngest) is the plain append.
+     */
+    void
+    insertNode(std::uint32_t idx)
+    {
+        Node &n = node(idx);
+        const unsigned level = levelOf(n.when, cur_);
+        if (level >= kLevels) {
+            insertOverflow(idx);
+            return;
+        }
         const std::uint32_t slot = slotOf(n.when, level);
+        Bucket &b = bucket(level, slot);
+        if (b.tail != kNil && node(b.tail).seq > n.seq)
+            linkBeforeYounger(b.head, idx);
+        else
+            appendNode(idx, level, slot);
+    }
+
+    void
+    appendNode(std::uint32_t idx, unsigned level, std::uint32_t slot)
+    {
         Bucket &b = bucket(level, slot);
         // Branch-free append (both selects compile to cmov): lists are
         // tail-terminated, so the empty bucket needs no special path —
@@ -475,6 +552,15 @@ class EventQueue
     }
 
     void appendOverflow(std::uint32_t idx);
+    void insertOverflow(std::uint32_t idx);
+
+    /**
+     * Link @p idx into the seq-sorted list starting at @p head, before
+     * its first node younger than @p idx. The list must hold such a
+     * node (so the tail is never relinked); @p head is updated when
+     * @p idx becomes the new head.
+     */
+    void linkBeforeYounger(std::uint32_t &head, std::uint32_t idx);
 
     /** Grab a pool slot: free-list head, else grow the slab. */
     std::uint32_t

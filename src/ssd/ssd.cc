@@ -88,19 +88,18 @@ Ssd::validateRequest(const HostRequest &req) const
     }
 }
 
+template <typename R>
 std::uint32_t
-Ssd::acquireSlot(const HostRequest &req)
+Ssd::acquireSlot(R &&req)
 {
-    std::uint32_t slot;
-    if (freeSlot_ != kNilSlot) {
-        slot = freeSlot_;
-        freeSlot_ = requestSlots_[slot].link;
-        requestSlots_[slot].req = req;
-    } else {
-        slot = static_cast<std::uint32_t>(requestSlots_.size());
-        requestSlots_.push_back(RequestSlot{req, 0, sim::Time{}, kNilSlot});
+    if (freeSlot_ == kNilSlot) {
+        requestSlots_.push_back(RequestSlot{std::forward<R>(req)});
+        return static_cast<std::uint32_t>(requestSlots_.size() - 1);
     }
+    const std::uint32_t slot = freeSlot_;
     RequestSlot &rs = requestSlots_[slot];
+    freeSlot_ = rs.link;
+    rs.req = std::forward<R>(req);
     rs.pending = 0;
     rs.lastDone = sim::Time{};
     rs.link = kNilSlot;
@@ -120,10 +119,7 @@ Ssd::releaseSlot(std::uint32_t slot)
 void
 Ssd::submit(const HostRequest &req)
 {
-    validateRequest(req);
-    ++inflightRequests_;
-    const std::uint32_t slot = acquireSlot(req);
-    events_.schedule(req.arrival, [this, slot] { dispatchSlot(slot); });
+    submitBatch(std::span<const HostRequest>(&req, 1));
 }
 
 // ida-lint: hot-path-root
@@ -132,27 +128,79 @@ Ssd::submitBatch(std::span<const HostRequest> reqs)
 {
     std::size_t i = 0;
     while (i < reqs.size()) {
-        validateRequest(reqs[i]);
-        ++inflightRequests_;
         const sim::Time arrival = reqs[i].arrival;
-        const std::uint32_t head = acquireSlot(reqs[i]);
-        std::uint32_t tail = head;
-        ++i;
-        while (i < reqs.size() && reqs[i].arrival == arrival) {
-            validateRequest(reqs[i]);
-            ++inflightRequests_;
-            const std::uint32_t next = acquireSlot(reqs[i]);
-            requestSlots_[tail].link = next;
-            tail = next;
-            ++i;
+        std::size_t end = i + 1;
+        while (end < reqs.size() && reqs[end].arrival == arrival)
+            ++end;
+        const std::span<const HostRequest> run = reqs.subspan(i, end - i);
+        i = end;
+        for (const HostRequest &r : run)
+            validateRequest(r);
+        inflightRequests_ += run.size();
+        if (arrival <= events_.now() ||
+            (!arrivals_.empty() && arrival < arrivals_.back().req.arrival)) {
+            scheduleRun(run);
+            continue;
         }
-        if (head == tail)
-            events_.schedule(arrival,
-                             [this, head] { dispatchSlot(head); });
-        else
-            events_.schedule(arrival,
-                             [this, head] { dispatchRun(head); });
+        // The seq an event scheduled here would take: the run fires at
+        // (arrival, seq) whenever it reaches the FIFO's head.
+        const std::uint64_t seq = events_.reserveSeq();
+        for (const HostRequest &r : run) {
+            Arrival &a = arrivals_.emplace_back();
+            a.req = r;
+            a.seq = seq;
+        }
+        if (!headArmed_)
+            armHead();
     }
+}
+
+void
+Ssd::scheduleRun(std::span<const HostRequest> run)
+{
+    std::uint32_t head = kNilSlot;
+    std::uint32_t tail = kNilSlot;
+    for (const HostRequest &r : run) {
+        const std::uint32_t slot = acquireSlot(r);
+        (head == kNilSlot ? head : requestSlots_[tail].link) = slot;
+        tail = slot;
+    }
+    if (head == tail)
+        events_.schedule(run.front().arrival,
+                         [this, head] { dispatchSlot(head); });
+    else
+        events_.schedule(run.front().arrival,
+                         [this, head] { dispatchRun(head); });
+}
+
+void
+Ssd::armHead()
+{
+    headArmed_ = !arrivals_.empty();
+    if (!headArmed_)
+        return;
+    const Arrival &a = arrivals_.front();
+    events_.schedule(a.req.arrival, a.seq, [this] { admitHead(); });
+}
+
+void
+Ssd::admitHead()
+{
+    // Move the oldest run into request slots, then arm the next run
+    // before dispatching: a dispatch may re-enter submit() and must
+    // find the FIFO and its head event in agreement.
+    const std::uint64_t seq = arrivals_.front().seq;
+    std::uint32_t head = kNilSlot;
+    std::uint32_t tail = kNilSlot;
+    do {
+        const std::uint32_t slot =
+            acquireSlot(std::move(arrivals_.front().req));
+        arrivals_.pop_front();
+        (head == kNilSlot ? head : requestSlots_[tail].link) = slot;
+        tail = slot;
+    } while (!arrivals_.empty() && arrivals_.front().seq == seq);
+    armHead();
+    dispatchRun(head);
 }
 
 void
@@ -282,6 +330,52 @@ Ssd::drained() const
 {
     return inflightRequests_ == 0 && chips_->inflight() == 0 &&
            ftl_->quiescent();
+}
+
+bool
+Ssd::validateAdmission(std::string *why) const
+{
+    const auto fail = [why](std::string msg) {
+        if (why)
+            *why = std::move(msg);
+        return false;
+    };
+    if (headArmed_ == arrivals_.empty())
+        return fail(headArmed_ ? "arrival event armed with an empty FIFO"
+                               : "arrival FIFO holds runs but no event");
+    if (headArmed_ && !events_.contains(arrivals_.front().req.arrival,
+                                        arrivals_.front().seq))
+        return fail("no event pending at the oldest run's (arrival, seq)");
+
+    std::string bad;
+    const Arrival *prev = nullptr;
+    arrivals_.forEach([&](const Arrival &a) {
+        if (!bad.empty())
+            return;
+        if (a.req.arrival < events_.now())
+            bad = "arrival FIFO entry behind now()";
+        else if (prev && (a.req.arrival < prev->req.arrival ||
+                          (a.req.arrival == prev->req.arrival &&
+                           a.seq < prev->seq)))
+            bad = "arrival FIFO not sorted by (arrival, seq)";
+        prev = &a;
+    });
+    if (!bad.empty())
+        return fail(bad);
+
+    std::uint64_t freeSlots = 0;
+    for (std::uint32_t s = freeSlot_; s != kNilSlot;
+         s = requestSlots_[s].link) {
+        if (++freeSlots > requestSlots_.size())
+            return fail("request-slot free list is cyclic");
+    }
+    const std::uint64_t live = requestSlots_.size() - freeSlots;
+    if (inflightRequests_ != arrivals_.size() + live)
+        return fail("inflightRequests " +
+                    std::to_string(inflightRequests_) + " != " +
+                    std::to_string(arrivals_.size()) + " in the FIFO + " +
+                    std::to_string(live) + " live slots");
+    return true;
 }
 
 } // namespace ida::ssd

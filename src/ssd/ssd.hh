@@ -10,11 +10,13 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ecc/ecc_model.hh"
 #include "flash/chip.hh"
 #include "ftl/ftl.hh"
+#include "sim/chunked_fifo.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "ssd/config.hh"
@@ -23,6 +25,10 @@
 
 namespace ida::trace {
 class Recorder;
+}
+
+namespace ida::audit::testing {
+struct SsdPeer;
 }
 
 namespace ida::ssd {
@@ -34,16 +40,18 @@ namespace ida::ssd {
  */
 struct HostRequest
 {
+    // Ordered so the flags fill the 32-bit fields' padding: 64 bytes,
+    // one cache line per request waiting in the arrival FIFO.
     sim::Time arrival{};
-    bool isRead = true;
-    /** TRIM/deallocate instead of a data transfer (isRead ignored). */
-    bool isTrim = false;
     flash::Lpn startPage = 0;
     std::uint32_t pageCount = 1;
     /** First sector touched, relative to startPage's first sector. */
     std::uint32_t startSector = 0;
     /** Sectors touched; 0 = whole pages (the page-granular default). */
     std::uint32_t sectorCount = 0;
+    bool isRead = true;
+    /** TRIM/deallocate instead of a data transfer (isRead ignored). */
+    bool isTrim = false;
     /** Optional notification when the whole request completes. */
     std::function<void(sim::Time)> onComplete;
 };
@@ -72,6 +80,13 @@ struct SsdStats
  * Usage: construct, preload the footprint, start(), submit requests
  * (arrival times must be non-decreasing relative to the event clock),
  * then run the event queue.
+ *
+ * Arrival admission: requests submitted ahead of their arrival wait in
+ * an arrival FIFO outside the event queue, which holds one event for
+ * the FIFO's oldest run only. Such a request takes its slot (the
+ * completion context its page operations share) when that event admits
+ * it, so the device's memory follows the requests in flight, not the
+ * length of the trace submitted ahead.
  */
 class Ssd
 {
@@ -104,20 +119,28 @@ class Ssd
     void start();
 
     /**
-     * Enqueue a host request at its arrival time. Requests arriving
-     * before @p measureStart (see setMeasureStart) are executed but not
-     * included in the response statistics (warm-up).
+     * Enqueue a host request at its arrival time: a one-element
+     * submitBatch(). Requests arriving before @p measureStart (see
+     * setMeasureStart) are executed but not included in the response
+     * statistics (warm-up).
      */
     void submit(const HostRequest &req);
 
     /**
      * Enqueue many host requests in submission order. Consecutive
-     * requests sharing one arrival tick are admitted through a single
-     * arrival event that dispatches the whole run in order — the event
-     * stream the device produces is identical to submitting them one by
-     * one (dispatch order is preserved and nothing else observes the
-     * arrival events), but a same-tick burst costs one event instead of
-     * one per request.
+     * requests sharing one arrival tick form a run, dispatched in order
+     * by one arrival event, so a same-tick burst costs one event
+     * instead of one per request.
+     *
+     * A run arriving in the future takes its event sequence number
+     * here (EventQueue::reserveSeq) and waits in the arrival FIFO; only
+     * the FIFO's oldest run has an event in the queue, and admitting it
+     * arms the next. A run that is already due (arrival <= now()) or
+     * arrives before the FIFO's newest run is scheduled as its own
+     * event instead. Either way every run fires at (arrival, seq)
+     * exactly as if it had been scheduled here, so the device's event
+     * stream — and every result — is identical to submitting the
+     * requests one by one.
      */
     void submitBatch(std::span<const HostRequest> reqs);
 
@@ -147,16 +170,27 @@ class Ssd
     /** Host requests submitted but not yet fully completed. */
     std::uint64_t inflightRequests() const { return inflightRequests_; }
 
-  private:
     /**
-     * A host request's whole device-side lifetime: submitted and
-     * waiting for its arrival tick, then acting as the shared
-     * completion context while its page operations are in flight.
-     * Slab-pooled so the arrival event and every page-completion
-     * callback capture {this, slot} (16 bytes) instead of a full
-     * HostRequest — and so requests allocate nothing in the steady
-     * state (the seed heap-allocated a shared_ptr context per request).
-     * `link` chains a same-tick admission batch while pending, then the
+     * Verify arrival admission, for the auditor (src/audit): the FIFO
+     * is sorted by (arrival, seq) with no entry behind now(); an
+     * arrival event is pending at the oldest run's (arrival, seq) iff
+     * the FIFO is non-empty; and inflightRequests() equals the FIFO's
+     * entries plus the live request slots. O(FIFO + slots).
+     *
+     * Returns true when every invariant holds; otherwise false, with a
+     * description of the first failure in @p why (when non-null).
+     */
+    bool validateAdmission(std::string *why = nullptr) const;
+
+  private:
+    friend struct ida::audit::testing::SsdPeer;
+
+    /**
+     * An admitted host request: the shared completion context while its
+     * page operations are in flight. Slab-pooled so every
+     * page-completion callback captures {this, slot} (16 bytes) instead
+     * of a full HostRequest — and so requests allocate nothing in the
+     * steady state. `link` chains a run awaiting dispatch, then the
      * free list after completion.
      */
     struct RequestSlot
@@ -167,11 +201,26 @@ class Ssd
         std::uint32_t link = kNilSlot;
     };
 
+    /** A submitted request in the arrival FIFO, with its run's seq. */
+    struct Arrival
+    {
+        HostRequest req;
+        std::uint64_t seq = 0;
+    };
+
     static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
 
-    std::uint32_t acquireSlot(const HostRequest &req);
+    /** Take a free request slot and copy or move @p req into it. */
+    template <typename R>
+    std::uint32_t acquireSlot(R &&req);
     void releaseSlot(std::uint32_t slot);
     void validateRequest(const HostRequest &req) const;
+    /** Give a due or out-of-order run slots now and its own event. */
+    void scheduleRun(std::span<const HostRequest> run);
+    /** Schedule the arrival event of the FIFO's oldest run. */
+    void armHead();
+    /** Arrival event: admit the oldest run, re-arm, dispatch the run. */
+    void admitHead();
     void dispatchSlot(std::uint32_t slot);
     void dispatchRun(std::uint32_t head);
     void pageDone(std::uint32_t slot, sim::Time when);
@@ -194,6 +243,9 @@ class Ssd
     std::unique_ptr<ftl::Ftl> ftl_;
     std::unique_ptr<trace::Recorder> tracer_;
     SsdStats stats_;
+    sim::ChunkedFifo<Arrival> arrivals_;
+    /** The FIFO's oldest run has its arrival event pending. */
+    bool headArmed_ = false;
     std::vector<RequestSlot> requestSlots_;
     std::uint32_t freeSlot_ = kNilSlot;
     std::uint64_t inflightRequests_ = 0;

@@ -24,7 +24,7 @@ RunResult::readImprovement(const RunResult &base) const
 
 namespace {
 
-/** Admission buffer cap: bounds memory on arbitrarily long traces. */
+/** Staging buffer cap: the runner's own copy stays small on long traces. */
 constexpr std::size_t kSubmitBatch = 256;
 
 void
@@ -82,9 +82,10 @@ runStream(const ssd::SsdConfig &device, TraceStream &trace,
         ssd.ftl().finalizePreload();
     }
 
-    // Feed the whole trace in admission batches: same-tick arrival
-    // bursts (common in block traces) collapse into one arrival event
-    // each inside submitBatch.
+    // Feed the whole trace up front in submitBatch calls. The device
+    // parks future arrivals in its arrival FIFO, so the event queue
+    // holds one arrival event rather than the trace, and a same-tick
+    // burst (common in block traces) is dispatched by one event.
     sim::Time last_arrival{};
     IoRequest req;
     std::vector<ssd::HostRequest> batch;

@@ -17,6 +17,7 @@
 #include "flash/block.hh"
 #include "ftl/block_manager.hh"
 #include "sim/event_queue.hh"
+#include "ssd/ssd.hh"
 
 namespace ida::audit::testing {
 
@@ -144,6 +145,31 @@ struct BlockManagerPeer
     {
         m.refreshedAt_[b] = t;
         m.age_[b].key = t;
+    }
+};
+
+/** Reaches into ssd::Ssd's arrival FIFO. */
+struct SsdPeer
+{
+    /** Drop the oldest waiting request without uncounting it. */
+    static void
+    dropOldestArrival(ssd::Ssd &s)
+    {
+        s.arrivals_.pop_front();
+    }
+
+    /** Rewrite the arrival of the @p i-th waiting request in place. */
+    static void
+    setArrival(ssd::Ssd &s, std::size_t i, sim::Time t)
+    {
+        const std::size_t n = s.arrivals_.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            ssd::Ssd::Arrival a = std::move(s.arrivals_.front());
+            s.arrivals_.pop_front();
+            if (k == i)
+                a.req.arrival = t;
+            s.arrivals_.emplace_back() = std::move(a);
+        }
     }
 };
 

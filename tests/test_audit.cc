@@ -228,6 +228,62 @@ TEST(AuditorNegative, EventQueueCheckCatchesPoolLeak)
     EXPECT_TRUE(fired(a, "event-queue")) << a.summary();
 }
 
+/** WarmSsd plus three reads parked in the arrival FIFO. */
+struct ParkedSsd : WarmSsd
+{
+    ParkedSsd()
+    {
+        for (int i = 1; i <= 3; ++i) {
+            ssd::HostRequest r;
+            r.arrival = ssd.events().now() + i * sim::kMsec;
+            r.startPage = static_cast<flash::Lpn>(i);
+            ssd.submit(r);
+        }
+    }
+};
+
+TEST(Auditor, ParkedArrivalsAreClean)
+{
+    ParkedSsd p;
+    Auditor a(p.ssd);
+    EXPECT_EQ(a.runAll(), 0u) << a.summary();
+    p.ssd.events().run();
+    EXPECT_EQ(a.runAll(), 0u) << a.summary();
+}
+
+TEST(AuditorNegative, AdmissionCheckCatchesInflightDrift)
+{
+    ParkedSsd p;
+    ida::audit::testing::SsdPeer::dropOldestArrival(p.ssd);
+
+    Auditor a(p.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "admission")) << a.summary();
+}
+
+TEST(AuditorNegative, AdmissionCheckCatchesMissingHeadEvent)
+{
+    // The oldest run moves off the (arrival, seq) its event fires at.
+    ParkedSsd p;
+    ida::audit::testing::SsdPeer::setArrival(
+        p.ssd, 0, p.ssd.events().now() + sim::kUsec);
+
+    Auditor a(p.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "admission")) << a.summary();
+}
+
+TEST(AuditorNegative, AdmissionCheckCatchesUnsortedFifo)
+{
+    ParkedSsd p;
+    ida::audit::testing::SsdPeer::setArrival(
+        p.ssd, 2, p.ssd.events().now() + sim::kUsec);
+
+    Auditor a(p.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "admission")) << a.summary();
+}
+
 TEST(AuditorNegative, BlockAccountingCheckCatchesPoolFlagDrift)
 {
     WarmSsd w;

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "audit/auditor.hh"
 #include "sim/rng.hh"
@@ -33,6 +34,8 @@ struct Scenario
     bool writeBuffer = false;
     bool readCache = false;
     bool subPage = false; ///< sub-page reads/writes/TRIMs in the mix
+    /** Submit every host request in one up-front submitBatch(). */
+    bool batched = false;
     std::uint64_t ops = 400;
 };
 
@@ -77,6 +80,15 @@ runScenario(const Scenario &sc)
 
     sim::Rng rng(sc.seed * 2654435761ull + 17);
     sim::Time t{};
+    // Batched scenarios park the whole workload in the arrival FIFO at
+    // once, so the audits see it deep; the others submit one by one.
+    std::vector<ssd::HostRequest> batch;
+    const auto submit = [&](const ssd::HostRequest &r) {
+        if (sc.batched)
+            batch.push_back(r);
+        else
+            ssd.submit(r);
+    };
     for (std::uint64_t i = 0; i < sc.ops; ++i) {
         t += rng.uniformInt(50, 1500) * sim::kUsec;
         const double kind = rng.uniform01();
@@ -96,7 +108,7 @@ runScenario(const Scenario &sc)
                     rng.uniformInt(0, spp - 1));
                 tr.sectorCount = static_cast<std::uint32_t>(
                     1 + rng.uniformInt(0, spp - 1 - tr.startSector));
-                ssd.submit(tr);
+                submit(tr);
             } else {
                 // Whole-page TRIM as a raw FTL metadata op, at its
                 // "arrival" time.
@@ -122,15 +134,20 @@ runScenario(const Scenario &sc)
         if (lpn + r.pageCount > footprint)
             lpn = footprint - r.pageCount;
         r.startPage = lpn;
-        ssd.submit(r);
+        submit(r);
     }
+    ssd.submitBatch(batch);
 
-    // Drive with periodic audits, then drain well past the last
-    // arrival so refresh runs against an idle device too.
+    // Audit the submitted workload before it runs, then drive with
+    // periodic audits — in fine steps while arrivals are still waiting
+    // in the FIFO — and drain well past the last arrival so refresh
+    // runs against an idle device too.
+    auditor.runAll();
     const sim::Time horizon = t + 60 * sim::kSec;
-    for (sim::Time step{}; step <= horizon; step += 2 * sim::kSec) {
+    for (sim::Time step{}; step <= horizon;
+         step += step < t ? 50 * sim::kMsec : 2 * sim::kSec) {
         ssd.events().runUntil(step);
-        auditor.maybeRun(2000);
+        auditor.maybeRun(500);
     }
     ssd.events().runUntil(horizon);
     auditor.runAll();
@@ -183,6 +200,7 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
         sc.writeBuffer = (s % 3 == 0);
         sc.readCache = (s % 2 == 0);
         sc.subPage = (s >= 2);
+        sc.batched = (s % 4 >= 2);
         const ReplayResult res = runScenario(sc);
         EXPECT_GE(res.audits, 2u) << "seed " << s
                                   << ": the auditor never ran";
@@ -195,7 +213,8 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
                 << "seed " << s << " (ida=" << sc.ida
                 << ", wb=" << sc.writeBuffer
                 << ", cache=" << sc.readCache
-                << ", subpage=" << sc.subPage << "): " << res.summary
+                << ", subpage=" << sc.subPage
+                << ", batched=" << sc.batched << "): " << res.summary
                 << "\nminimal failing op count: " << shrinkFailure(sc)
                 << " (of " << sc.ops << ")";
         }

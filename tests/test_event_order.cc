@@ -16,11 +16,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace ida::sim {
 namespace {
@@ -221,6 +225,156 @@ TEST(EventOrderGolden, PastSchedulesAreCountedAndClamped)
     q.run();
     EXPECT_EQ(q.pastSchedules(), 1u);
     EXPECT_EQ(q.now(), Time{100});
+}
+
+/**
+ * The reference model with reserved seqs: a flat vector scanned for the
+ * smallest (when, seq), where a seq is either taken at schedule time or
+ * reserved earlier and supplied later.
+ */
+class ReferenceQueue
+{
+  public:
+    Time now() const { return now_; }
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    void
+    schedule(Time when, std::function<void()> cb)
+    {
+        schedule(when, nextSeq_++, std::move(cb));
+    }
+
+    void
+    schedule(Time when, std::uint64_t seq, std::function<void()> cb)
+    {
+        pending_.push_back(Ev{std::max(when, now_), seq, std::move(cb)});
+    }
+
+    void
+    runUntil(Time limit)
+    {
+        for (;;) {
+            std::size_t best = pending_.size();
+            for (std::size_t j = 0; j < pending_.size(); ++j) {
+                if (best == pending_.size() ||
+                    pending_[j].when < pending_[best].when ||
+                    (pending_[j].when == pending_[best].when &&
+                     pending_[j].seq < pending_[best].seq))
+                    best = j;
+            }
+            if (best == pending_.size() || pending_[best].when > limit)
+                break;
+            Ev ev = std::move(pending_[best]);
+            pending_.erase(pending_.begin() +
+                           static_cast<std::ptrdiff_t>(best));
+            now_ = ev.when;
+            ev.cb();
+        }
+        now_ = std::max(now_, limit);
+    }
+
+    void run() { runUntil(Time{std::numeric_limits<std::int64_t>::max()}); }
+
+    bool validateHeap(std::string *) const { return true; }
+
+  private:
+    struct Ev
+    {
+        Time when;
+        std::uint64_t seq;
+        std::function<void()> cb;
+    };
+    std::vector<Ev> pending_;
+    std::uint64_t nextSeq_ = 0;
+    Time now_{};
+};
+
+/**
+ * A seeded script of plain schedules, seq reservations, schedules under
+ * a reserved seq (some from inside a callback at its own tick, as the
+ * SSD's arrival FIFO does) and runUntil() steps, with delays that reach
+ * level 0, the upper levels and the overflow list. Returns the dispatch
+ * log; fails the test if the queue's structure breaks after any step.
+ */
+template <typename Q>
+std::string
+reservedSeqScript(std::uint64_t seed)
+{
+    Q q;
+    Rng rng(seed);
+    std::string log;
+    std::vector<std::uint64_t> reserved;
+    std::uint32_t nextId = 0;
+
+    const auto delay = [&rng]() -> Time {
+        const std::uint64_t kind = rng.uniformInt(0, 19);
+        if (kind < 6)
+            return Time{0};
+        if (kind < 12)
+            return Time{static_cast<std::int64_t>(rng.uniformInt(1, 20))};
+        if (kind < 16)
+            return Time{static_cast<std::int64_t>(
+                rng.uniformInt(1, std::uint64_t{1} << 20))};
+        if (kind < 19)
+            return Time{std::int64_t{1}
+                        << rng.uniformInt(26, 50)};
+        return Time{(std::int64_t{1} << 62) +
+                    static_cast<std::int64_t>(rng.uniformInt(0, 3))};
+    };
+    std::function<void(std::uint32_t)> fire;
+    const auto spawn = [&](Time when) {
+        const std::uint32_t id = nextId++;
+        q.schedule(when, [&fire, id] { fire(id); });
+    };
+    const auto spawnReserved = [&](Time when) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniformInt(0, reserved.size() - 1));
+        const std::uint64_t seq = reserved[k];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
+        const std::uint32_t id = nextId++;
+        q.schedule(when, seq, [&fire, id] { fire(id); });
+    };
+    fire = [&](std::uint32_t id) {
+        logLine(log, id, q.now());
+        if (!reserved.empty() && rng.uniform01() < 0.3)
+            spawnReserved(q.now());
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+        const double op = rng.uniform01();
+        if (op < 0.35)
+            spawn(q.now() + delay());
+        else if (op < 0.55)
+            reserved.push_back(q.reserveSeq());
+        else if (op < 0.8 && !reserved.empty())
+            spawnReserved(q.now() + delay());
+        else
+            q.runUntil(q.now() + Time{static_cast<std::int64_t>(
+                                     rng.uniformInt(0, 3000))});
+        std::string why;
+        if (!q.validateHeap(&why)) {
+            ADD_FAILURE() << "seed " << seed << " step " << step << ": "
+                          << why;
+            return log;
+        }
+    }
+    while (!reserved.empty())
+        spawnReserved(q.now() + delay());
+    q.run();
+    std::string why;
+    EXPECT_TRUE(q.validateHeap(&why)) << why;
+    return log;
+}
+
+TEST(EventOrderGolden, ReservedSeqsMatchReference)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const std::string expected =
+            reservedSeqScript<ReferenceQueue>(seed);
+        const std::string actual = reservedSeqScript<EventQueue>(seed);
+        EXPECT_GT(expected.size(), 5'000u);
+        ASSERT_EQ(actual, expected) << "seed " << seed;
+    }
 }
 
 } // namespace

@@ -4,8 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "sim/chunked_fifo.hh"
 #include "sim/event_queue.hh"
 
 namespace ida::sim {
@@ -127,6 +129,120 @@ TEST(EventQueue, ExecutedCounterCounts)
         q.schedule(Time{i}, [] {});
     q.run();
     EXPECT_EQ(q.executed(), 7u);
+}
+
+/**
+ * Reserved seqs at tick @p when: P is scheduled before both
+ * reservations, A between them, B after; the reserved events R2 then
+ * R1 are scheduled last, R2 first. Dispatch must follow the seqs:
+ * P, R1, A, R2, B.
+ */
+void
+expectReservedOrder(Time when)
+{
+    EventQueue q;
+    std::vector<char> order;
+    const auto log = [&order](char c) {
+        return [&order, c] { order.push_back(c); };
+    };
+    q.schedule(when, log('P'));
+    const std::uint64_t r1 = q.reserveSeq();
+    q.schedule(when, log('A'));
+    const std::uint64_t r2 = q.reserveSeq();
+    q.schedule(when, log('B'));
+    q.schedule(when, r2, log('2'));
+    q.schedule(when, r1, log('1'));
+    std::string why;
+    ASSERT_TRUE(q.validateHeap(&why)) << why;
+    EXPECT_EQ(q.pending(), 5u);
+    q.run();
+    EXPECT_EQ(order, (std::vector<char>{'P', '1', 'A', '2', 'B'}));
+    EXPECT_EQ(q.now(), when);
+    ASSERT_TRUE(q.validateHeap(&why)) << why;
+}
+
+TEST(EventQueue, ReservedSeqOrdersWithinLevel0Slot)
+{
+    expectReservedOrder(Time{5});
+}
+
+TEST(EventQueue, ReservedSeqSurvivesUpperLevelCascade)
+{
+    // Parks at level 2, cascades to level 1 when the cursor enters its
+    // 2^26-tick window, and to level 0 one window later.
+    expectReservedOrder(
+        Time{(std::int64_t{1} << 30) + (std::int64_t{1} << 20) + 5});
+}
+
+TEST(EventQueue, ReservedSeqOrdersWithinOverflowList)
+{
+    // Beyond the wheel's 2^62-tick span: the overflow list.
+    expectReservedOrder(Time{(std::int64_t{1} << 62) + 5});
+}
+
+TEST(EventQueue, ReservedSeqJoinsTheTickBeingDrained)
+{
+    // The arrival-FIFO pattern: an event at tick 7 schedules, at its own
+    // tick, an event under a seq reserved before the tick's later
+    // events were scheduled. It must fire before them.
+    EventQueue q;
+    std::vector<int> order;
+    const std::uint64_t reserved = q.reserveSeq();
+    q.schedule(Time{7}, [&] {
+        order.push_back(0);
+        q.schedule(Time{7}, reserved, [&] { order.push_back(1); });
+    });
+    q.schedule(Time{7}, [&] { order.push_back(2); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, ContainsFindsPendingEventsByKey)
+{
+    EventQueue q;
+    const std::uint64_t reserved = q.reserveSeq();
+    q.schedule(Time{3}, [] {});                    // seq 1
+    q.schedule(Time{std::int64_t{1} << 40}, [] {}); // seq 2
+    q.schedule(Time{3}, reserved, [] {});
+    EXPECT_TRUE(q.contains(Time{3}, reserved));
+    EXPECT_TRUE(q.contains(Time{3}, 1));
+    EXPECT_TRUE(q.contains(Time{std::int64_t{1} << 40}, 2));
+    EXPECT_FALSE(q.contains(Time{3}, 2));
+    EXPECT_FALSE(q.contains(Time{4}, 1));
+    q.runUntil(Time{3});
+    EXPECT_FALSE(q.contains(Time{3}, reserved));
+    EXPECT_TRUE(q.contains(Time{std::int64_t{1} << 40}, 2));
+}
+
+TEST(ChunkedFifo, KeepsOrderAcrossChunks)
+{
+    ChunkedFifo<int, 4> fifo;
+    int pushed = 0;
+    int popped = 0;
+    // Interleave pushes and pops so the queue grows past several chunks,
+    // drains to empty, and grows again from the recycled spare.
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 11; ++i)
+            fifo.emplace_back() = pushed++;
+        for (int i = 0; i < 5; ++i) {
+            ASSERT_EQ(fifo.front(), popped++);
+            fifo.pop_front();
+        }
+        std::vector<int> seen;
+        fifo.forEach([&seen](int v) { seen.push_back(v); });
+        ASSERT_EQ(seen.size(), fifo.size());
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], popped + static_cast<int>(i));
+        EXPECT_EQ(fifo.back(), pushed - 1);
+    }
+    while (!fifo.empty()) {
+        ASSERT_EQ(fifo.front(), popped++);
+        fifo.pop_front();
+    }
+    EXPECT_EQ(popped, pushed);
+    fifo.emplace_back() = 42;
+    EXPECT_EQ(fifo.front(), 42);
+    EXPECT_EQ(fifo.back(), 42);
 }
 
 TEST(TimeUnits, ConversionHelpers)

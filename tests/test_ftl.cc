@@ -174,5 +174,33 @@ TEST(FtlDeath, NonPositiveRefreshCheckIntervalIsRejected)
                 "FtlConfig::refreshCheckInterval");
 }
 
+TEST(FtlDeath, InfeasibleGcFreeThresholdIsRejected)
+{
+    FtlConfig cfg;
+    // 0: GC would wait for the last free block, which it needs itself.
+    cfg.gcFreeThreshold = 0;
+    EXPECT_EXIT(FtlFixture f(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::gcFreeThreshold");
+    // The fixture's planes hold 16 blocks: at 16 or more the pool is
+    // always low and GC never stops.
+    cfg.gcFreeThreshold = 16;
+    EXPECT_EXIT(FtlFixture f(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::gcFreeThreshold");
+    cfg.gcFreeThreshold = 17;
+    EXPECT_EXIT(FtlFixture f(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::gcFreeThreshold");
+}
+
+TEST(Ftl, GcFreeThresholdBoundsAreAccepted)
+{
+    FtlConfig cfg;
+    cfg.gcFreeThreshold = 1;
+    FtlFixture low(cfg);
+    cfg.gcFreeThreshold = 15;
+    FtlFixture high(cfg);
+    EXPECT_TRUE(low.ftl.quiescent());
+    EXPECT_TRUE(high.ftl.quiescent());
+}
+
 } // namespace
 } // namespace ida::ftl

@@ -3,6 +3,10 @@
  * Device-level tests: request dispatch, response accounting, warm-up
  * windows, and configuration validation.
  */
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -201,6 +205,251 @@ TEST(Ssd, BatchedAdmissionIsIdenticalToUnbatched)
               unbatchedStats.writeResponseUs.mean());
     EXPECT_EQ(batchedStats.lastCompletion.count(),
               unbatchedStats.lastCompletion.count());
+}
+
+/**
+ * Run @p ssd's queue dry in 10 us steps, checking arrival admission
+ * (Ssd::validateAdmission) before and after every step.
+ */
+void
+drainChecked(Ssd &ssd)
+{
+    std::string why;
+    ASSERT_TRUE(ssd.validateAdmission(&why)) << why;
+    while (!ssd.events().empty()) {
+        ssd.events().runUntil(ssd.events().now() + 10 * sim::kUsec);
+        ASSERT_TRUE(ssd.validateAdmission(&why))
+            << why << " at " << ssd.events().now().count();
+    }
+}
+
+/**
+ * Feeds requests to a device: submit()/submitBatch() calls, maybe with
+ * runUntil() steps between them.
+ */
+using Feed = std::function<void(Ssd &, std::vector<HostRequest> &)>;
+
+/**
+ * Completion tick of every request in @p reqs (-1 if it never
+ * completed) when @p feed drives a fresh tiny() device and the queue
+ * then runs dry. A request's own onComplete, if any, still runs.
+ */
+std::vector<std::int64_t>
+completionTicks(std::vector<HostRequest> reqs, const Feed &feed)
+{
+    Ssd ssd(SsdConfig::tiny());
+    ssd.preloadSequential(100);
+    std::vector<std::int64_t> done(reqs.size(), -1);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].onComplete = [&done, i,
+                              user = reqs[i].onComplete](sim::Time t) {
+            done[i] = t.count();
+            if (user)
+                user(t);
+        };
+    }
+    feed(ssd, reqs);
+    drainChecked(ssd);
+    EXPECT_TRUE(ssd.drained());
+    EXPECT_EQ(ssd.inflightRequests(), 0u);
+    return done;
+}
+
+HostRequest
+readAt(sim::Time arrival, flash::Lpn page)
+{
+    HostRequest r;
+    r.arrival = arrival;
+    r.startPage = page;
+    return r;
+}
+
+/** The reference feed: every request through submit(), in order. */
+void
+oneByOne(Ssd &ssd, std::vector<HostRequest> &reqs)
+{
+    for (const HostRequest &r : reqs)
+        ssd.submit(r);
+}
+
+TEST(SsdAdmission, ArrivalAtAnEarlierCompletionTick)
+{
+    // Find when a lone read at t=0 completes, then make later arrivals
+    // land on exactly that tick: the parked run and the completion
+    // event tie, and (when, seq) must order them as submit() does.
+    const std::int64_t tick =
+        completionTicks({readAt(sim::Time{}, 3)}, oneByOne)[0];
+    ASSERT_GT(tick, 0);
+    std::vector<HostRequest> reqs = {
+        readAt(sim::Time{}, 3),      readAt(sim::Time{tick}, 3),
+        readAt(sim::Time{tick}, 40), readAt(sim::Time{tick + 1}, 3),
+        readAt(sim::Time{tick + 1}, 41)};
+    reqs[2].isRead = false;
+    const auto expected = completionTicks(reqs, oneByOne);
+    const auto batched = completionTicks(
+        reqs, [](Ssd &ssd, std::vector<HostRequest> &r) {
+            ssd.submitBatch(r);
+        });
+    EXPECT_EQ(batched, expected);
+    for (const std::int64_t t : expected)
+        EXPECT_GE(t, 0);
+}
+
+TEST(SsdAdmission, OutOfOrderBatchesMixedWithSubmitAndRunUntil)
+{
+    using sim::kUsec;
+    std::vector<HostRequest> reqs = {
+        readAt(1000 * kUsec, 1), // submit()
+        // One batch: in order, then a run behind the FIFO's tail,
+        // then in order again.
+        readAt(5000 * kUsec, 2), readAt(5000 * kUsec, 3),
+        readAt(2000 * kUsec, 4), readAt(8000 * kUsec, 5),
+        // submit() after runUntil(3000 us): due now.
+        readAt(3000 * kUsec, 6),
+        // One batch behind the tail (8000 us), then past it.
+        readAt(4000 * kUsec, 7), readAt(9000 * kUsec, 8),
+        readAt(9000 * kUsec, 9)};
+    reqs[3].isRead = false;
+    reqs[7].isRead = false;
+    const auto script = [](bool batched) {
+        return [batched](Ssd &ssd, std::vector<HostRequest> &r) {
+            const auto batch = [&](std::size_t from, std::size_t to) {
+                if (batched) {
+                    ssd.submitBatch(std::span<const HostRequest>(
+                        r.data() + from, to - from));
+                } else {
+                    for (std::size_t i = from; i < to; ++i)
+                        ssd.submit(r[i]);
+                }
+            };
+            ssd.submit(r[0]);
+            batch(1, 5);
+            ssd.events().runUntil(3000 * sim::kUsec);
+            ssd.submit(r[5]);
+            batch(6, 9);
+        };
+    };
+    const auto expected = completionTicks(reqs, script(false));
+    EXPECT_EQ(completionTicks(reqs, script(true)), expected);
+    for (const std::int64_t t : expected)
+        EXPECT_GE(t, 0);
+}
+
+TEST(SsdAdmission, TrimCompletingInAdmissionResubmits)
+{
+    // A TRIM completes synchronously inside the arrival event that
+    // admits it; its onComplete submits more requests: one due now, one
+    // behind the FIFO's tail and one past it.
+    using sim::kUsec;
+    const auto run = [](bool batched) {
+        Ssd ssd(SsdConfig::tiny());
+        ssd.preloadSequential(100);
+        std::vector<std::int64_t> done(6, -1);
+        const auto record = [&done](std::size_t i) {
+            return [&done, i](sim::Time t) { done[i] = t.count(); };
+        };
+        std::vector<HostRequest> reqs = {readAt(1000 * kUsec, 10),
+                                         readAt(1000 * kUsec, 11),
+                                         readAt(1500 * kUsec, 12)};
+        reqs[0].isTrim = true;
+        reqs[0].onComplete = [&ssd, &done, record](sim::Time t) {
+            done[0] = t.count();
+            const sim::Time now = ssd.events().now();
+            HostRequest a = readAt(now, 20);
+            a.onComplete = record(3);
+            HostRequest b = readAt(now + 200 * kUsec, 21);
+            b.onComplete = record(4);
+            HostRequest c = readAt(now + 2000 * kUsec, 22);
+            c.isRead = false;
+            c.onComplete = record(5);
+            ssd.submit(a);
+            ssd.submit(b);
+            ssd.submit(c);
+        };
+        reqs[1].onComplete = record(1);
+        reqs[2].onComplete = record(2);
+        if (batched) {
+            ssd.submitBatch(reqs);
+        } else {
+            for (const HostRequest &r : reqs)
+                ssd.submit(r);
+        }
+        drainChecked(ssd);
+        EXPECT_TRUE(ssd.drained());
+        EXPECT_EQ(ssd.stats().trimRequests, 1u);
+        return done;
+    };
+    const auto expected = run(false);
+    EXPECT_EQ(run(true), expected);
+    EXPECT_EQ(expected[0], (1000 * kUsec).count());
+    for (const std::int64_t t : expected)
+        EXPECT_GE(t, 0);
+}
+
+TEST(SsdAdmission, FutureArrivalsDoNotFillTheEventQueue)
+{
+    // A long open-loop trace submitted up front waits in the arrival
+    // FIFO: the event queue holds one arrival event, and the event
+    // pool and request slots stay sized to what is in flight.
+    Ssd ssd(SsdConfig::tiny());
+    ssd.preloadSequential(1000);
+    constexpr std::size_t kRequests = 50'000;
+    std::vector<HostRequest> reqs;
+    reqs.reserve(kRequests);
+    std::uint64_t completed = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        HostRequest r = readAt(static_cast<std::int64_t>(i + 1) *
+                                   100 * sim::kUsec,
+                               (i * 37) % 1000);
+        r.isRead = i % 100 != 0; // a write every 10 ms
+        r.onComplete = [&completed](sim::Time) { ++completed; };
+        reqs.push_back(std::move(r));
+    }
+    ssd.submitBatch(reqs);
+    EXPECT_LE(ssd.events().pending(), 4u);
+    EXPECT_EQ(ssd.inflightRequests(), kRequests);
+    ssd.events().run();
+    EXPECT_EQ(completed, kRequests);
+    EXPECT_TRUE(ssd.drained());
+    EXPECT_LE(ssd.events().poolSize(), 1024u);
+}
+
+TEST(Ssd, FeasibleGcThresholdsDrainASlowWriteStream)
+{
+    // One 1-page write every 20 ms over a nearly full tiny() device:
+    // GC has to run, and at thresholds 1 and 2 it keeps up.
+    for (const std::size_t threshold : {std::size_t{1}, std::size_t{2}}) {
+        SsdConfig cfg = SsdConfig::tiny();
+        cfg.ftl.gcFreeThreshold = threshold;
+        Ssd ssd(cfg);
+        const std::uint64_t footprint = ssd.logicalPages() * 9 / 10;
+        ssd.preloadSequential(footprint);
+        std::vector<HostRequest> writes;
+        for (std::uint64_t i = 0; i < 3000; ++i) {
+            HostRequest w = readAt(static_cast<std::int64_t>(i) *
+                                       20 * sim::kMsec,
+                                   (i * 7919) % footprint);
+            w.isRead = false;
+            writes.push_back(std::move(w));
+        }
+        ssd.submitBatch(writes);
+        ssd.events().run();
+        EXPECT_TRUE(ssd.drained()) << "threshold " << threshold;
+        EXPECT_EQ(ssd.stats().writeRequests, writes.size());
+        EXPECT_GT(ssd.ftl().stats().gc.invocations, 0u)
+            << "threshold " << threshold;
+    }
+}
+
+TEST(SsdDeath, InfeasibleGcThresholdIsRejected)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.ftl.gcFreeThreshold = 0;
+    EXPECT_EXIT(Ssd ssd(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::gcFreeThreshold");
+    cfg.ftl.gcFreeThreshold = cfg.geometry.blocksPerPlane;
+    EXPECT_EXIT(Ssd ssd(cfg), ::testing::ExitedWithCode(1),
+                "FtlConfig::gcFreeThreshold");
 }
 
 TEST(SsdDeath, RequestBeyondCapacityIsFatal)
