@@ -17,10 +17,12 @@ ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
     if (static_cast<std::uint32_t>(coding_.bits()) != geom_.bitsPerCell)
         sim::fatal("ChipArray: coding scheme bit density does not match "
                    "geometry bitsPerCell");
-    // Size the arena's chunk so the whole device's block arrays (and the
-    // FTL tables carved from the same arena later) land in a handful of
-    // contiguous chunks: per-block cost is pages * (state + sector mask)
-    // plus two per-wordline mask bytes.
+    // Size the arena's chunk so the whole device's block arrays land in
+    // one contiguous chunk: per-block cost is pages * (state + sector
+    // mask) plus two per-wordline mask bytes. The FTL tables carved from
+    // the same arena later (L2P, P2L, BlockManager's per-block arrays)
+    // open further chunks or fill the roomiest tail (Arena::allocate);
+    // only the bytes handed out become resident.
     const std::size_t perBlock =
         geom_.pagesPerBlock * (sizeof(PageState) + sizeof(SectorMask)) +
         2 * geom_.wordlinesPerBlock() * sizeof(LevelMask) + 16;

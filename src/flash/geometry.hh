@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "sim/log.hh"
 
@@ -28,6 +29,13 @@ using DieId = std::uint32_t;
 
 inline constexpr Ppn kInvalidPpn = ~Ppn{0};
 inline constexpr Lpn kInvalidLpn = ~Lpn{0};
+
+/**
+ * Most pages a device may have: the FTL's mapping stores 32-bit entries
+ * and reserves ~0u as its unmapped sentinel. That is 64x the paper's
+ * full-scale 512 GB device (67M pages).
+ */
+inline constexpr std::uint64_t kMaxPages = 0xFFFF'FFFEull;
 
 /**
  * Per-page sector validity bitmap (bit i = sector i of the page is
@@ -107,6 +115,26 @@ struct Geometry
         if (sectorsPerPage() > 32)
             sim::fatal("Geometry: at most 32 sectors per page "
                        "(SectorMask is 32 bits)");
+        // Stop as soon as the product would pass kMaxPages: no overflow.
+        std::uint64_t n = 1;
+        for (const std::uint32_t d : {channels, chipsPerChannel, diesPerChip,
+                                      planesPerDie, blocksPerPlane,
+                                      pagesPerBlock}) {
+            if (n > kMaxPages / d) {
+                sim::fatal(
+                    "Geometry: channels x chipsPerChannel x diesPerChip x "
+                    "planesPerDie x blocksPerPlane x pagesPerBlock = " +
+                    std::to_string(channels) + " x " +
+                    std::to_string(chipsPerChannel) + " x " +
+                    std::to_string(diesPerChip) + " x " +
+                    std::to_string(planesPerDie) + " x " +
+                    std::to_string(blocksPerPlane) + " x " +
+                    std::to_string(pagesPerBlock) + " exceeds " +
+                    std::to_string(kMaxPages) +
+                    " pages (mapping entries are 32 bits)");
+            }
+            n *= d;
+        }
     }
 
     /** Page level (0 = LSB) of in-block page index @p page. */

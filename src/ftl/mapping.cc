@@ -1,6 +1,7 @@
 #include "ftl/mapping.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "sim/log.hh"
 
@@ -12,40 +13,46 @@ MappingTable::MappingTable(std::uint64_t logical_pages,
 {
     if (logical_pages == 0 || physical_pages < logical_pages)
         sim::fatal("MappingTable: physical space must cover logical space");
+    if (physical_pages > flash::kMaxPages)
+        sim::fatal("MappingTable: " + std::to_string(physical_pages) +
+                   " physical pages exceed " +
+                   std::to_string(flash::kMaxPages) +
+                   " (mapping entries are 32 bits)");
     if (arena == nullptr) {
         backing_ = std::make_unique<sim::Arena>(
-            (logical_pages + physical_pages) * sizeof(Ppn) + 16);
+            (logical_pages + physical_pages) * sizeof(Entry) + 16);
         arena = backing_.get();
     }
-    l2p_ = arena->allocate<Ppn>(logical_pages);
-    p2l_ = arena->allocate<Lpn>(physical_pages);
-    std::fill(l2p_, l2p_ + logical_pages, kInvalidPpn);
-    std::fill(p2l_, p2l_ + physical_pages, kInvalidLpn);
+    l2p_ = arena->allocate<Entry>(logical_pages);
+    p2l_ = arena->allocate<Entry>(physical_pages);
+    std::fill(l2p_, l2p_ + logical_pages, kUnmapped);
+    std::fill(p2l_, p2l_ + physical_pages, kUnmapped);
 }
 
 Ppn
 MappingTable::remap(Lpn lpn, Ppn ppn)
 {
-    if (p2l_[ppn] != kInvalidLpn)
+    if (p2l_[ppn] != kUnmapped)
         sim::panic("MappingTable::remap: target physical page already used");
-    const Ppn old = l2p_[lpn];
+    const Ppn old = lookup(lpn);
     if (old != kInvalidPpn)
-        p2l_[old] = kInvalidLpn;
+        p2l_[old] = kUnmapped;
     else
         ++mapped_;
-    l2p_[lpn] = ppn;
-    p2l_[ppn] = lpn;
+    // Both fit: lpn < logicalPages_ <= physicalPages_ <= kMaxPages.
+    l2p_[lpn] = static_cast<Entry>(ppn);
+    p2l_[ppn] = static_cast<Entry>(lpn);
     return old;
 }
 
 Ppn
 MappingTable::unmap(Lpn lpn)
 {
-    const Ppn old = l2p_[lpn];
+    const Ppn old = lookup(lpn);
     if (old == kInvalidPpn)
         return kInvalidPpn;
-    p2l_[old] = kInvalidLpn;
-    l2p_[lpn] = kInvalidPpn;
+    p2l_[old] = kUnmapped;
+    l2p_[lpn] = kUnmapped;
     --mapped_;
     return old;
 }

@@ -25,6 +25,11 @@ using flash::kInvalidPpn;
  * is supplied (the SSD passes its ChipArray's arena so the L2P lookup —
  * the first hop of every host read — shares the block state's allocation
  * pool); without an arena the table owns a private backing arena.
+ *
+ * Entries are stored as 32 bits with ~0u as the unmapped sentinel, half
+ * the footprint of 64-bit entries; the API takes and returns 64-bit
+ * Ppn/Lpn and widens the sentinel to kInvalidPpn/kInvalidLpn. Tables
+ * above flash::kMaxPages physical pages are rejected at construction.
  */
 class MappingTable
 {
@@ -36,12 +41,12 @@ class MappingTable
     std::uint64_t physicalPages() const { return physicalPages_; }
 
     /** Physical page of @p lpn, or kInvalidPpn when unmapped. */
-    Ppn lookup(Lpn lpn) const { return l2p_[lpn]; }
+    Ppn lookup(Lpn lpn) const { return widen(l2p_[lpn]); }
 
     /** Logical page stored at @p ppn, or kInvalidLpn. */
-    Lpn reverse(Ppn ppn) const { return p2l_[ppn]; }
+    Lpn reverse(Ppn ppn) const { return widen(p2l_[ppn]); }
 
-    bool isMapped(Lpn lpn) const { return l2p_[lpn] != kInvalidPpn; }
+    bool isMapped(Lpn lpn) const { return l2p_[lpn] != kUnmapped; }
 
     /**
      * Point @p lpn at @p ppn; returns the previous physical page
@@ -58,12 +63,23 @@ class MappingTable
     std::uint64_t mappedCount() const { return mapped_; }
 
   private:
+    using Entry = std::uint32_t;
+    static constexpr Entry kUnmapped = ~Entry{0};
+    static_assert(kInvalidPpn == kInvalidLpn &&
+                  flash::kMaxPages < kUnmapped);
+
+    static std::uint64_t
+    widen(Entry e)
+    {
+        return e == kUnmapped ? kInvalidPpn : e;
+    }
+
     /** Declared before the views so they never dangle. */
     std::unique_ptr<sim::Arena> backing_;
     std::uint64_t logicalPages_;
     std::uint64_t physicalPages_;
-    Ppn *l2p_;
-    Lpn *p2l_;
+    Entry *l2p_;
+    Entry *p2l_;
     std::uint64_t mapped_ = 0;
 };
 

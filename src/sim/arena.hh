@@ -14,6 +14,10 @@
  * (ChipArray) destroys the arena wholesale. That matches the usage: the
  * arrays live exactly as long as the device, and erase() recycles their
  * *contents*, not their storage.
+ *
+ * Chunks are obtained uninitialized, so a chunk's pages become resident
+ * only when allocate() hands them out and value-initializes them; the
+ * untouched tail of a chunk costs address space, not memory.
  */
 // ida-lint: allow-file(IDA002) the arena IS the slab the rule points to;
 // it touches the raw heap only when growing a chunk at construction time.
@@ -44,7 +48,9 @@ class Arena
 
     /**
      * Allocate a value-initialized array of @p n objects of trivial type
-     * T. Oversized requests get a dedicated chunk, so a single huge
+     * T. A request that does not fit gets a new chunk of at least the
+     * growth quantum; the bump pointer moves there only if that leaves
+     * more room than the current chunk, so a dedicated chunk for a huge
      * mapping table does not strand the tail of the current chunk.
      */
     template <typename T>
@@ -53,6 +59,8 @@ class Arena
     {
         static_assert(std::is_trivially_destructible_v<T>,
                       "Arena never runs destructors");
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                      "a fresh chunk is only new[]-aligned");
         const std::size_t bytes = n * sizeof(T);
         void *raw = allocateRaw(bytes, alignof(T));
         // Value-initialize: all-zero for the trivial types stored here.
@@ -72,13 +80,8 @@ class Arena
         const std::size_t pad =
             (align - (reinterpret_cast<std::uintptr_t>(cur_) % align)) %
             align;
-        if (bytes + pad > left_) {
-            const std::size_t want = std::max(chunkBytes_, bytes);
-            chunks_.push_back(std::make_unique<std::byte[]>(want));
-            cur_ = chunks_.back().get();
-            left_ = want;
-            return allocateRaw(bytes, align);
-        }
+        if (bytes + pad > left_)
+            return grow(bytes);
         cur_ += pad;
         left_ -= pad;
         void *out = cur_;
@@ -86,6 +89,22 @@ class Arena
         left_ -= bytes;
         used_ += bytes;
         return out;
+    }
+
+    /** Open a chunk for a @p bytes request that does not fit. */
+    void *
+    grow(std::size_t bytes)
+    {
+        const std::size_t want = std::max(chunkBytes_, bytes);
+        // Uninitialized: allocate() zeroes exactly what it hands out.
+        chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(want));
+        std::byte *chunk = chunks_.back().get();
+        used_ += bytes;
+        if (want - bytes > left_) { // the new chunk is roomier: bump there
+            cur_ = chunk + bytes;
+            left_ = want - bytes;
+        }
+        return chunk;
     }
 
     std::vector<std::unique_ptr<std::byte[]>> chunks_;

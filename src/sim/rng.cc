@@ -15,31 +15,6 @@ Rng::uniformInt(std::uint64_t lo, std::uint64_t hi)
 }
 
 double
-Rng::uniform01()
-{
-    std::uniform_real_distribution<double> d(0.0, 1.0);
-    return d(engine_);
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform01() < p;
-}
-
-double
-Rng::exponential(double mean)
-{
-    assert(mean > 0.0);
-    std::exponential_distribution<double> d(1.0 / mean);
-    return d(engine_);
-}
-
-double
 Rng::lognormalMean(double mean, double sigma)
 {
     assert(mean > 0.0);

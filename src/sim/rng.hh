@@ -9,6 +9,8 @@
  */
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -26,14 +28,41 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
 
-    /** Uniform real in [0, 1). */
-    double uniform01();
+    /**
+     * Uniform real in [0, 1). One 64-bit draw scaled by 2^-64 and clamped
+     * below 1 — exactly what std::generate_canonical<double, 53> computes
+     * for mt19937_64, without its per-call long-double setup.
+     */
+    double
+    uniform01()
+    {
+        const double u = static_cast<double>(engine_()) * 0x1p-64;
+        return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+    }
 
     /** Bernoulli trial with success probability @p p. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform01() < p;
+    }
 
-    /** Exponential variate with mean @p mean (> 0). */
-    double exponential(double mean);
+    /**
+     * Exponential variate with mean @p mean (> 0); the same arithmetic as
+     * std::exponential_distribution with rate 1 / mean.
+     */
+    double
+    exponential(double mean)
+    {
+        assert(mean > 0.0);
+        // Workload-generation sampling, not event dispatch.
+        // ida-lint: allow(IDA009)
+        return -std::log(1.0 - uniform01()) / (1.0 / mean);
+    }
 
     /**
      * Lognormal variate with the given arithmetic mean and sigma of the

@@ -97,6 +97,37 @@ TEST(Auditor, RebasesAcrossCounterReset)
     EXPECT_EQ(a.runAll(), 0u) << a.summary();
 }
 
+TEST(Auditor, MappingBlockCleanWithTheHighestPhysicalPageMapped)
+{
+    // Overwrite a tiny device until its last physical page holds data,
+    // then audit: the 32-bit mapping entries must agree with the block
+    // state at the top of the address space too.
+    ssd::Ssd ssd(ssd::SsdConfig::tiny());
+    Auditor a(ssd);
+    a.arm(200);
+    const flash::Ppn top = ssd.chips().geometry().pages() - 1;
+    const std::uint64_t footprint = ssd.logicalPages() / 2;
+    ssd.preloadSequential(footprint);
+    sim::Time t = ssd.events().now();
+    for (int i = 0; i < 20000 &&
+                    ssd.ftl().mapping().reverse(top) == flash::kInvalidLpn;
+         ++i) {
+        ssd::HostRequest w;
+        w.arrival = t;
+        w.isRead = false;
+        w.startPage = static_cast<flash::Lpn>((i * 7919) % footprint);
+        w.pageCount = 1;
+        ssd.submit(w);
+        ssd.events().run();
+        t = ssd.events().now() + sim::kMsec;
+    }
+    const flash::Lpn lpn = ssd.ftl().mapping().reverse(top);
+    ASSERT_NE(lpn, flash::kInvalidLpn);
+    EXPECT_EQ(ssd.ftl().mapping().lookup(lpn), top);
+    EXPECT_EQ(a.runAll(), 0u) << a.summary();
+    EXPECT_EQ(a.totalViolations(), 0u) << a.summary();
+}
+
 TEST(Auditor, CustomCheckRunsAndAttributes)
 {
     WarmSsd w;

@@ -112,5 +112,50 @@ TEST(GeometryDeath, ValidateRejectsBadBitDensity)
     EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1), "divide");
 }
 
+TEST(Geometry, ValidateAcceptsExactlyTheMappingLimit)
+{
+    // 2^32 - 2 = 2 x (2^31 - 1): the largest page count 32-bit mapping
+    // entries can address. validate() only does arithmetic.
+    Geometry g;
+    g.channels = g.chipsPerChannel = g.diesPerChip = g.planesPerDie = 1;
+    g.blocksPerPlane = 0x7FFF'FFFFu;
+    g.pagesPerBlock = 2;
+    g.bitsPerCell = 2;
+    g.validate();
+    EXPECT_EQ(g.pages(), kMaxPages);
+}
+
+TEST(GeometryDeath, ValidateRejectsOnePageAboveTheMappingLimit)
+{
+    // 2^32 - 1 = 3 x 1431655765 pages would alias the unmapped sentinel.
+    Geometry g;
+    g.channels = g.chipsPerChannel = g.diesPerChip = g.planesPerDie = 1;
+    g.blocksPerPlane = 1431655765u;
+    g.pagesPerBlock = 3;
+    g.bitsPerCell = 3;
+    EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1),
+                "1 x 1 x 1 x 1 x 1431655765 x 3 exceeds 4294967294 pages");
+}
+
+TEST(GeometryDeath, ValidateRejectsAFourBillionPageDevice)
+{
+    // The paper's shape with 349526 blocks per plane: 64 planes x 349526
+    // x 192 = 4294975488 pages, just above 2^32.
+    Geometry g = paperShape();
+    g.blocksPerPlane = 349526;
+    EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1),
+                "4 x 4 x 2 x 2 x 349526 x 192 exceeds .*32 bits");
+}
+
+TEST(GeometryDeath, ValidateRejectsAPageCountThatOverflowsSixtyFourBits)
+{
+    Geometry g;
+    g.channels = g.chipsPerChannel = g.diesPerChip = g.planesPerDie =
+        g.blocksPerPlane = g.pagesPerBlock = 0xFFFF'FFFFu;
+    g.bitsPerCell = 1;
+    EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1),
+                "exceeds 4294967294 pages");
+}
+
 } // namespace
 } // namespace ida::flash

@@ -68,11 +68,78 @@ TEST(Mapping, InverseStaysConsistentUnderChurn)
     EXPECT_EQ(m.mappedCount(), 64u);
 }
 
+TEST(Mapping, UnmappedEntriesReadAsSixtyFourBitSentinels)
+{
+    static_assert(kInvalidPpn == ~std::uint64_t{0});
+    static_assert(kInvalidLpn == ~std::uint64_t{0});
+    MappingTable m(16, 32);
+    for (Lpn l = 0; l < 16; ++l)
+        EXPECT_EQ(m.lookup(l), ~std::uint64_t{0});
+    for (Ppn p = 0; p < 32; ++p)
+        EXPECT_EQ(m.reverse(p), ~std::uint64_t{0});
+    // An entry cleared by unmap/remap reads as the 64-bit sentinel too.
+    m.remap(2, 5);
+    m.remap(2, 6);
+    EXPECT_EQ(m.reverse(5), ~std::uint64_t{0});
+    EXPECT_EQ(m.unmap(2), 6u);
+    EXPECT_EQ(m.lookup(2), ~std::uint64_t{0});
+    EXPECT_EQ(m.reverse(6), ~std::uint64_t{0});
+}
+
+TEST(Mapping, FirstRemapAndUnmapOfUnmappedReturnInvalidPpn)
+{
+    MappingTable m(8, 16);
+    EXPECT_EQ(m.unmap(4), kInvalidPpn);
+    EXPECT_EQ(m.mappedCount(), 0u);
+    EXPECT_EQ(m.remap(4, 0), kInvalidPpn);
+    EXPECT_EQ(m.remap(5, 15), kInvalidPpn);
+    EXPECT_EQ(m.mappedCount(), 2u);
+    EXPECT_EQ(m.unmap(4), 0u);
+    EXPECT_EQ(m.unmap(4), kInvalidPpn);
+    EXPECT_EQ(m.mappedCount(), 1u);
+}
+
+TEST(Mapping, HighestPhysicalPageRoundTrips)
+{
+    const std::uint64_t logical = 3000;
+    const std::uint64_t physical = (std::uint64_t{1} << 20) + 7;
+    MappingTable m(logical, physical);
+    const Ppn top = physical - 1;
+    EXPECT_EQ(m.remap(logical - 1, top), kInvalidPpn);
+    EXPECT_EQ(m.lookup(logical - 1), top);
+    EXPECT_EQ(m.reverse(top), logical - 1);
+    // Move it away and back: the inverse follows both times.
+    EXPECT_EQ(m.remap(logical - 1, 0), top);
+    EXPECT_EQ(m.reverse(top), kInvalidLpn);
+    EXPECT_EQ(m.remap(logical - 1, top), 0u);
+    EXPECT_EQ(m.reverse(0), kInvalidLpn);
+    EXPECT_EQ(m.reverse(top), logical - 1);
+    EXPECT_EQ(m.unmap(logical - 1), top);
+    EXPECT_EQ(m.reverse(top), kInvalidLpn);
+}
+
+TEST(Mapping, SharesTheSuppliedArenaAtFourBytesPerEntry)
+{
+    sim::Arena arena;
+    MappingTable m(100, 200, &arena);
+    EXPECT_EQ(arena.bytesAllocated(), (100u + 200u) * 4u);
+    m.remap(99, 199);
+    EXPECT_EQ(m.reverse(199), 99u);
+}
+
 TEST(MappingDeath, RemapOntoOccupiedPhysicalPagePanics)
 {
     MappingTable m(10, 20);
     m.remap(1, 4);
     EXPECT_DEATH(m.remap(2, 4), "already used");
+}
+
+TEST(MappingDeath, MoreThanThirtyTwoBitsOfPhysicalPagesIsFatal)
+{
+    // Rejected before the private arena is sized (~16 GiB here).
+    EXPECT_EXIT(MappingTable(1, flash::kMaxPages + 1),
+                ::testing::ExitedWithCode(1),
+                "4294967295 physical pages exceed 4294967294");
 }
 
 TEST(MappingDeath, PhysicalSmallerThanLogicalIsFatal)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 
 #include "sim/rng.hh"
 
@@ -47,6 +48,23 @@ TEST(Rng, ExponentialMean)
     for (int i = 0; i < n; ++i)
         sum += r.exponential(50.0);
     EXPECT_NEAR(sum / n, 50.0, 2.0);
+}
+
+TEST(Rng, Uniform01AndExponentialMatchTheStdDistributionsDrawForDraw)
+{
+    // The inline fast paths must reproduce the std distributions they
+    // replaced exactly, or every seeded trace and golden would move.
+    for (std::uint64_t seed : {1u, 7u, 42u, 20181020u}) {
+        Rng fast(seed);
+        std::mt19937_64 ref(seed);
+        std::uniform_real_distribution<double> u01(0.0, 1.0);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(fast.uniform01(), u01(ref)) << "draw " << i;
+            const double mean = 1.0 + (i % 97) * 13.5;
+            std::exponential_distribution<double> expo(1.0 / mean);
+            ASSERT_EQ(fast.exponential(mean), expo(ref)) << "draw " << i;
+        }
+    }
 }
 
 TEST(Rng, LognormalArithmeticMean)

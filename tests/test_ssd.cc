@@ -452,6 +452,18 @@ TEST(SsdDeath, InfeasibleGcThresholdIsRejected)
                 "FtlConfig::gcFreeThreshold");
 }
 
+TEST(SsdDeath, GeometryAboveTheMappingLimitIsRejectedBeforeAllocating)
+{
+    // 64 planes x 349526 blocks x 192 pages = 4294975488 pages, just
+    // above 2^32: SsdConfig::validate() rejects it before ChipArray sizes
+    // its arena (which would need ~20 GiB for the block arrays alone).
+    SsdConfig cfg = SsdConfig::paperTlc();
+    cfg.geometry.blocksPerPlane = 349526;
+    EXPECT_EXIT(Ssd ssd(cfg), ::testing::ExitedWithCode(1),
+                "fatal: Geometry: .*blocksPerPlane.* = 4 x 4 x 2 x 2 x "
+                "349526 x 192 exceeds");
+}
+
 TEST(SsdDeath, RequestBeyondCapacityIsFatal)
 {
     Ssd ssd(SsdConfig::tiny());
