@@ -26,13 +26,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "ssd/config.hh"
-#include "stats/json_writer.hh"
 #include "stats/table.hh"
 #include "workload/batch.hh"
 #include "workload/presets.hh"
@@ -166,90 +164,6 @@ banner(const std::string &what, const std::string &paper_summary)
     std::printf("paper result: %s\n", paper_summary.c_str());
     std::printf("scale: %.2f (set IDA_BENCH_SCALE to change)\n", benchScale());
     std::printf("==============================================================\n");
-}
-
-/**
- * Per-process CPU seconds (sums all threads). The perf harnesses divide
- * by this, not wall time: on a shared machine wall time charges the
- * simulator for every preemption, while CPU time prices exactly the
- * work done — which is the quantity a code change moves.
- */
-inline double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-/** A positive integer from environment variable @p name, else @p dflt. */
-inline std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    if (const char *env = std::getenv(name)) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return dflt;
-}
-
-/** The preset name of a coding choice, as the perf fingerprints print it. */
-inline const char *
-codingName(ssd::CodingChoice c)
-{
-    switch (c) {
-    case ssd::CodingChoice::Tlc124:
-        return "Tlc124";
-    case ssd::CodingChoice::Tlc232:
-        return "Tlc232";
-    case ssd::CodingChoice::Mlc12:
-        return "Mlc12";
-    case ssd::CodingChoice::Qlc1248:
-        return "Qlc1248";
-    }
-    return "unknown";
-}
-
-/**
- * The device and build half of a perf record's config fingerprint:
- * "geometry", "coding", "system" and "build" fields, written into the
- * object the caller has open. Everything here would make two records
- * incomparable even on the same machine; tools/check_bench_json.sh
- * skips the regression comparison when fingerprints disagree.
- */
-inline void
-writeDeviceFingerprint(stats::JsonWriter &w, const ssd::SsdConfig &cfg)
-{
-    const flash::Geometry &g = cfg.geometry;
-    w.key("geometry");
-    w.beginObject();
-    w.field("channels", std::uint64_t{g.channels});
-    w.field("chips_per_channel", std::uint64_t{g.chipsPerChannel});
-    w.field("dies_per_chip", std::uint64_t{g.diesPerChip});
-    w.field("planes_per_die", std::uint64_t{g.planesPerDie});
-    w.field("blocks_per_plane", std::uint64_t{g.blocksPerPlane});
-    w.field("pages_per_block", std::uint64_t{g.pagesPerBlock});
-    w.field("page_size_bytes", std::uint64_t{g.pageSizeBytes});
-    w.field("sector_size_bytes", std::uint64_t{g.sectorSizeBytes});
-    w.endObject();
-    w.field("coding", codingName(cfg.coding));
-    w.field("system", cfg.systemLabel());
-    w.key("build");
-    w.beginObject();
-    w.field("compiler", __VERSION__);
-#ifdef NDEBUG
-    w.field("ndebug", true);
-#else
-    w.field("ndebug", false);
-#endif
-#ifdef IDA_AUDIT
-    w.field("audit", true);
-#else
-    w.field("audit", false);
-#endif
-    w.endObject();
 }
 
 /** Geometric-mean helper for "average" rows (the paper uses means). */

@@ -128,21 +128,28 @@ TEST(Fleet, ByteIdenticalAcrossShardCountsAndRepeats)
     // The acceptance bar: >= 16 devices, aggregate AND per-device JSON
     // byte-identical at shards 1 / 2 / 8, and again on a repeat run.
     const auto preset = fleetPreset(16);
-    const std::string s1 =
-        runFleetPreset(fleetConfig(16, 1), preset).toJson(false);
-    const std::string s2 =
-        runFleetPreset(fleetConfig(16, 2), preset).toJson(false);
-    const std::string s8 =
-        runFleetPreset(fleetConfig(16, 8), preset).toJson(false);
+    std::string archive[3];
+    const int shards[3] = {1, 2, 8};
+    for (int i = 0; i < 3; ++i) {
+        const FleetResult res =
+            runFleetPreset(fleetConfig(16, shards[i]), preset);
+        // No leg may clamp a past-time event, in the fleet or in any
+        // member: a clamped run is a causality bug, not a measurement.
+        EXPECT_EQ(res.pastSchedules, 0u) << "shards " << shards[i];
+        ASSERT_EQ(res.perDevice.size(), 16u);
+        for (std::size_t d = 0; d < res.perDevice.size(); ++d)
+            EXPECT_EQ(res.perDevice[d].pastSchedules, 0u)
+                << "shards " << shards[i] << ", device " << d;
+        archive[i] = res.toJson(false);
+    }
     const std::string s2b =
         runFleetPreset(fleetConfig(16, 2), preset).toJson(false);
 
-    EXPECT_EQ(s1, s2) << "--shards 1 vs 2 diverged";
-    EXPECT_EQ(s1, s8) << "--shards 1 vs 8 diverged";
-    EXPECT_EQ(s2, s2b) << "repeat run diverged";
-    // The run did real work and never clamped a past-time event.
-    EXPECT_NE(s1.find("\"pastSchedules\": 0"), std::string::npos);
-    EXPECT_EQ(s1.find("wallSeconds"), std::string::npos);
+    EXPECT_EQ(archive[0], archive[1]) << "--shards 1 vs 2 diverged";
+    EXPECT_EQ(archive[0], archive[2]) << "--shards 1 vs 8 diverged";
+    EXPECT_EQ(archive[1], s2b) << "repeat run diverged";
+    EXPECT_NE(archive[0].find("\"pastSchedules\": 0"), std::string::npos);
+    EXPECT_EQ(archive[0].find("wallSeconds"), std::string::npos);
 }
 
 TEST(Fleet, AggregateMeasurementsAreConsistent)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Validate a chrome-trace export and an attribution export against the
 # shapes the trace layer promises (src/trace/chrome_trace.hh and
-# trace::writeAttributionJson). Grep-based on purpose, like
-# check_bench_json.sh: runs anywhere the tier-1 gate runs, no jq.
+# trace::writeAttributionJson). Grep-based on purpose: runs anywhere
+# the tier-1 gate runs, no jq.
 #
 # Usage: tools/check_trace_json.sh <trace.json> <attr.json> [--require-savings]
 #   --require-savings additionally demands a nonzero sensingOpsSaved in

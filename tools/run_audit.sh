@@ -20,7 +20,8 @@ SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
     -DCMAKE_BUILD_TYPE=Debug -DIDA_AUDIT=ON
-cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
+cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
+    --target idaflash_tests
 
 IDA_AUDIT_REPLAY_SEEDS="$SEEDS" "$BUILD_DIR/tests/idaflash_tests" \
     --gtest_filter='Auditor*:AuditReplay*:FtlModel*' \

@@ -22,7 +22,8 @@ command -v gcov >/dev/null 2>&1 || {
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
     -DCMAKE_BUILD_TYPE=Debug -DIDA_COVERAGE=ON
-cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
+cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
+    --target idaflash_tests
 
 # Fresh counters: stale .gcda from a previous run would inflate numbers.
 find "$BUILD_DIR" -name '*.gcda' -delete

@@ -28,7 +28,8 @@ SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 FIXTURES="$SRC_DIR/tests/lint_fixtures"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" > /dev/null
-cmake --build "$BUILD_DIR" --parallel --target ida_lint > /dev/null
+cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
+    --target ida_lint > /dev/null
 LINT="$BUILD_DIR/tools/lint/ida_lint"
 
 echo "lint: scanning tree"

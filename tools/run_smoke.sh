@@ -5,8 +5,9 @@
 # src/workload/batch.hh). The fleet layer gets the same treatment one
 # level up: fleet_demo at --shards 1 vs --shards 2 must be
 # byte-identical and must report pastSchedules == 0 (src/fleet/fleet.hh
-# determinism contract). Then run the perf harness at smoke scale
-# (bench_smoke target: perf_kernel + fleet_throughput + schema checks).
+# determinism contract). Then run the end-to-end perf gate
+# (tools/check_perf.py: every BENCHMARK.json workload through perfbench
+# against bench/baselines/perf_*.json).
 #
 # Usage: tools/run_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -15,8 +16,8 @@ BUILD_DIR="${1:-build}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR"
-cmake --build "$BUILD_DIR" --parallel --target batch_demo fleet_demo \
-    trace_demo
+cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
+    --target batch_demo fleet_demo trace_demo
 
 # Lint first: the scanner gate is seconds, so a violation fails fast
 # before the minutes of build/run below. Format gate is diff-only and
@@ -70,7 +71,7 @@ if ! grep -q '"pastSchedules": 0' "$OUT_DIR/fleet_s1" || \
 fi
 echo "smoke: OK (fleet deterministic across --shards 1/2, pastSchedules == 0)"
 
-cmake --build "$BUILD_DIR" --parallel --target bench_smoke
+python3 "$SRC_DIR/tools/check_perf.py" "$BUILD_DIR"
 
 # Trace smoke: run the trace demo (it attaches its own recorder) with
 # IDA on, and validate both exports — including that the run actually

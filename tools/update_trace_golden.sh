@@ -13,7 +13,8 @@ BUILD_DIR="${1:-build}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR"
-cmake --build "$BUILD_DIR" --parallel --target idaflash_tests
+cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
+    --target idaflash_tests
 
 IDA_UPDATE_GOLDEN=1 "$BUILD_DIR/tests/idaflash_tests" \
     --gtest_filter='TraceGolden*' --gtest_brief=1
