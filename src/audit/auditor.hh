@@ -4,7 +4,7 @@
  *
  * The simulator's result tables are only as credible as the agreement
  * between its layers: the FTL mapping, the per-block valid bitmaps, the
- * per-wordline IDA coding state, the event kernel's timing wheel, and
+ * per-wordline IDA coding state, the event kernel's heap, and
  * the conservation counters that tie host traffic to flash commands.
  * Each layer maintains its own view incrementally for speed; nothing on
  * the hot path re-derives another layer's state. The Auditor closes
@@ -61,11 +61,9 @@ struct Violation
  *                      IdaMerge moves states only upward (ISPP), its
  *                      survivors are consistent, and surviving levels
  *                      never sense more than the conventional coding.
- *  - event-queue:      timing-wheel occupancy bitmaps agree with the
- *                      bucket lists, every node sits in the level and
- *                      slot the placement rule assigns, bucket lists
- *                      keep FIFO sequence order, timestamps never
- *                      behind now(), exact slab-pool slot accounting
+ *  - event-queue:      the heap order holds, timestamps never behind
+ *                      now(), sequence numbers below the allocation
+ *                      cursor, exact slab-pool slot accounting
  *                      (EventQueue::validateHeap).
  *  - admission:        Ssd's arrival FIFO is sorted by (arrival, seq)
  *                      with no entry behind now(); an arrival event is

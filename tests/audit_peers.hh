@@ -21,63 +21,27 @@
 
 namespace ida::audit::testing {
 
-/** Reaches into EventQueue's timing wheel and slab pool. */
+/** Reaches into EventQueue's heap, slab pool and sequence cursor. */
 struct EventQueuePeer
 {
     static std::size_t
     heapSize(const sim::EventQueue &q)
     {
-        return q.pendingCount_;
+        return q.heap_.size();
     }
 
-    /**
-     * Pool index of the @p i-th pending node, walking buckets in
-     * (level, slot, list) order and the overflow list last — i.e. the
-     * order the wheel would drain same-window events.
-     */
-    static std::uint32_t
-    nthPending(const sim::EventQueue &q, std::size_t i)
-    {
-        for (unsigned l = 0; l < sim::EventQueue::kLevels; ++l) {
-            for (std::uint32_t s = 0; s < sim::EventQueue::slotCount(l);
-                 ++s) {
-                // Bucket lists are tail-terminated (see EventQueue::Node).
-                for (std::uint32_t n = q.bucket(l, s).head;
-                     n != sim::EventQueue::kNil;) {
-                    if (i-- == 0)
-                        return n;
-                    n = n == q.bucket(l, s).tail ? sim::EventQueue::kNil
-                                                 : q.node(n).next;
-                }
-            }
-        }
-        for (std::uint32_t n = q.overflowHead_;
-             n != sim::EventQueue::kNil; n = q.node(n).next) {
-            if (i-- == 0)
-                return n;
-        }
-        return sim::EventQueue::kNil;
-    }
-
-    /**
-     * Break dispatch order by swapping the (when, seq) keys of two
-     * pending nodes in place: distinct-tick nodes end up in the wrong
-     * slot, same-tick nodes break the list's seq monotonicity.
-     */
+    /** Swap heap entries @p a and @p b, breaking the heap order. */
     static void
     swapEntries(sim::EventQueue &q, std::size_t a, std::size_t b)
     {
-        auto &na = q.node(nthPending(q, a));
-        auto &nb = q.node(nthPending(q, b));
-        std::swap(na.when, nb.when);
-        std::swap(na.seq, nb.seq);
+        std::swap(q.heap_[a], q.heap_[b]);
     }
 
-    /** Rewrite node @p i's timestamp, keeping its seq and position. */
+    /** Rewrite heap entry @p i's timestamp, keeping its seq and place. */
     static void
     setEntryWhen(sim::EventQueue &q, std::size_t i, sim::Time when)
     {
-        q.node(nthPending(q, i)).when = when.count();
+        q.heap_[i].when = when.count();
     }
 
     /** Drop the free list, leaking every idle pool slot. */
@@ -85,6 +49,20 @@ struct EventQueuePeer
     cutFreeList(sim::EventQueue &q)
     {
         q.freeHead_ = sim::EventQueue::kNil;
+    }
+
+    /** First sequence number the heap key cannot hold. */
+    static std::uint64_t
+    seqLimit()
+    {
+        return sim::EventQueue::kSeqLimit;
+    }
+
+    /** Move the sequence cursor, as if @p seq events were scheduled. */
+    static void
+    setNextSeq(sim::EventQueue &q, std::uint64_t seq)
+    {
+        q.nextSeq_ = seq;
     }
 };
 

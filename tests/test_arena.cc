@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the device arena: what allocate() guarantees (zeroed
  * arrays, even on recycled heap memory), how chunks are opened, and how
- * much of a device's arena actually becomes resident.
+ * much of a device's arena, and of its event queue, actually becomes
+ * resident.
  */
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -19,6 +21,7 @@
 #endif
 
 #include "sim/arena.hh"
+#include "sim/event_queue.hh"
 #include "ssd/ssd.hh"
 
 namespace ida::sim {
@@ -162,11 +165,28 @@ TEST(ArenaResidency, PaperTlcDeviceFaultsInLittleMoreThanTheArenaHandsOut)
     const std::uint64_t handedOut = ssd.chips().arena().bytesAllocated();
     EXPECT_GT(handedOut, std::uint64_t{16} << 20);
     // Everything else the device allocates (768 KiB of Block objects,
-    // free pools, event wheel) plus partly used pages stays under 2 MiB;
+    // free pools, event queue) plus partly used pages stays under 2 MiB;
     // zeroing whole chunks put ~8.5 MiB of untouched tail here.
     EXPECT_LT(*after - *before, handedOut + (std::uint64_t{2} << 20))
         << "arena handed out " << handedOut << " bytes in "
         << ssd.chips().arena().chunkCount() << " chunks";
+}
+
+TEST(QueueResidency, OneEventQueueFaultsInUnder64KiB)
+{
+    warmUp();
+    const auto before = residentBytes();
+    if (!before)
+        GTEST_SKIP() << "no meaningful resident-set reading here";
+    auto q = std::make_unique<EventQueue>();
+    q->schedule(Time{1}, [] {});
+    q->run();
+    const auto after = residentBytes();
+    ASSERT_TRUE(after);
+    // Every device and every fleet member owns a queue; one slab chunk
+    // and a one-entry heap fault in ~20 KiB.
+    EXPECT_LT(*after - *before, std::uint64_t{64} << 10)
+        << "pool holds " << q->poolSize() << " slots";
 }
 
 } // namespace

@@ -292,9 +292,9 @@ class ReferenceQueue
 /**
  * A seeded script of plain schedules, seq reservations, schedules under
  * a reserved seq (some from inside a callback at its own tick, as the
- * SSD's arrival FIFO does) and runUntil() steps, with delays that reach
- * level 0, the upper levels and the overflow list. Returns the dispatch
- * log; fails the test if the queue's structure breaks after any step.
+ * SSD's arrival FIFO does) and runUntil() steps, with delays from zero
+ * to past 2^62 ticks. Returns the dispatch log; fails the test if the
+ * queue's structure breaks after any step.
  */
 template <typename Q>
 std::string

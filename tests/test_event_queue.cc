@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "audit_peers.hh"
 #include "sim/chunked_fifo.hh"
 #include "sim/event_queue.hh"
 
@@ -89,6 +90,32 @@ TEST(EventQueueDeathTest, PastScheduleUnderPanicPolicyDies)
         "past-time event");
 }
 
+/**
+ * The heap key packs the seq next to the pool slot in one word, so a
+ * queue has fewer than 2^64 seqs. Running out must stop the run with a
+ * message naming the limit, never wrap and reorder same-tick events.
+ */
+TEST(EventQueueDeathTest, SeqBeyondKeyWidthIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    using Peer = audit::testing::EventQueuePeer;
+    EXPECT_EXIT(
+        {
+            EventQueue q;
+            Peer::setNextSeq(q, Peer::seqLimit() - 1);
+            q.schedule(Time{1}, [] {}); // the last seq that fits
+            q.schedule(Time{1}, [] {});
+        },
+        testing::ExitedWithCode(1), "at most 2\\^38 events");
+    EXPECT_EXIT(
+        {
+            EventQueue q;
+            Peer::setNextSeq(q, Peer::seqLimit());
+            q.reserveSeq();
+        },
+        testing::ExitedWithCode(1), "at most 2\\^38 events");
+}
+
 TEST(EventQueue, RunUntilStopsAtLimit)
 {
     EventQueue q;
@@ -168,15 +195,17 @@ TEST(EventQueue, ReservedSeqOrdersWithinLevel0Slot)
 
 TEST(EventQueue, ReservedSeqSurvivesUpperLevelCascade)
 {
-    // Parks at level 2, cascades to level 1 when the cursor enters its
-    // 2^26-tick window, and to level 0 one window later.
+    // A far-future tick (2^30 + 2^20 + 5 ns, about a second out): the
+    // reserved seqs keep their FIFO place when the tie is decided deep
+    // in the time range, not just near now().
     expectReservedOrder(
         Time{(std::int64_t{1} << 30) + (std::int64_t{1} << 20) + 5});
 }
 
 TEST(EventQueue, ReservedSeqOrdersWithinOverflowList)
 {
-    // Beyond the wheel's 2^62-tick span: the overflow list.
+    // A tick past 2^62 ns, near the top of the time range: the seq
+    // tie-break still decides same-tick order there.
     expectReservedOrder(Time{(std::int64_t{1} << 62) + 5});
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Audit gate: build Debug + IDA_AUDIT (the event-kernel hook compiles
-# in, so the auditor also fires from inside dispatchTop) and run the
+# in, so the auditor also fires from the dispatch loop) and run the
 # auditor's own suite plus the seeded replay harness at full strength.
 # IDA_AUDIT_REPLAY_SEEDS widens the replay sweep far beyond the tier-1
 # default of 4 seeds; each seed is a distinct synthetic workload
