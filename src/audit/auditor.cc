@@ -174,10 +174,8 @@ Auditor::checkMappingBlock()
         fail(cat("mappedCount ", map.mappedCount(), " != ",
                  forwardMapped, " live l2p entries"));
 
-    // Block sweep: P2L inverse agreement, write-pointer discipline
-    // (in-order programming: Free exactly at and above the pointer),
-    // the incrementally maintained validCount, and the device-wide
-    // valid-page total.
+    // Block sweep: P2L inverse agreement, the incrementally maintained
+    // validCount, and the device-wide valid-page total.
     std::uint64_t reverseMapped = 0;
     std::uint64_t totalValid = 0;
     for (flash::BlockId b = 0; b < geom.blocks(); ++b) {
@@ -203,14 +201,6 @@ Auditor::checkMappingBlock()
             } else if (valid) {
                 fail(cat("block ", b, " page ", p,
                          ": Valid page with no reverse mapping"));
-            }
-            if (p < blk.writePointer()) {
-                if (blk.isFree(p))
-                    fail(cat("block ", b, " page ", p,
-                             ": Free below the write pointer"));
-            } else if (!blk.isFree(p)) {
-                fail(cat("block ", b, " page ", p,
-                         ": programmed at/above the write pointer"));
             }
         }
         if (validHere != blk.validCount())
@@ -463,14 +453,13 @@ Auditor::checkSectorValidity()
                 fail(cat("block ", b, " page ", p, ": sector mask 0x",
                          std::hex, m, std::dec,
                          " has bits beyond sectorsPerPage"));
-            // A page is Valid exactly while it has live sectors; a
-            // partial invalidation that clears the last sector must
-            // have flipped the state (and vice versa for Free/Invalid).
-            if (blk.isValid(p) != (m != 0))
-                fail(cat("block ", b, " page ", p, ": page state ",
-                         blk.isValid(p) ? "Valid" : "not Valid",
-                         " disagrees with sector mask 0x", std::hex, m,
-                         std::dec));
+            // Programming is in order and erase clears every mask, so a
+            // live sector at or above the write pointer is corruption.
+            if (m != 0 && blk.isFree(p))
+                fail(cat("block ", b, " page ", p, ": sector mask 0x",
+                         std::hex, m, std::dec,
+                         " at/above the write pointer ",
+                         blk.writePointer()));
         }
     }
 }
@@ -483,9 +472,7 @@ Auditor::checkCacheCoherence()
     const auto &wb = ftl.writeBuffer();
     const auto &map = ftl.mapping();
     const auto &chips = ssd_.chips();
-    const auto &geom = chips.geometry();
-    const std::uint32_t ppb = geom.pagesPerBlock;
-    const flash::SectorMask full = geom.fullSectorMask();
+    const flash::SectorMask full = chips.geometry().fullSectorMask();
 
     if (!rc.enabled()) {
         if (rc.size() != 0)
@@ -525,9 +512,7 @@ Auditor::checkCacheCoherence()
         flash::SectorMask backed = wb.dirtyMask(lpn) & full;
         const flash::Ppn ppn = map.lookup(lpn);
         if (ppn != flash::kInvalidPpn)
-            backed |= chips.block(geom.blockOf(ppn))
-                          .sectorMask(
-                              static_cast<std::uint32_t>(ppn % ppb));
+            backed |= chips.blockTable().sectorMask(ppn);
         if ((cached & ~backed) != 0)
             fail(cat("cache line lpn ", lpn, ": cached mask 0x",
                      std::hex, cached, " not covered by flash+buffer 0x",

@@ -3,7 +3,7 @@
  * Cross-layer invariant auditor.
  *
  * The simulator's result tables are only as credible as the agreement
- * between its layers: the FTL mapping, the per-block valid bitmaps, the
+ * between its layers: the FTL mapping, the per-page sector masks, the
  * per-wordline IDA coding state, the event kernel's heap, and
  * the conservation counters that tie host traffic to flash commands.
  * Each layer maintains its own view incrementally for speed; nothing on
@@ -51,11 +51,12 @@ struct Violation
  * Checks registered by default (the catalog; docs/ARCHITECTURE.md):
  *  - mapping-block:    L2P/P2L inverse agreement, every live mapping
  *                      points at a Valid flash page, per-block
- *                      validCount matches both the page-state popcount
+ *                      validCount matches both the Valid-page count
  *                      and the number of mapped pages in the block.
- *  - wordline-cache:   flash::Block's incrementally maintained
+ *  - wordline-cache:   flash::BlockTable's incrementally maintained
  *                      invalid-level masks match recomputation from the
- *                      page states.
+ *                      page states (derived from the write pointer and
+ *                      the sector masks).
  *  - ida-coding:       every IDA wordline's mask is a proper subset
  *                      with all dropped levels Invalid; the memoized
  *                      IdaMerge moves states only upward (ISPP), its
@@ -76,10 +77,11 @@ struct Violation
  *                      their current refreshedAt, in strictly
  *                      increasing (refreshedAt, id) order; no clock
  *                      field is ahead of the event clock.
- *  - sector-validity:  per-page sector masks agree with the page state
- *                      (Valid ⇔ mask non-empty, Free/Invalid ⇒ empty)
- *                      and never carry bits outside the geometry's
- *                      sectors-per-page.
+ *  - sector-validity:  per-page sector masks never carry bits outside
+ *                      the geometry's sectors-per-page and are empty at
+ *                      or above the block's write pointer. (A page's
+ *                      state is derived from its mask, so Valid ⇔ mask
+ *                      non-empty needs no check.)
  *  - cache-coherence:  every read-cache line is non-empty, in range,
  *                      consistent with the cache's own index, within
  *                      capacity, and a subset of flash-valid ∪

@@ -6,181 +6,147 @@
 
 namespace ida::flash {
 
-Block::Block(std::uint32_t pages_per_block, std::uint32_t bits_per_cell,
-             std::uint32_t sectors_per_page, sim::Arena &arena)
-    : bits_(bits_per_cell),
-      sectorsPerPage_(sectors_per_page),
-      numPages_(pages_per_block),
-      numWordlines_(pages_per_block / bits_per_cell),
-      fullSectorMask_(sectors_per_page >= 32
-                          ? ~SectorMask{0}
-                          : ((SectorMask{1} << sectors_per_page) - 1))
+BlockTable::BlockTable(const Geometry &geom, sim::Arena &arena)
+    : pagesPerBlock_(geom.pagesPerBlock),
+      bits_(geom.bitsPerCell),
+      wordlinesPerBlock_(geom.wordlinesPerBlock()),
+      fullSectorMask_(geom.fullSectorMask()),
+      fullLevelMask_(fullMask(static_cast<int>(geom.bitsPerCell))),
+      sectorValid_(arena.allocate<SectorMask>(geom.pages())),
+      wlMask_(arena.allocate<LevelMask>(geom.pages() / bits_)),
+      wlInvalid_(arena.allocate<LevelMask>(geom.pages() / bits_)),
+      records_(arena.allocate<BlockRecord>(geom.blocks()))
 {
-    if (pages_per_block % bits_per_cell != 0)
-        sim::panic("Block: pagesPerBlock must divide by bitsPerCell");
-    if (sectors_per_page == 0 || sectors_per_page > 32)
-        sim::panic("Block: sectorsPerPage must be in [1, 32]");
-    attachArrays(arena);
+    std::fill(wlMask_, wlMask_ + geom.pages() / bits_, fullLevelMask_);
 }
 
-Block::Block(std::uint32_t pages_per_block, std::uint32_t bits_per_cell,
-             std::uint32_t sectors_per_page)
-    : bits_(bits_per_cell),
-      sectorsPerPage_(sectors_per_page),
-      numPages_(pages_per_block),
-      numWordlines_(pages_per_block / bits_per_cell),
-      fullSectorMask_(sectors_per_page >= 32
-                          ? ~SectorMask{0}
-                          : ((SectorMask{1} << sectors_per_page) - 1)),
-      backing_(std::make_unique<sim::Arena>(
-          // Exactly one chunk: pages + sectors + the two wl arrays.
-          pages_per_block * (sizeof(PageState) + sizeof(SectorMask)) +
-          2 * (pages_per_block / bits_per_cell) * sizeof(LevelMask) + 16))
+std::uint32_t
+BlockTable::programNext(BlockId b, sim::Time now, SectorMask sectors)
 {
-    if (pages_per_block % bits_per_cell != 0)
-        sim::panic("Block: pagesPerBlock must divide by bitsPerCell");
-    if (sectors_per_page == 0 || sectors_per_page > 32)
-        sim::panic("Block: sectorsPerPage must be in [1, 32]");
-    attachArrays(*backing_);
+    BlockRecord &r = records_[b];
+    if (r.writePtr == pagesPerBlock_)
+        sim::panic("BlockTable::programNext: block is full");
+    if (sectors == 0)
+        sectors = fullSectorMask_;
+    if ((sectors & ~fullSectorMask_) != 0)
+        sim::panic("BlockTable::programNext: sector mask exceeds page");
+    const std::uint32_t page = r.writePtr++;
+    sectorValid_[b * pagesPerBlock_ + page] = sectors;
+    ++r.validCount;
+    if (page == 0)
+        r.programTime = now;
+    return page;
 }
 
 void
-Block::attachArrays(sim::Arena &arena)
+BlockTable::killPage(Ppn p)
 {
-    pages_ = arena.allocate<PageState>(numPages_);
-    sectorValid_ = arena.allocate<SectorMask>(numPages_);
-    wlMask_ = arena.allocate<LevelMask>(numWordlines_);
-    wlInvalid_ = arena.allocate<LevelMask>(numWordlines_);
-    std::fill(wlMask_, wlMask_ + numWordlines_,
-              fullMask(static_cast<int>(bits_)));
+    sectorValid_[p] = 0;
+    wlInvalid_[p / bits_] |= static_cast<LevelMask>(1u << (p % bits_));
+    --records_[p / pagesPerBlock_].validCount;
+}
+
+void
+BlockTable::invalidate(Ppn p)
+{
+    if (!block(p / pagesPerBlock_).isValid(p % pagesPerBlock_))
+        sim::panic("BlockTable::invalidate: page is not valid");
+    killPage(p);
+}
+
+bool
+BlockTable::invalidateSectors(Ppn p, SectorMask sectors)
+{
+    if (!block(p / pagesPerBlock_).isValid(p % pagesPerBlock_))
+        sim::panic("BlockTable::invalidateSectors: page is not valid");
+    if ((sectors & ~fullSectorMask_) != 0)
+        sim::panic("BlockTable::invalidateSectors: sector mask exceeds "
+                   "page");
+    sectorValid_[p] &= static_cast<SectorMask>(~sectors);
+    if (sectorValid_[p] != 0)
+        return false;
+    killPage(p);
+    return true;
+}
+
+void
+BlockTable::applyIda(BlockId b, std::uint32_t wl, LevelMask validMask)
+{
+    if (validMask == 0 || validMask >= fullLevelMask_)
+        sim::panic("BlockTable::applyIda: mask must drop at least one "
+                   "level");
+    const Block blk = block(b);
+    for (std::uint32_t level = 0; level < bits_; ++level) {
+        const PageState st = blk.pageState(wl * bits_ + level);
+        if (st == PageState::Free)
+            sim::panic("BlockTable::applyIda: wordline not fully "
+                       "programmed");
+        const bool levelValid = (validMask >> level) & 1;
+        if (!levelValid && st == PageState::Valid)
+            sim::panic("BlockTable::applyIda: would destroy a valid page");
+    }
+    // Tightening an already-IDA wordline further (e.g. CSB invalidated
+    // after an LSB-invalid adjustment) is allowed: the new mask must be
+    // a subset of the old one, so states only keep moving up.
+    LevelMask &mask = wlMask_[b * wordlinesPerBlock_ + wl];
+    if ((mask & validMask) != validMask)
+        sim::panic("BlockTable::applyIda: mask must shrink monotonically");
+    mask = validMask;
+    records_[b].idaBlock = true;
+}
+
+void
+BlockTable::erase(BlockId b)
+{
+    SectorMask *pages = sectorValid_ + b * pagesPerBlock_;
+    std::fill(pages, pages + pagesPerBlock_, SectorMask{0});
+    const std::uint64_t wl = b * wordlinesPerBlock_;
+    std::fill(wlMask_ + wl, wlMask_ + wl + wordlinesPerBlock_,
+              fullLevelMask_);
+    std::fill(wlInvalid_ + wl, wlInvalid_ + wl + wordlinesPerBlock_,
+              LevelMask{0});
+    BlockRecord &r = records_[b];
+    r.writePtr = 0;
+    r.validCount = 0;
+    ++r.eraseCount;
+    r.idaBlock = false;
+    r.programTime = sim::Time{};
 }
 
 int
 Block::readSensings(std::uint32_t page, const CodingScheme &scheme) const
 {
-    if (pages_[page] != PageState::Valid)
+    if (!isValid(page))
         sim::panic("Block::readSensings: reading a non-valid page");
-    const std::uint32_t wl = page / bits_;
-    const int level = static_cast<int>(page % bits_);
-    const LevelMask mask = wlMask_[wl];
-    if (mask == fullMask(static_cast<int>(bits_)))
+    const int level = static_cast<int>(page % bitsPerCell());
+    const LevelMask mask = wordlineMask(page / bitsPerCell());
+    if (mask == t_->fullLevelMask_)
         return scheme.sensingCount(level);
     return scheme.idaMerge(mask).sensingCounts[level];
-}
-
-std::uint32_t
-Block::programNext(sim::Time now)
-{
-    return programNext(now, fullSectorMask_);
-}
-
-std::uint32_t
-Block::programNext(sim::Time now, SectorMask sectors)
-{
-    if (isFull())
-        sim::panic("Block::programNext: block is full");
-    if (sectors == 0)
-        sectors = fullSectorMask_;
-    if ((sectors & ~fullSectorMask_) != 0)
-        sim::panic("Block::programNext: sector mask exceeds page");
-    const std::uint32_t page = writePtr_++;
-    pages_[page] = PageState::Valid;
-    sectorValid_[page] = sectors;
-    ++validCount_;
-    if (page == 0)
-        programTime_ = now;
-    return page;
-}
-
-void
-Block::invalidate(std::uint32_t page)
-{
-    if (pages_[page] != PageState::Valid)
-        sim::panic("Block::invalidate: page is not valid");
-    pages_[page] = PageState::Invalid;
-    sectorValid_[page] = 0;
-    wlInvalid_[page / bits_] |=
-        static_cast<LevelMask>(1u << (page % bits_));
-    --validCount_;
-}
-
-bool
-Block::invalidateSectors(std::uint32_t page, SectorMask sectors)
-{
-    if (pages_[page] != PageState::Valid)
-        sim::panic("Block::invalidateSectors: page is not valid");
-    if ((sectors & ~fullSectorMask_) != 0)
-        sim::panic("Block::invalidateSectors: sector mask exceeds page");
-    sectorValid_[page] &= ~sectors;
-    if (sectorValid_[page] != 0)
-        return false;
-    pages_[page] = PageState::Invalid;
-    wlInvalid_[page / bits_] |=
-        static_cast<LevelMask>(1u << (page % bits_));
-    --validCount_;
-    return true;
 }
 
 LevelMask
 Block::recomputeInvalidMask(std::uint32_t wl) const
 {
     LevelMask mask = 0;
-    for (std::uint32_t level = 0; level < bits_; ++level) {
-        if (pages_[wl * bits_ + level] == PageState::Invalid)
+    for (std::uint32_t level = 0; level < bitsPerCell(); ++level) {
+        if (pageState(wl * bitsPerCell() + level) == PageState::Invalid)
             mask |= static_cast<LevelMask>(1u << level);
     }
     return mask;
 }
 
-void
-Block::applyIda(std::uint32_t wl, LevelMask validMask)
-{
-    const LevelMask full = fullMask(static_cast<int>(bits_));
-    if (validMask == 0 || validMask >= full)
-        sim::panic("Block::applyIda: mask must drop at least one level");
-    for (std::uint32_t level = 0; level < bits_; ++level) {
-        const std::uint32_t page = wl * bits_ + level;
-        if (pages_[page] == PageState::Free)
-            sim::panic("Block::applyIda: wordline not fully programmed");
-        const bool levelValid = (validMask >> level) & 1;
-        if (!levelValid && pages_[page] == PageState::Valid)
-            sim::panic("Block::applyIda: would destroy a valid page");
-    }
-    // Tightening an already-IDA wordline further (e.g. CSB invalidated
-    // after an LSB-invalid adjustment) is allowed: the new mask must be
-    // a subset of the old one, so states only keep moving up.
-    if ((wlMask_[wl] & validMask) != validMask)
-        sim::panic("Block::applyIda: mask must shrink monotonically");
-    wlMask_[wl] = validMask;
-    idaBlock_ = true;
-}
-
-void
-Block::erase()
-{
-    std::fill(pages_, pages_ + numPages_, PageState::Free);
-    std::fill(sectorValid_, sectorValid_ + numPages_, SectorMask{0});
-    std::fill(wlMask_, wlMask_ + numWordlines_,
-              fullMask(static_cast<int>(bits_)));
-    std::fill(wlInvalid_, wlInvalid_ + numWordlines_, LevelMask{0});
-    writePtr_ = 0;
-    validCount_ = 0;
-    ++eraseCount_;
-    idaBlock_ = false;
-    programTime_ = sim::Time{};
-}
-
 int
 Block::tableICase(std::uint32_t wl) const
 {
-    if (bits_ != 3)
+    if (bitsPerCell() != 3)
         return 0;
-    const std::uint32_t base = wl * 3;
     bool v[3];
-    for (int level = 0; level < 3; ++level) {
-        if (pages_[base + level] == PageState::Free)
+    for (std::uint32_t level = 0; level < 3; ++level) {
+        const PageState st = pageState(wl * 3 + level);
+        if (st == PageState::Free)
             return 0;
-        v[level] = pages_[base + level] == PageState::Valid;
+        v[level] = st == PageState::Valid;
     }
     // Table I: cases 1-4 have MSB valid with (LSB, CSB) =
     // (V,V), (I,V), (V,I), (I,I); cases 5-8 repeat that with MSB invalid.

@@ -9,11 +9,16 @@
  * "conventional" until a voltage adjustment re-programs it, after which it
  * carries the IDA valid-level mask that decides the sensing counts of the
  * surviving pages (paper Sec. III-B, Table I).
+ *
+ * Page validity has one representation: the page's sector mask. A page
+ * is Free at or above its block's write pointer, Valid below it while
+ * any sector is live, and Invalid once the mask is empty. BlockTable
+ * owns the device's state as flat arrays; flash::Block is a read-only
+ * view of one block.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "flash/coding.hh"
 #include "flash/geometry.hh"
@@ -26,88 +31,169 @@ struct BlockPeer;
 
 namespace ida::flash {
 
-/** Lifecycle of one physical page. */
+/** Lifecycle of one physical page, derived from the state (never stored). */
 enum class PageState : std::uint8_t { Free, Valid, Invalid };
 
+class Block;
+
+/** Per-block scalars: one 24-byte record per block. */
+struct BlockRecord
+{
+    /** Time of the first program after the last erase (retention age). */
+    sim::Time programTime{};
+    /** Next in-order programmable page. */
+    std::uint32_t writePtr = 0;
+    std::uint32_t validCount = 0;
+    std::uint32_t eraseCount = 0;
+    /** True once any wordline has been IDA-reprogrammed. */
+    bool idaBlock = false;
+};
+
 /**
- * Block-level physical and coding state.
- *
- * The per-page and per-wordline arrays are *views* into a device-wide
- * arena (sim::Arena): every block of a ChipArray draws its four arrays
- * from the same few contiguous chunks, so the read critical path
- * (page state, wordline mask, wordline invalid-mask cache) walks
- * cache-line-packed memory instead of one heap vector per block. The
- * standalone constructor (unit tests, cell-level studies) allocates a
- * private backing buffer and points the same views at it.
+ * The device's block state: every page's sector mask, every wordline's
+ * coding mask and invalid-level cache, and one BlockRecord per block,
+ * carved as four flat arrays from a device arena (sim::Arena). Page
+ * arrays are indexed by Ppn and wordline arrays by Ppn / bitsPerCell,
+ * so the read critical path walks cache-line-packed memory. All
+ * mutation goes through here; block() hands out read-only views.
  */
+class BlockTable
+{
+  public:
+    /** geom.blocks() erased blocks of @p geom's (validated) shape. */
+    BlockTable(const Geometry &geom, sim::Arena &arena);
+
+    BlockTable(const BlockTable &) = delete;
+    BlockTable &operator=(const BlockTable &) = delete;
+
+    /** Read-only view of block @p b; it reads the table live. */
+    Block block(BlockId b) const;
+
+    /** Valid-sector bitmap of page @p p; 0 for a Free or Invalid page. */
+    SectorMask sectorMask(Ppn p) const { return sectorValid_[p]; }
+
+    /**
+     * Program block @p b's next in-order page at @p now, holding only
+     * the sectors in @p sectors valid (0 = whole page); returns its
+     * in-block index. Programming a full block is a simulator bug.
+     */
+    std::uint32_t programNext(BlockId b, sim::Time now,
+                              SectorMask sectors = 0);
+
+    /** Mark valid page @p p invalid. */
+    void invalidate(Ppn p);
+
+    /**
+     * Clear @p sectors from valid page @p p's sector mask; when the
+     * mask empties, the page dies exactly as invalidate() would
+     * (wordline invalid-mask cache and valid count included). Returns
+     * true when the page died. Clearing sectors that are already
+     * invalid is allowed (idempotent); @p sectors must stay within the
+     * page but may exceed the currently-valid set.
+     */
+    bool invalidateSectors(Ppn p, SectorMask sectors);
+
+    /**
+     * Re-program wordline @p wl of block @p b with the IDA coding for
+     * @p validMask.
+     *
+     * Requires: every level missing from @p validMask is Invalid (never
+     * Valid) on this wordline — IDA must not destroy live data — and the
+     * wordline was fully programmed. Pages of missing levels stay
+     * Invalid; they are unreadable afterwards.
+     */
+    void applyIda(BlockId b, std::uint32_t wl, LevelMask validMask);
+
+    /** Erase block @p b: all pages Free, coding back to conventional. */
+    void erase(BlockId b);
+
+  private:
+    friend class Block;
+    // Fault injection for the auditor's negative tests only.
+    friend struct ida::audit::testing::BlockPeer;
+
+    void killPage(Ppn p);
+
+    std::uint32_t pagesPerBlock_;
+    std::uint32_t bits_;
+    std::uint32_t wordlinesPerBlock_;
+    SectorMask fullSectorMask_;
+    LevelMask fullLevelMask_;
+    SectorMask *sectorValid_;  // valid sectors of each page
+    LevelMask *wlMask_;        // coding mask of each wordline
+    LevelMask *wlInvalid_;     // cache: Invalid levels per wordline
+    BlockRecord *records_;
+};
+
+/** A read-only view of one block of a BlockTable. */
 class Block
 {
   public:
-    /** Standalone block: owns its backing storage. */
-    Block(std::uint32_t pages_per_block, std::uint32_t bits_per_cell,
-          std::uint32_t sectors_per_page = 1);
-
-    /** Arena-backed block: arrays carved from @p arena by the device. */
-    Block(std::uint32_t pages_per_block, std::uint32_t bits_per_cell,
-          std::uint32_t sectors_per_page, sim::Arena &arena);
-
     /** Number of pages. */
-    std::uint32_t numPages() const { return numPages_; }
+    std::uint32_t numPages() const { return t_->pagesPerBlock_; }
 
     /** Number of wordlines. */
-    std::uint32_t numWordlines() const { return numWordlines_; }
+    std::uint32_t numWordlines() const { return t_->wordlinesPerBlock_; }
 
-    std::uint32_t bitsPerCell() const { return bits_; }
+    std::uint32_t bitsPerCell() const { return t_->bits_; }
 
-    PageState pageState(std::uint32_t page) const { return pages_[page]; }
-    bool isFree(std::uint32_t page) const {
-        return pages_[page] == PageState::Free;
+    /** Free at/above the write pointer, else Valid iff sectors live. */
+    PageState
+    pageState(std::uint32_t page) const
+    {
+        if (isFree(page))
+            return PageState::Free;
+        return sectorMask(page) != 0 ? PageState::Valid
+                                     : PageState::Invalid;
     }
+    bool isFree(std::uint32_t page) const { return page >= writePointer(); }
     bool isValid(std::uint32_t page) const {
-        return pages_[page] == PageState::Valid;
+        return !isFree(page) && sectorMask(page) != 0;
     }
 
     /** Count of valid pages. */
-    std::uint32_t validCount() const { return validCount_; }
+    std::uint32_t validCount() const { return rec().validCount; }
 
     /** Next in-order programmable page, == numPages() when full. */
-    std::uint32_t writePointer() const { return writePtr_; }
+    std::uint32_t writePointer() const { return rec().writePtr; }
 
     /** True when every page has been programmed. */
-    bool isFull() const { return writePtr_ == numPages(); }
+    bool isFull() const { return writePointer() == numPages(); }
 
     /** True when no page has been programmed since the last erase. */
-    bool isErased() const { return writePtr_ == 0; }
+    bool isErased() const { return writePointer() == 0; }
 
     /** Lifetime erase count. */
-    std::uint32_t eraseCount() const { return eraseCount_; }
+    std::uint32_t eraseCount() const { return rec().eraseCount; }
 
     /** Time of the first program after the last erase (retention age). */
-    sim::Time programTime() const { return programTime_; }
+    sim::Time programTime() const { return rec().programTime; }
 
     /** True once any wordline has been IDA-reprogrammed. */
-    bool isIdaBlock() const { return idaBlock_; }
+    bool isIdaBlock() const { return rec().idaBlock; }
 
     /**
      * Valid-level mask of @p wl: fullMask(bits) for a conventional
      * wordline, else the mask the IDA adjustment was applied with.
      */
-    LevelMask wordlineMask(std::uint32_t wl) const { return wlMask_[wl]; }
+    LevelMask wordlineMask(std::uint32_t wl) const {
+        return t_->wlMask_[wl0() + wl];
+    }
 
     /** True if @p wl has been IDA-reprogrammed. */
     bool isIdaWordline(std::uint32_t wl) const {
-        return wlMask_[wl] != fullMask(static_cast<int>(bits_));
+        return wordlineMask(wl) != t_->fullLevelMask_;
     }
 
     /**
-     * Bitmask of @p wl's page levels currently in PageState::Invalid
-     * (bit L set <=> the level-L page is Invalid). Maintained
-     * incrementally on invalidate()/erase(), so the FTL's per-host-read
-     * "is any lower level invalid?" classification is one AND instead
-     * of a loop over the wordline (ftl/ftl.cc classifyHostRead).
+     * Bitmask of @p wl's Invalid page levels (bit L set <=> the level-L
+     * page is Invalid). Maintained incrementally on invalidation and
+     * erase, so the FTL's per-host-read "is any lower level invalid?"
+     * classification is one AND instead of a loop over the wordline
+     * (ftl/ftl.cc classifyHostRead).
      */
     LevelMask invalidLevelMask(std::uint32_t wl) const {
-        return wlInvalid_[wl];
+        return t_->wlInvalid_[wl0() + wl];
     }
 
     /**
@@ -123,59 +209,13 @@ class Block
      */
     int readSensings(std::uint32_t page, const CodingScheme &scheme) const;
 
-    /** Number of sectors per page (1 when sector granularity is off). */
-    std::uint32_t sectorsPerPage() const { return sectorsPerPage_; }
-
     /** All-sectors-valid mask for this block's page size. */
-    SectorMask fullSectorMask() const { return fullSectorMask_; }
+    SectorMask fullSectorMask() const { return t_->fullSectorMask_; }
 
-    /**
-     * Valid-sector bitmap of @p page. Invariant: nonzero iff the page is
-     * Valid — the page state is the mask collapsed to one bit, and
-     * invalidateSectors() keeps the two in lockstep.
-     */
+    /** Valid-sector bitmap of @p page; 0 for a Free or Invalid page. */
     SectorMask sectorMask(std::uint32_t page) const {
-        return sectorValid_[page];
+        return t_->sectorValid_[page0() + page];
     }
-
-    /**
-     * Program the next in-order page at @p now; returns its index.
-     * Programming a full block is a simulator bug (panic).
-     */
-    std::uint32_t programNext(sim::Time now);
-
-    /**
-     * Program the next in-order page holding only the sectors in
-     * @p sectors valid (0 = whole page). The page is Valid as long as
-     * at least one sector is.
-     */
-    std::uint32_t programNext(sim::Time now, SectorMask sectors);
-
-    /** Mark a valid page invalid. */
-    void invalidate(std::uint32_t page);
-
-    /**
-     * Clear @p sectors from a valid page's sector mask; when the mask
-     * empties, the page flips to Invalid exactly as invalidate() would
-     * (wordline invalid-mask cache and valid count included). Returns
-     * true when the page died. Clearing sectors that are already
-     * invalid is allowed (idempotent); @p sectors must overlap the page
-     * range but may exceed the currently-valid set.
-     */
-    bool invalidateSectors(std::uint32_t page, SectorMask sectors);
-
-    /**
-     * Re-program wordline @p wl with the IDA coding for @p validMask.
-     *
-     * Requires: every level missing from @p validMask is Invalid (never
-     * Valid) on this wordline — IDA must not destroy live data — and the
-     * wordline was fully programmed. Pages of missing levels stay
-     * Invalid; they are unreadable afterwards.
-     */
-    void applyIda(std::uint32_t wl, LevelMask validMask);
-
-    /** Erase the block: all pages Free, coding back to conventional. */
-    void erase();
 
     /**
      * The paper's Table I case number (1..8) of wordline @p wl, defined
@@ -185,28 +225,22 @@ class Block
     int tableICase(std::uint32_t wl) const;
 
   private:
-    // Fault injection for the auditor's negative tests only.
-    friend struct ida::audit::testing::BlockPeer;
+    friend class BlockTable;
 
-    /** Carve the four arrays from @p arena and reset them to erased. */
-    void attachArrays(sim::Arena &arena);
+    Block(const BlockTable &t, BlockId b) : t_(&t), id_(b) {}
 
-    std::uint32_t bits_;
-    std::uint32_t sectorsPerPage_;
-    std::uint32_t numPages_;
-    std::uint32_t numWordlines_;
-    SectorMask fullSectorMask_;
-    PageState *pages_ = nullptr;
-    SectorMask *sectorValid_ = nullptr; // valid sectors of each page
-    LevelMask *wlMask_ = nullptr;
-    LevelMask *wlInvalid_ = nullptr; // cache: Invalid levels per wordline
-    std::uint32_t writePtr_ = 0;
-    std::uint32_t validCount_ = 0;
-    std::uint32_t eraseCount_ = 0;
-    sim::Time programTime_{};
-    bool idaBlock_ = false;
-    /** Standalone blocks only; arena-backed blocks leave this empty. */
-    std::unique_ptr<sim::Arena> backing_;
+    const BlockRecord &rec() const { return t_->records_[id_]; }
+    std::uint64_t page0() const { return id_ * t_->pagesPerBlock_; }
+    std::uint64_t wl0() const { return id_ * t_->wordlinesPerBlock_; }
+
+    const BlockTable *t_;
+    BlockId id_;
 };
+
+inline Block
+BlockTable::block(BlockId b) const
+{
+    return Block(*this, b);
+}
 
 } // namespace ida::flash

@@ -11,28 +11,14 @@ namespace ida::flash {
 
 ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
                      const CodingScheme &coding, sim::EventQueue &events)
-    : geom_(geom), timing_(timing), coding_(coding), events_(events)
+    : geom_((geom.validate(), geom)), // before the table sizes itself
+      timing_(timing), coding_(coding),
+      events_(events), arena_(std::make_unique<sim::Arena>()),
+      table_(geom_, *arena_)
 {
-    geom_.validate();
     if (static_cast<std::uint32_t>(coding_.bits()) != geom_.bitsPerCell)
         sim::fatal("ChipArray: coding scheme bit density does not match "
                    "geometry bitsPerCell");
-    // Size the arena's chunk so the whole device's block arrays land in
-    // one contiguous chunk: per-block cost is pages * (state + sector
-    // mask) plus two per-wordline mask bytes. The FTL tables carved from
-    // the same arena later (L2P, P2L, BlockManager's per-block arrays)
-    // open further chunks or fill the roomiest tail (Arena::allocate);
-    // only the bytes handed out become resident.
-    const std::size_t perBlock =
-        geom_.pagesPerBlock * (sizeof(PageState) + sizeof(SectorMask)) +
-        2 * geom_.wordlinesPerBlock() * sizeof(LevelMask) + 16;
-    arena_ = std::make_unique<sim::Arena>(
-        std::max<std::size_t>(std::size_t{1} << 22,
-                              perBlock * geom_.blocks()));
-    blocks_.reserve(geom_.blocks());
-    for (std::uint64_t b = 0; b < geom_.blocks(); ++b)
-        blocks_.emplace_back(geom_.pagesPerBlock, geom_.bitsPerCell,
-                             geom_.sectorsPerPage(), *arena_);
     dies_.resize(geom_.dies());
     channelFree_.assign(geom_.channels, sim::Time{});
     spans_.resize(1); // slot 0 is kNoSpan
@@ -50,9 +36,9 @@ ChipArray::transferTimeFor(std::uint32_t sectors) const
 sim::Time
 ChipArray::currentReadLatency(Ppn ppn) const
 {
-    const Block &blk = blocks_[geom_.blockOf(ppn)];
     const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    const int sensings = blk.readSensings(page, coding_);
+    const int sensings =
+        table_.block(geom_.blockOf(ppn)).readSensings(page, coding_);
     return timing_.readLatency(coding_, sensings);
 }
 
@@ -61,9 +47,8 @@ ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
                     DoneCallback done, Lpn lpn, std::uint32_t sectors)
 {
     const BlockId bid = geom_.blockOf(ppn);
-    const Block &blk = blocks_[bid];
     const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    const int senses = blk.readSensings(page, coding_);
+    const int senses = table_.block(bid).readSensings(page, coding_);
     const int conv = coding_.sensingCount(
         static_cast<int>(geom_.levelOfPage(page)));
     const auto rounds = static_cast<std::uint64_t>(1 + extra_rounds);
@@ -102,11 +87,10 @@ void
 ChipArray::programImmediate(Ppn ppn)
 {
     const BlockId bid = geom_.blockOf(ppn);
-    Block &blk = blocks_[bid];
     const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    if (page != blk.writePointer())
+    if (page != table_.block(bid).writePointer())
         sim::panic("ChipArray::programImmediate: out-of-order program");
-    blk.programNext(events_.now());
+    table_.programNext(bid, events_.now());
 }
 
 void
@@ -114,11 +98,10 @@ ChipArray::programPage(Ppn ppn, DoneCallback done, Lpn lpn, bool host_data,
                        SectorMask sectors)
 {
     const BlockId bid = geom_.blockOf(ppn);
-    Block &blk = blocks_[bid];
     const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    if (page != blk.writePointer())
+    if (page != table_.block(bid).writePointer())
         sim::panic("ChipArray::programPage: out-of-order program");
-    blk.programNext(events_.now(), sectors);
+    table_.programNext(bid, events_.now(), sectors);
 
     Command cmd;
     cmd.op = Command::Op::Program;
@@ -140,7 +123,7 @@ ChipArray::programPage(Ppn ppn, DoneCallback done, Lpn lpn, bool host_data,
 void
 ChipArray::eraseBlock(BlockId b, DoneCallback done)
 {
-    blocks_[b].erase();
+    table_.erase(b);
     Command cmd;
     cmd.op = Command::Op::Erase;
     cmd.senseOrBusyTime = timing_.blockErase;
@@ -157,7 +140,7 @@ void
 ChipArray::adjustWordline(BlockId b, std::uint32_t wl, LevelMask mask,
                           DoneCallback done)
 {
-    blocks_[b].applyIda(wl, mask);
+    table_.applyIda(b, wl, mask);
     Command cmd;
     cmd.op = Command::Op::AdjustWl;
     cmd.senseOrBusyTime = timing_.voltageAdjust;

@@ -2,7 +2,7 @@
  * @file
  * Flash chip-array timing model.
  *
- * Owns every Block in the device and sequences flash commands onto the
+ * Owns the device's BlockTable and sequences flash commands onto the
  * shared resources: each die executes one command at a time and each
  * channel carries one page transfer at a time (paper Fig. 1). Host reads
  * are prioritized over every other die operation ("read-first
@@ -98,13 +98,20 @@ class ChipArray
     const FlashTiming &timing() const { return timing_; }
     const CodingScheme &coding() const { return coding_; }
 
-    Block &block(BlockId b) { return blocks_[b]; }
-    const Block &block(BlockId b) const { return blocks_[b]; }
+    /** Read-only view of block @p b. */
+    Block block(BlockId b) const { return table_.block(b); }
 
     /**
-     * The device arena backing every block's hot-state arrays. The FTL
-     * carves its own per-device tables (L2P/P2L, block metadata) from
-     * the same arena so the whole read path walks one allocation pool.
+     * The device's block state. Commands mutate it as they are issued;
+     * the FTL invalidates pages through it directly.
+     */
+    BlockTable &blockTable() { return table_; }
+    const BlockTable &blockTable() const { return table_; }
+
+    /**
+     * The device arena backing the block table. The FTL carves its own
+     * per-device tables (L2P/P2L, block metadata) from the same arena
+     * so the whole read path walks one allocation pool.
      */
     sim::Arena &arena() { return *arena_; }
 
@@ -279,9 +286,9 @@ class ChipArray
     const CodingScheme coding_;
     sim::EventQueue &events_;
 
-    /** Declared before blocks_: the views must not outlive the arena. */
+    /** Declared before table_: its arrays must not outlive the arena. */
     std::unique_ptr<sim::Arena> arena_;
-    std::vector<Block> blocks_;
+    BlockTable table_;
     std::vector<Die> dies_;
     std::vector<sim::Time> channelFree_;
     std::vector<PendingRead> pendingReads_;

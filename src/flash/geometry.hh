@@ -39,12 +39,23 @@ inline constexpr std::uint64_t kMaxPages = 0xFFFF'FFFEull;
 
 /**
  * Per-page sector validity bitmap (bit i = sector i of the page is
- * valid). 32 bits bound sectorsPerPage; the default geometry uses 16
- * (8 KB page / 512 B sectors). With sector granularity disabled the
- * whole page is driven through the full mask, so page-granular and
+ * valid). 16 bits bound sectorsPerPage, which the default geometry
+ * fills (8 KB page / 512 B sectors). With sector granularity disabled
+ * the whole page is driven through the full mask, so page-granular and
  * sector-granular code share one representation.
  */
-using SectorMask = std::uint32_t;
+using SectorMask = std::uint16_t;
+
+/** Most sectors a page may hold: the width of SectorMask. */
+inline constexpr std::uint32_t kMaxSectorsPerPage = 16;
+
+/** Mask of the low @p n sectors of a page (all of them when n >= 16). */
+inline constexpr SectorMask
+lowSectorMask(std::uint32_t n)
+{
+    return static_cast<SectorMask>(n >= kMaxSectorsPerPage ? 0xFFFFu
+                                                           : (1u << n) - 1);
+}
 
 /** Decomposed physical page address. */
 struct PageAddr
@@ -90,11 +101,8 @@ struct Geometry
     }
 
     /** All-sectors-valid mask for this geometry. */
-    SectorMask
-    fullSectorMask() const
-    {
-        const std::uint32_t n = sectorsPerPage();
-        return n >= 32 ? ~SectorMask{0} : ((SectorMask{1} << n) - 1);
+    SectorMask fullSectorMask() const {
+        return lowSectorMask(sectorsPerPage());
     }
 
     /** Validate internal consistency; fatal() on a bad configuration. */
@@ -112,9 +120,14 @@ struct Geometry
             sim::fatal("Geometry: pagesPerBlock must divide by bitsPerCell");
         if (sectorSizeBytes == 0 || pageSizeBytes % sectorSizeBytes != 0)
             sim::fatal("Geometry: sectorSizeBytes must divide pageSizeBytes");
-        if (sectorsPerPage() > 32)
-            sim::fatal("Geometry: at most 32 sectors per page "
-                       "(SectorMask is 32 bits)");
+        if (sectorsPerPage() > kMaxSectorsPerPage)
+            sim::fatal("Geometry: pageSizeBytes / sectorSizeBytes = " +
+                       std::to_string(pageSizeBytes) + " / " +
+                       std::to_string(sectorSizeBytes) + " = " +
+                       std::to_string(sectorsPerPage()) +
+                       " sectors per page exceeds " +
+                       std::to_string(kMaxSectorsPerPage) +
+                       " (sector masks are 16 bits)");
         // Stop as soon as the product would pass kMaxPages: no overflow.
         std::uint64_t n = 1;
         for (const std::uint32_t d : {channels, chipsPerChannel, diesPerChip,

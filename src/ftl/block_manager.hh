@@ -2,7 +2,7 @@
  * @file
  * FTL-side block bookkeeping: per-plane free pools, active (open) write
  * blocks, and the per-block metadata the refresh/GC policies need on top
- * of the physical flash::Block state.
+ * of the physical flash::BlockTable state.
  *
  * The metadata is stored structure-of-arrays: one packed flags byte per
  * block plus a parallel refreshed-at timestamp array, both carved from
@@ -43,7 +43,7 @@ using flash::BlockId;
 /**
  * Per-plane block pools plus per-block FTL metadata.
  *
- * The physical page/erase state stays in flash::Block (owned by the
+ * The physical page/erase state stays in flash::BlockTable (owned by the
  * ChipArray); this class only manages allocation lifecycles.
  */
 class BlockManager

@@ -215,9 +215,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         return;
     }
 
-    const auto page = static_cast<std::uint32_t>(src % geom_.pagesPerBlock);
-    const auto &blk = chips_.block(geom_.blockOf(src));
-    const flash::SectorMask fv = blk.sectorMask(page);
+    const flash::SectorMask fv = chips_.blockTable().sectorMask(src);
     const flash::SectorMask fetch = need & ~(dirty | cached) & fv;
     if (fetch == 0) {
         // Everything flash could supply is already resident in DRAM;
@@ -255,6 +253,8 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         ++stats_.sector.zeroFillReads;
 
     classifyHostRead(src);
+    const auto page = static_cast<std::uint32_t>(src % geom_.pagesPerBlock);
+    const flash::Block blk = chips_.block(geom_.blockOf(src));
     const int rounds = ecc_.retryRounds(
         blk.eraseCount(), events_.now() - blk.programTime(), rng_);
 
@@ -306,24 +306,8 @@ Ftl::hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // buffered write eagerly invalidates the overlapped flash
         // sectors, since the buffer now owns their freshest data and
         // the destage will re-program them anyway.
-        if (cfg_.sectorMode && m != fullMask_) {
-            const Ppn old = mapping_.lookup(lpn);
-            if (old != kInvalidPpn) {
-                auto &blk = chips_.block(geom_.blockOf(old));
-                const auto page = static_cast<std::uint32_t>(
-                    old % geom_.pagesPerBlock);
-                const flash::SectorMask fv = blk.sectorMask(page);
-                const flash::SectorMask clear = m & fv;
-                if (clear == fv && fv != 0) {
-                    mapping_.unmap(lpn);
-                    blk.invalidate(page);
-                    ++stats_.sector.pagesDiedPartial;
-                } else if (clear != 0) {
-                    blk.invalidateSectors(page, clear);
-                    ++stats_.sector.partialInvalidations;
-                }
-            }
-        }
+        if (cfg_.sectorMode && m != fullMask_)
+            invalidateMappedSectors(lpn, m);
         const sim::Time t = events_.now() + wbuf_.config().dramLatency;
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufWrite, lpn,
@@ -364,28 +348,29 @@ Ftl::hostTrim(Lpn lpn, flash::SectorMask sectors)
     wbuf_.remove(lpn, m);
     if (m == fullMask_) {
         const Ppn old = mapping_.unmap(lpn);
-        if (old != kInvalidPpn) {
-            chips_.block(geom_.blockOf(old))
-                .invalidate(static_cast<std::uint32_t>(
-                    old % geom_.pagesPerBlock));
-        }
+        if (old != kInvalidPpn)
+            chips_.blockTable().invalidate(old);
         return;
     }
+    invalidateMappedSectors(lpn, m);
+}
+
+void
+Ftl::invalidateMappedSectors(Lpn lpn, flash::SectorMask m)
+{
     const Ppn old = mapping_.lookup(lpn);
     if (old == kInvalidPpn)
         return;
-    auto &blk = chips_.block(geom_.blockOf(old));
-    const auto page =
-        static_cast<std::uint32_t>(old % geom_.pagesPerBlock);
-    const flash::SectorMask fv = blk.sectorMask(page);
+    flash::BlockTable &table = chips_.blockTable();
+    const flash::SectorMask fv = table.sectorMask(old);
     const flash::SectorMask clear = m & fv;
     if (clear == fv && fv != 0) {
-        // The TRIM covers every still-valid sector: the page dies.
+        // @p m covers every still-valid sector: the page dies.
         mapping_.unmap(lpn);
-        blk.invalidate(page);
+        table.invalidate(old);
         ++stats_.sector.pagesDiedPartial;
     } else if (clear != 0) {
-        blk.invalidateSectors(page, clear);
+        table.invalidateSectors(old, clear);
         ++stats_.sector.partialInvalidations;
     }
 }
@@ -401,9 +386,7 @@ Ftl::programHostData(Lpn lpn, flash::SectorMask sectors, PageDone done,
         // programs: callers merge the surviving flash sectors into
         // @p sectors first (programMerged), so the new copy supersedes
         // everything the old page still held.
-        chips_.block(geom_.blockOf(old))
-            .invalidate(static_cast<std::uint32_t>(
-                old % geom_.pagesPerBlock));
+        chips_.blockTable().invalidate(old);
     }
     // host_write distinguishes a synchronous host write from a
     // background write-buffer destage for attribution.
@@ -417,12 +400,8 @@ Ftl::programMerged(Lpn lpn, flash::SectorMask sectors, PageDone done,
 {
     flash::SectorMask keep = 0;
     const Ppn old = mapping_.lookup(lpn);
-    if (cfg_.sectorMode && old != kInvalidPpn) {
-        keep = chips_.block(geom_.blockOf(old))
-                   .sectorMask(static_cast<std::uint32_t>(
-                       old % geom_.pagesPerBlock)) &
-               ~sectors;
-    }
+    if (cfg_.sectorMode && old != kInvalidPpn)
+        keep = chips_.blockTable().sectorMask(old) & ~sectors;
     if (keep == 0) {
         // Nothing valid survives outside the write: program directly
         // (the only path whole-page writes ever take).
@@ -479,11 +458,8 @@ Ftl::finishRmw(std::uint32_t slot)
     }
     // Recompute the survivors from the *current* mask: a sub-page TRIM
     // may have shrunk it while the read was in flight.
-    const flash::SectorMask keep =
-        chips_.block(geom_.blockOf(expect))
-            .sectorMask(
-                static_cast<std::uint32_t>(expect % geom_.pagesPerBlock)) &
-        ~sectors;
+    const auto keep = static_cast<flash::SectorMask>(
+        chips_.blockTable().sectorMask(expect) & ~sectors);
     programHostData(lpn, sectors | keep, std::move(done), host);
 }
 
@@ -515,9 +491,7 @@ Ftl::preloadWrite(Lpn lpn)
     const Ppn dst = allocator_.allocateHostPage();
     const Ppn old = mapping_.remap(lpn, dst);
     if (old != kInvalidPpn) {
-        chips_.block(geom_.blockOf(old))
-            .invalidate(static_cast<std::uint32_t>(
-                old % geom_.pagesPerBlock));
+        chips_.blockTable().invalidate(old);
     }
     chips_.programImmediate(dst);
     preloading_ = false;
@@ -550,15 +524,12 @@ Ftl::migrateValidPage(Ppn src, PageDone done)
         return false; // updated or already migrated meanwhile
     const std::uint64_t plane = geom_.planeOfBlock(geom_.blockOf(src));
     const Ppn dst = allocator_.allocateInternalPage(plane);
-    auto &srcBlk = chips_.block(geom_.blockOf(src));
-    const auto srcPage =
-        static_cast<std::uint32_t>(src % geom_.pagesPerBlock);
     // Capture the source's sector mask before invalidating it: a
     // partially-valid page stays partially valid across the migration
     // (GC copies only the live sectors).
-    const flash::SectorMask sectors = srcBlk.sectorMask(srcPage);
+    const flash::SectorMask sectors = chips_.blockTable().sectorMask(src);
     mapping_.remap(lpn, dst);
-    srcBlk.invalidate(srcPage);
+    chips_.blockTable().invalidate(src);
     chips_.programPage(dst, std::move(done), kInvalidLpn, false, sectors);
     noteInUse();
     return true;
@@ -623,12 +594,10 @@ Ftl::flushMigrations(std::uint64_t plane)
                 ++stats_.refresh.displacedFastPages;
         }
         const Lpn lpn = mapping_.reverse(m.src);
-        auto &srcBlk = chips_.block(geom_.blockOf(m.src));
-        const auto srcPage =
-            static_cast<std::uint32_t>(m.src % geom_.pagesPerBlock);
-        const flash::SectorMask sectors = srcBlk.sectorMask(srcPage);
+        const flash::SectorMask sectors =
+            chips_.blockTable().sectorMask(m.src);
         mapping_.remap(lpn, dst);
-        srcBlk.invalidate(srcPage);
+        chips_.blockTable().invalidate(m.src);
         chips_.programPage(dst, std::move(m.done), kInvalidLpn, false,
                            sectors);
         noteInUse();

@@ -372,6 +372,13 @@ class Ftl
     friend class RefreshJob;
 
     void classifyHostRead(Ppn ppn);
+
+    /**
+     * Clear @p m from @p lpn's flash copy, if mapped, unmapping @p lpn
+     * when no sector survives (sub-page writes and TRIMs).
+     */
+    void invalidateMappedSectors(Lpn lpn, flash::SectorMask m);
+
     void programHostData(Lpn lpn, flash::SectorMask sectors, PageDone done,
                          bool host_write);
 

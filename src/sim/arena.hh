@@ -2,13 +2,11 @@
  * @file
  * Device-lifetime bump arena for the simulator's hot-state arrays.
  *
- * The read critical path walks per-page and per-wordline arrays that the
- * seed allocated as one std::vector per Block (tens of thousands of tiny
- * heap allocations per device, scattered across the heap). The arena
- * replaces them with a handful of large chunks handed out bump-pointer
- * style, so every block's page-state array sits contiguously next to its
- * neighbours and device construction is a few mmap-sized allocations
- * instead of ~4 per block.
+ * The read critical path walks per-page and per-wordline arrays. The
+ * arena hands them out bump-pointer style from a handful of large
+ * chunks, so the device's block table (flash::BlockTable) is a few flat
+ * arrays and device construction is a few mmap-sized allocations
+ * instead of tens of thousands of small ones scattered across the heap.
  *
  * Allocations are never freed individually — the owning device object
  * (ChipArray) destroys the arena wholesale. That matches the usage: the

@@ -229,11 +229,9 @@ Ssd::pageMaskOf(std::uint32_t start_sector, std::uint32_t sector_count,
         std::min<std::uint64_t>(pageLo + spp,
                                 std::uint64_t{start_sector} +
                                     sector_count);
-    const auto n = static_cast<std::uint32_t>(hi - lo);
-    const flash::SectorMask run =
-        n >= 32 ? ~flash::SectorMask{0}
-                : ((flash::SectorMask{1} << n) - 1);
-    return run << (lo - pageLo);
+    return static_cast<flash::SectorMask>(
+        flash::lowSectorMask(static_cast<std::uint32_t>(hi - lo))
+        << (lo - pageLo));
 }
 
 void

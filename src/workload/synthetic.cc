@@ -44,8 +44,9 @@ SyntheticTrace::SyntheticTrace(const SyntheticConfig &cfg)
     if (cfg_.subPageFraction < 0.0 || cfg_.subPageFraction > 1.0)
         sim::fatal("SyntheticConfig: subPageFraction must be in [0, 1]");
     if (cfg_.subPageFraction > 0.0 &&
-        (cfg_.sectorsPerPage < 2 || cfg_.sectorsPerPage > 32))
-        sim::fatal("SyntheticConfig: sectorsPerPage must be in [2, 32] "
+        (cfg_.sectorsPerPage < 2 ||
+         cfg_.sectorsPerPage > flash::kMaxSectorsPerPage))
+        sim::fatal("SyntheticConfig: sectorsPerPage must be in [2, 16] "
                    "when sub-page requests are enabled");
 
     readMult_ = coprimeMult(cfg_.footprintPages, 0x9E3779B97F4A7C15ull);

@@ -66,44 +66,48 @@ struct EventQueuePeer
     }
 };
 
-/** Reaches into flash::Block's cached/incremental state. */
+/** Reaches into flash::BlockTable's arrays and per-block records. */
 struct BlockPeer
 {
     static void
-    setInvalidMask(flash::Block &b, std::uint32_t wl, flash::LevelMask m)
+    setInvalidMask(flash::BlockTable &t, flash::BlockId b, std::uint32_t wl,
+                   flash::LevelMask m)
     {
-        b.wlInvalid_[wl] = m;
+        t.wlInvalid_[b * t.wordlinesPerBlock_ + wl] = m;
     }
 
     static void
-    setWordlineMask(flash::Block &b, std::uint32_t wl, flash::LevelMask m)
+    setWordlineMask(flash::BlockTable &t, flash::BlockId b,
+                    std::uint32_t wl, flash::LevelMask m)
     {
-        b.wlMask_[wl] = m;
+        t.wlMask_[b * t.wordlinesPerBlock_ + wl] = m;
+    }
+
+    /** Rewrite page @p p's sector mask, leaving every cache alone. */
+    static void
+    setSectorMask(flash::BlockTable &t, flash::Ppn p, flash::SectorMask m)
+    {
+        t.sectorValid_[p] = m;
     }
 
     static void
-    setIdaFlag(flash::Block &b, bool v)
+    setIdaFlag(flash::BlockTable &t, flash::BlockId b, bool v)
     {
-        b.idaBlock_ = v;
+        t.records_[b].idaBlock = v;
     }
 
     static void
-    setPageState(flash::Block &b, std::uint32_t page, flash::PageState st)
+    bumpValidCount(flash::BlockTable &t, flash::BlockId b,
+                   std::int32_t delta)
     {
-        b.pages_[page] = st;
+        t.records_[b].validCount = static_cast<std::uint32_t>(
+            static_cast<std::int32_t>(t.records_[b].validCount) + delta);
     }
 
     static void
-    bumpValidCount(flash::Block &b, std::int32_t delta)
+    setProgramTime(flash::BlockTable &t, flash::BlockId b, sim::Time v)
     {
-        b.validCount_ = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(b.validCount_) + delta);
-    }
-
-    static void
-    setProgramTime(flash::Block &b, sim::Time t)
-    {
-        b.programTime_ = t;
+        t.records_[b].programTime = v;
     }
 };
 

@@ -56,7 +56,7 @@ struct FtlFixture
         ftl.finalizePreload();
     }
 
-    const flash::Block &
+    flash::Block
     blockOfLpn(flash::Lpn lpn) const
     {
         return chips.block(geom.blockOf(ftl.mapping().lookup(lpn)));

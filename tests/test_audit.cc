@@ -145,11 +145,8 @@ TEST(AuditorNegative, MappingCheckCatchesInvalidatedMappedPage)
     WarmSsd w;
     const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
     ASSERT_NE(ppn, flash::kInvalidPpn);
-    const auto &geom = w.ssd.chips().geometry();
-    auto &blk = w.ssd.chips().block(geom.blockOf(ppn));
-    testing_peers_block::setPageState(
-        blk, static_cast<std::uint32_t>(ppn % geom.pagesPerBlock),
-        flash::PageState::Invalid);
+    // Its last sector gone, the mapped page reads as Invalid.
+    testing_peers_block::setSectorMask(w.ssd.chips().blockTable(), ppn, 0);
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
@@ -161,9 +158,9 @@ TEST(AuditorNegative, MappingCheckCatchesValidCountDrift)
     WarmSsd w;
     const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
     ASSERT_NE(ppn, flash::kInvalidPpn);
-    auto &blk = w.ssd.chips().block(
-        w.ssd.chips().geometry().blockOf(ppn));
-    testing_peers_block::bumpValidCount(blk, +1);
+    testing_peers_block::bumpValidCount(
+        w.ssd.chips().blockTable(), w.ssd.chips().geometry().blockOf(ppn),
+        +1);
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
@@ -176,12 +173,13 @@ TEST(AuditorNegative, WordlineCacheCheckCatchesStaleMask)
     const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
     ASSERT_NE(ppn, flash::kInvalidPpn);
     const auto &geom = w.ssd.chips().geometry();
-    auto &blk = w.ssd.chips().block(geom.blockOf(ppn));
+    const flash::BlockId b = geom.blockOf(ppn);
     const auto wl = geom.wordlineOfPage(
         static_cast<std::uint32_t>(ppn % geom.pagesPerBlock));
     testing_peers_block::setInvalidMask(
-        blk, wl,
-        static_cast<flash::LevelMask>(blk.invalidLevelMask(wl) ^ 0x1u));
+        w.ssd.chips().blockTable(), b, wl,
+        static_cast<flash::LevelMask>(
+            w.ssd.chips().block(b).invalidLevelMask(wl) ^ 0x1u));
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
@@ -194,7 +192,8 @@ TEST(AuditorNegative, IdaCheckCatchesMaskDroppingLiveData)
     const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
     ASSERT_NE(ppn, flash::kInvalidPpn);
     const auto &geom = w.ssd.chips().geometry();
-    auto &blk = w.ssd.chips().block(geom.blockOf(ppn));
+    auto &table = w.ssd.chips().blockTable();
+    const flash::BlockId b = geom.blockOf(ppn);
     const auto page = static_cast<std::uint32_t>(ppn % geom.pagesPerBlock);
     const auto wl = geom.wordlineOfPage(page);
     // Pretend the wordline was IDA'd with lpn 0's own level dropped:
@@ -203,8 +202,8 @@ TEST(AuditorNegative, IdaCheckCatchesMaskDroppingLiveData)
     const auto mask = static_cast<flash::LevelMask>(
         flash::fullMask(static_cast<int>(geom.bitsPerCell)) &
         ~(1u << geom.levelOfPage(page)));
-    testing_peers_block::setWordlineMask(blk, wl, mask);
-    testing_peers_block::setIdaFlag(blk, true);
+    testing_peers_block::setWordlineMask(table, b, wl, mask);
+    testing_peers_block::setIdaFlag(table, b, true);
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
@@ -214,12 +213,83 @@ TEST(AuditorNegative, IdaCheckCatchesMaskDroppingLiveData)
 TEST(AuditorNegative, IdaCheckCatchesBlockFlagDisagreement)
 {
     WarmSsd w;
-    auto &blk = w.ssd.chips().block(0);
-    testing_peers_block::setIdaFlag(blk, true); // no IDA wordline exists
+    // No IDA wordline exists.
+    testing_peers_block::setIdaFlag(w.ssd.chips().blockTable(), 0, true);
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);
     EXPECT_TRUE(fired(a, "ida-coding")) << a.summary();
+}
+
+TEST(AuditorNegative, SectorValidityCheckCatchesMaskBeyondThePage)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.geometry.pageSizeBytes = 4096; // 8 sectors: the top byte is spare
+    WarmSsd w(cfg);
+    const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
+    ASSERT_NE(ppn, flash::kInvalidPpn);
+    auto &table = w.ssd.chips().blockTable();
+    testing_peers_block::setSectorMask(
+        table, ppn, static_cast<flash::SectorMask>(table.sectorMask(ppn) |
+                                                   0x0100u));
+
+    Auditor a(w.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "sector-validity")) << a.summary();
+    EXPECT_NE(a.summary().find("beyond sectorsPerPage"), std::string::npos)
+        << a.summary();
+}
+
+TEST(AuditorNegative, SectorValidityCheckCatchesLiveMaskAboveWritePointer)
+{
+    WarmSsd w;
+    const auto &geom = w.ssd.chips().geometry();
+    flash::BlockId open = geom.blocks();
+    for (flash::BlockId b = 0; b < geom.blocks(); ++b) {
+        if (!w.ssd.chips().block(b).isFull()) {
+            open = b;
+            break;
+        }
+    }
+    ASSERT_LT(open, geom.blocks());
+    const flash::Ppn free = geom.firstPpnOf(open) +
+                            w.ssd.chips().block(open).writePointer();
+    testing_peers_block::setSectorMask(w.ssd.chips().blockTable(), free,
+                                       0x0001);
+
+    Auditor a(w.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "sector-validity")) << a.summary();
+    EXPECT_NE(a.summary().find("write pointer"), std::string::npos)
+        << a.summary();
+}
+
+TEST(AuditorNegative, CacheCoherenceCheckCatchesUnbackedCachedSector)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.ftl.readCache.capacityPages = 64;
+    WarmSsd w(cfg);
+    flash::Lpn lpn = flash::kInvalidLpn;
+    w.ssd.ftl().readCache().forEachLine(
+        [&](flash::Lpn l, flash::SectorMask m) {
+            if (lpn == flash::kInvalidLpn && (m & 1u) != 0)
+                lpn = l;
+        });
+    ASSERT_NE(lpn, flash::kInvalidLpn) << "no cached line holds sector 0";
+    const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(lpn);
+    ASSERT_NE(ppn, flash::kInvalidPpn);
+    // Sector 0 leaves flash without the cache hearing of it; the page
+    // stays Valid, so only the cached copy is now unbacked.
+    auto &table = w.ssd.chips().blockTable();
+    testing_peers_block::setSectorMask(
+        table, ppn, static_cast<flash::SectorMask>(table.sectorMask(ppn) &
+                                                   ~1u));
+
+    Auditor a(w.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "cache-coherence")) << a.summary();
+    EXPECT_NE(a.summary().find("not covered"), std::string::npos)
+        << a.summary();
 }
 
 TEST(AuditorNegative, EventQueueCheckCatchesHeapDisorder)
@@ -377,10 +447,9 @@ TEST(AuditorNegative, BlockAccountingCheckCatchesFutureClock)
     WarmSsd w;
     const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
     ASSERT_NE(ppn, flash::kInvalidPpn);
-    auto &blk = w.ssd.chips().block(
-        w.ssd.chips().geometry().blockOf(ppn));
-    testing_peers_block::setProgramTime(blk,
-                                        w.ssd.events().now() + sim::kDay);
+    testing_peers_block::setProgramTime(
+        w.ssd.chips().blockTable(), w.ssd.chips().geometry().blockOf(ppn),
+        w.ssd.events().now() + sim::kDay);
 
     Auditor a(w.ssd);
     EXPECT_GT(a.runAll(), 0u);

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include "flash/block.hh"
+#include "one_block.hh"
 
 namespace ida::flash {
 namespace {
 
+using testing::OneBlock;
+
 TEST(Block, StartsErased)
 {
-    Block b(24, 3);
+    OneBlock t(24);
+    const Block b = t.view();
     EXPECT_TRUE(b.isErased());
     EXPECT_FALSE(b.isFull());
     EXPECT_EQ(b.validCount(), 0u);
@@ -23,9 +27,10 @@ TEST(Block, StartsErased)
 
 TEST(Block, ProgramsInOrder)
 {
-    Block b(6, 3);
-    EXPECT_EQ(b.programNext(sim::Time{100}), 0u);
-    EXPECT_EQ(b.programNext(sim::Time{101}), 1u);
+    OneBlock t(6);
+    const Block b = t.view();
+    EXPECT_EQ(t.table.programNext(0, sim::Time{100}), 0u);
+    EXPECT_EQ(t.table.programNext(0, sim::Time{101}), 1u);
     EXPECT_EQ(b.writePointer(), 2u);
     EXPECT_EQ(b.validCount(), 2u);
     EXPECT_EQ(b.programTime(), sim::Time{100});
@@ -33,10 +38,11 @@ TEST(Block, ProgramsInOrder)
 
 TEST(Block, InvalidateTracksValidCount)
 {
-    Block b(6, 3);
-    b.programNext(sim::Time{0});
-    b.programNext(sim::Time{0});
-    b.invalidate(0);
+    OneBlock t(6);
+    const Block b = t.view();
+    t.table.programNext(0, sim::Time{0});
+    t.table.programNext(0, sim::Time{0});
+    t.table.invalidate(0);
     EXPECT_EQ(b.validCount(), 1u);
     EXPECT_EQ(b.pageState(0), PageState::Invalid);
     EXPECT_TRUE(b.isValid(1));
@@ -44,16 +50,17 @@ TEST(Block, InvalidateTracksValidCount)
 
 TEST(Block, FullLifecycle)
 {
-    Block b(6, 3);
+    OneBlock t(6);
+    const Block b = t.view();
     for (int i = 0; i < 6; ++i)
-        b.programNext(sim::Time{50});
+        t.table.programNext(0, sim::Time{50});
     EXPECT_TRUE(b.isFull());
-    b.invalidate(0); // LSB of WL0
-    b.applyIda(0, 0b110);
+    t.table.invalidate(0); // LSB of WL0
+    t.table.applyIda(0, 0, 0b110);
     EXPECT_TRUE(b.isIdaBlock());
     EXPECT_TRUE(b.isIdaWordline(0));
     EXPECT_FALSE(b.isIdaWordline(1));
-    b.erase();
+    t.table.erase(0);
     EXPECT_TRUE(b.isErased());
     EXPECT_EQ(b.eraseCount(), 1u);
     EXPECT_FALSE(b.isIdaBlock());
@@ -64,16 +71,17 @@ TEST(Block, FullLifecycle)
 TEST(Block, ReadSensingsFollowWordlineMode)
 {
     const CodingScheme c = CodingScheme::tlc124();
-    Block b(6, 3);
+    OneBlock t(6);
+    const Block b = t.view();
     for (int i = 0; i < 6; ++i)
-        b.programNext(sim::Time{0});
+        t.table.programNext(0, sim::Time{0});
     // Conventional: LSB 1, CSB 2, MSB 4.
     EXPECT_EQ(b.readSensings(0, c), 1);
     EXPECT_EQ(b.readSensings(1, c), 2);
     EXPECT_EQ(b.readSensings(2, c), 4);
     // LSB-invalid IDA on WL0: CSB 1, MSB 2.
-    b.invalidate(0);
-    b.applyIda(0, 0b110);
+    t.table.invalidate(0);
+    t.table.applyIda(0, 0, 0b110);
     EXPECT_EQ(b.readSensings(1, c), 1);
     EXPECT_EQ(b.readSensings(2, c), 2);
     // WL1 untouched.
@@ -82,52 +90,53 @@ TEST(Block, ReadSensingsFollowWordlineMode)
 
 TEST(Block, IdaMaskCanShrinkMonotonically)
 {
-    Block b(3, 3);
+    OneBlock t(3);
+    const Block b = t.view();
     for (int i = 0; i < 3; ++i)
-        b.programNext(sim::Time{0});
-    b.invalidate(0);
-    b.applyIda(0, 0b110);
+        t.table.programNext(0, sim::Time{0});
+    t.table.invalidate(0);
+    t.table.applyIda(0, 0, 0b110);
     // CSB becomes invalid later; tightening to MSB-only is legal.
-    b.invalidate(1);
-    b.applyIda(0, 0b100);
+    t.table.invalidate(1);
+    t.table.applyIda(0, 0, 0b100);
     EXPECT_EQ(b.wordlineMask(0), 0b100);
 }
 
 TEST(BlockDeath, ApplyIdaRefusesToDestroyValidData)
 {
-    Block b(3, 3);
+    OneBlock t(3);
     for (int i = 0; i < 3; ++i)
-        b.programNext(sim::Time{0});
+        t.table.programNext(0, sim::Time{0});
     // LSB still valid; masking it away would destroy data.
-    EXPECT_DEATH(b.applyIda(0, 0b110), "valid page");
+    EXPECT_DEATH(t.table.applyIda(0, 0, 0b110), "valid page");
 }
 
 TEST(BlockDeath, ApplyIdaRefusesMaskWidening)
 {
-    Block b(3, 3);
+    OneBlock t(3);
     for (int i = 0; i < 3; ++i)
-        b.programNext(sim::Time{0});
-    b.invalidate(0);
-    b.invalidate(1);
-    b.applyIda(0, 0b100);
+        t.table.programNext(0, sim::Time{0});
+    t.table.invalidate(0);
+    t.table.invalidate(1);
+    t.table.applyIda(0, 0, 0b100);
     // Widening back to CSB+MSB would move states downward: illegal.
-    EXPECT_DEATH(b.applyIda(0, 0b110), "monotonically");
+    EXPECT_DEATH(t.table.applyIda(0, 0, 0b110), "monotonically");
 }
 
 TEST(BlockDeath, ProgramBeyondFullPanics)
 {
-    Block b(3, 3);
+    OneBlock t(3);
     for (int i = 0; i < 3; ++i)
-        b.programNext(sim::Time{0});
-    EXPECT_DEATH(b.programNext(sim::Time{0}), "full");
+        t.table.programNext(0, sim::Time{0});
+    EXPECT_DEATH(t.table.programNext(0, sim::Time{0}), "full");
 }
 
 TEST(BlockDeath, DoubleInvalidatePanics)
 {
-    Block b(3, 3);
-    b.programNext(sim::Time{0});
-    b.invalidate(0);
-    EXPECT_DEATH(b.invalidate(0), "not valid");
+    OneBlock t(3);
+    t.table.programNext(0, sim::Time{0});
+    t.table.invalidate(0);
+    EXPECT_DEATH(t.table.invalidate(0), "not valid");
 }
 
 // ---- Table I classification (TLC). ---------------------------------------
@@ -141,18 +150,19 @@ TEST_P(TableICase, MatchesPaperNumbering)
     // Case k (1..8): LSB invalid iff k is even; CSB invalid iff
     // ((k-1)/2) % 2 == 1; MSB invalid iff k >= 5 (paper Table I).
     const int k = GetParam();
-    Block b(3, 3);
+    OneBlock t(3);
+    const Block b = t.view();
     for (int i = 0; i < 3; ++i)
-        b.programNext(sim::Time{0});
+        t.table.programNext(0, sim::Time{0});
     const bool lsbInvalid = (k % 2) == 0;
     const bool csbInvalid = ((k - 1) / 2) % 2 == 1;
     const bool msbInvalid = k >= 5;
     if (lsbInvalid)
-        b.invalidate(0);
+        t.table.invalidate(0);
     if (csbInvalid)
-        b.invalidate(1);
+        t.table.invalidate(1);
     if (msbInvalid)
-        b.invalidate(2);
+        t.table.invalidate(2);
     EXPECT_EQ(b.tableICase(0), k);
 }
 
@@ -160,9 +170,10 @@ INSTANTIATE_TEST_SUITE_P(AllCases, TableICase, ::testing::Range(1, 9));
 
 TEST(Block, TableICaseZeroWhileNotFullyProgrammed)
 {
-    Block b(3, 3);
+    OneBlock t(3);
+    const Block b = t.view();
     EXPECT_EQ(b.tableICase(0), 0);
-    b.programNext(sim::Time{0});
+    t.table.programNext(0, sim::Time{0});
     EXPECT_EQ(b.tableICase(0), 0);
 }
 

@@ -63,7 +63,7 @@ TEST(BlockManager, TakeCloseReleaseLifecycle)
     f.mgr.closeActive(b);
     EXPECT_EQ(f.mgr.inUseBlocks(), 1u);
 
-    f.chips.block(b).erase();
+    f.chips.blockTable().erase(b);
     f.mgr.release(b);
     EXPECT_EQ(f.mgr.freeCount(0), 4u);
     EXPECT_EQ(f.mgr.inUseBlocks(), 0u);
@@ -90,9 +90,9 @@ TEST(BlockManager, GcVictimIsFewestValidThenLeastWorn)
         f.fill(ids[i]);
         f.mgr.closeActive(ids[i]);
     }
-    f.chips.block(ids[0]).invalidate(0);
-    f.chips.block(ids[1]).invalidate(0);
-    f.chips.block(ids[1]).invalidate(1);
+    f.chips.blockTable().invalidate(f.geom.firstPpnOf(ids[0]));
+    f.chips.blockTable().invalidate(f.geom.firstPpnOf(ids[1]));
+    f.chips.blockTable().invalidate(f.geom.firstPpnOf(ids[1]) + 1);
     // ids[1] has the fewest valid pages.
     flash::BlockId victim;
     ASSERT_TRUE(f.mgr.pickGcVictim(0, victim));
@@ -141,8 +141,9 @@ TEST(BlockManager, RefreshCandidatesRespectAgeAndValidity)
     f.fill(empty);
     f.mgr.closeActive(empty);
     f.mgr.setRefreshedAt(empty, sim::Time{});
+    // Nothing valid is left to protect.
     for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p)
-        f.chips.block(empty).invalidate(p); // nothing valid to protect
+        f.chips.blockTable().invalidate(f.geom.firstPpnOf(empty) + p);
 
     const auto cands = f.mgr.refreshCandidates(sim::Time{1000}, sim::Time{500});
     ASSERT_EQ(cands.size(), 1u);
@@ -213,7 +214,7 @@ struct PropertyFixture
     void
     program(flash::BlockId b, std::uint32_t pages)
     {
-        auto &blk = chips.block(b);
+        const flash::Block blk = chips.block(b);
         for (std::uint32_t i = 0; i < pages && !blk.isFull(); ++i)
             chips.programImmediate(geom.firstPpnOf(b) + blk.writePointer());
     }
@@ -300,10 +301,11 @@ TEST(BlockManagerProperty, AgeIndexMatchesFlatScanOverRandomLifecycles)
                 return f.closed(x) && f.chips.block(x).validCount() != 0;
             });
             if (b) {
-                auto &blk = f.chips.block(*b);
+                const flash::Block blk = f.chips.block(*b);
                 for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p) {
                     if (blk.isValid(p)) {
-                        blk.invalidate(p);
+                        f.chips.blockTable().invalidate(
+                            f.geom.firstPpnOf(*b) + p);
                         break;
                     }
                 }
@@ -311,16 +313,17 @@ TEST(BlockManagerProperty, AgeIndexMatchesFlatScanOverRandomLifecycles)
         } else if (kind == 6) { // empty a closed block
             const auto b = pick(isClosed);
             if (b) {
-                auto &blk = f.chips.block(*b);
+                const flash::Block blk = f.chips.block(*b);
                 for (std::uint32_t p = 0; p < f.geom.pagesPerBlock; ++p) {
                     if (blk.isValid(p))
-                        blk.invalidate(p);
+                        f.chips.blockTable().invalidate(
+                            f.geom.firstPpnOf(*b) + p);
                 }
             }
         } else if (kind == 7) { // erase and release a closed block
             const auto b = pick(isClosed);
             if (b) {
-                f.chips.block(*b).erase();
+                f.chips.blockTable().erase(*b);
                 f.mgr.release(*b);
             }
         } else if (rng.chance(0.05)) { // bulk load, as a preload does

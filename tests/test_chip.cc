@@ -77,7 +77,7 @@ TEST(Chip, IdaWordlineReadsFaster)
 {
     Fixture f;
     f.fillBlock(0);
-    f.chips.block(0).invalidate(0);
+    f.chips.blockTable().invalidate(0);
     sim::Time done{-1};
     f.chips.adjustWordline(0, 0, 0b110, nullptr);
     f.chips.readPage(2, true, 0, [&](sim::Time t) { done = t; });
@@ -194,7 +194,7 @@ TEST(Chip, StatsCountCommands)
 {
     Fixture f;
     f.fillBlock(0);
-    f.chips.block(0).invalidate(0);
+    f.chips.blockTable().invalidate(0);
     f.chips.readPage(1, true, 0, nullptr);
     f.chips.programPage(f.geom.firstPpnOf(1), nullptr);
     f.chips.eraseBlock(2, nullptr);

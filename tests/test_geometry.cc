@@ -112,6 +112,18 @@ TEST(GeometryDeath, ValidateRejectsBadBitDensity)
     EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1), "divide");
 }
 
+TEST(GeometryDeath, ValidateRejectsSeventeenSectorsPerPage)
+{
+    // Sector masks are 16 bits; the message names both knobs.
+    Geometry g = paperShape();
+    g.pageSizeBytes = 17 * g.sectorSizeBytes;
+    EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1),
+                "pageSizeBytes / sectorSizeBytes = 8704 / 512 = 17 "
+                "sectors per page exceeds 16");
+    g.pageSizeBytes = 16 * g.sectorSizeBytes;
+    g.validate();
+}
+
 TEST(Geometry, ValidateAcceptsExactlyTheMappingLimit)
 {
     // 2^32 - 2 = 2 x (2^31 - 1): the largest page count 32-bit mapping

@@ -212,8 +212,8 @@ TEST(ReadCacheFtl, CoherenceHoldsUnderBufferedChurn)
             rng.uniformInt(0, 15));
         const std::uint32_t n = static_cast<std::uint32_t>(
             1 + rng.uniformInt(0, 15 - lo));
-        const auto mask = static_cast<flash::SectorMask>(
-            ((n >= 32 ? ~0u : ((1u << n) - 1u)) << lo));
+        const auto mask =
+            static_cast<flash::SectorMask>(flash::lowSectorMask(n) << lo);
         const double k = rng.uniform01();
         if (k < 0.55)
             f.ftl.hostRead(lpn, mask, [](sim::Time) {});

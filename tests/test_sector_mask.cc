@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ftl_fixture.hh"
+#include "one_block.hh"
 #include "ssd/ssd.hh"
 
 namespace ida::ftl {
@@ -18,29 +19,31 @@ using testing::FtlFixture;
 
 TEST(BlockSectors, ProgramCarriesMaskAndInvalidateSectorsKills)
 {
-    flash::Block b(12, 3, 16);
+    flash::testing::OneBlock t(12);
+    const flash::Block b = t.view();
     const flash::SectorMask full = b.fullSectorMask();
     ASSERT_EQ(full, 0xFFFFu);
 
-    const std::uint32_t p = b.programNext(sim::Time{}, 0x00F0);
+    const std::uint32_t p = t.table.programNext(0, sim::Time{}, 0x00F0);
     EXPECT_TRUE(b.isValid(p));
     EXPECT_EQ(b.sectorMask(p), 0x00F0u);
 
     // Clearing sectors that are already invalid is idempotent.
-    EXPECT_FALSE(b.invalidateSectors(p, 0x000F));
+    EXPECT_FALSE(t.table.invalidateSectors(p, 0x000F));
     EXPECT_EQ(b.sectorMask(p), 0x00F0u);
     EXPECT_TRUE(b.isValid(p));
 
     // Partial clear keeps the page alive.
-    EXPECT_FALSE(b.invalidateSectors(p, 0x0030));
+    EXPECT_FALSE(t.table.invalidateSectors(p, 0x0030));
     EXPECT_EQ(b.sectorMask(p), 0x00C0u);
     EXPECT_TRUE(b.isValid(p));
     EXPECT_EQ(b.validCount(), 1u);
 
     // Clearing the last live sectors kills the page, exactly like
     // invalidate(): state, valid count, and wordline cache all flip.
-    EXPECT_TRUE(b.invalidateSectors(p, full));
+    EXPECT_TRUE(t.table.invalidateSectors(p, full));
     EXPECT_FALSE(b.isValid(p));
+    EXPECT_EQ(b.pageState(p), flash::PageState::Invalid);
     EXPECT_EQ(b.sectorMask(p), 0u);
     EXPECT_EQ(b.validCount(), 0u);
     EXPECT_EQ(b.invalidLevelMask(p / 3), b.recomputeInvalidMask(p / 3));
@@ -48,14 +51,17 @@ TEST(BlockSectors, ProgramCarriesMaskAndInvalidateSectorsKills)
 
 TEST(BlockSectors, ZeroMaskProgramsWholePageAndEraseClears)
 {
-    flash::Block b(12, 3, 16);
-    const std::uint32_t p = b.programNext(sim::Time{}, 0);
+    flash::testing::OneBlock t(12);
+    const flash::Block b = t.view();
+    const std::uint32_t p = t.table.programNext(0, sim::Time{}, 0);
     EXPECT_EQ(b.sectorMask(p), b.fullSectorMask());
-    b.invalidate(p);
+    t.table.invalidate(p);
     EXPECT_EQ(b.sectorMask(p), 0u);
-    b.erase();
-    for (std::uint32_t i = 0; i < b.numPages(); ++i)
+    t.table.erase(0);
+    for (std::uint32_t i = 0; i < b.numPages(); ++i) {
         EXPECT_EQ(b.sectorMask(i), 0u);
+        EXPECT_EQ(b.pageState(i), flash::PageState::Free);
+    }
 }
 
 // ---- FTL: sub-page writes, TRIMs, and the RMW merge. ----------------------

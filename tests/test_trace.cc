@@ -258,7 +258,7 @@ TEST(TraceChipCounters, SensingSavingsMatchFig5)
 
     // Invalidate wordline 0's LSB and apply the IDA merge: CSB drops
     // 2 -> 1 sensings and MSB 4 -> 2 (paper Fig. 5 cases 2/3).
-    chips.block(0).invalidate(g.pageOfWordline(0, 0));
+    chips.blockTable().invalidate(g.pageOfWordline(0, 0));
     chips.adjustWordline(0, 0, 0b110, [](sim::Time) {});
     events.run();
 

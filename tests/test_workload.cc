@@ -148,6 +148,18 @@ TEST(Synthetic, SegregatedBurstsAreHomogeneous)
     EXPECT_LT(double(flipsInsideBurst) / double(insideBurst), 0.02);
 }
 
+TEST(SyntheticDeath, SeventeenSectorsPerPageIsFatal)
+{
+    // Sub-page requests carry 16-bit sector masks.
+    SyntheticConfig c = smallCfg();
+    c.subPageFraction = 0.5;
+    c.sectorsPerPage = 17;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "sectorsPerPage must be in \\[2, 16\\]");
+    c.sectorsPerPage = 16;
+    SyntheticTrace ok(c);
+}
+
 TEST(Presets, TableIIIHasAllElevenWorkloads)
 {
     const auto &ws = paperWorkloads();
