@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "sim/log.hh"
 
@@ -20,35 +21,69 @@ coprimeMult(std::uint64_t n, std::uint64_t start)
     return m % n;
 }
 
+/**
+ * @p cfg if it keeps the stream's contract, else a fatal error naming
+ * the knob. Runs before any member is built: the Zipf samplers size
+ * their tables from the footprint.
+ */
+const SyntheticConfig &
+validated(const SyntheticConfig &cfg)
+{
+    if (cfg.footprintPages == 0 || cfg.totalRequests == 0)
+        sim::fatal("SyntheticConfig: footprint and request count must be "
+                   "nonzero");
+    // permute() computes rank * mult + add in 64 bits, with all three
+    // below the footprint.
+    if (cfg.footprintPages > flash::kMaxPages)
+        sim::fatal("SyntheticConfig: footprintPages must be at most " +
+                   std::to_string(flash::kMaxPages));
+    if (cfg.maxRequestPages < 1 || cfg.maxRequestPages > cfg.footprintPages)
+        sim::fatal("SyntheticConfig: maxRequestPages must be in [1, "
+                   "footprintPages]");
+    if (cfg.readRatio < 0.0 || cfg.readRatio > 1.0)
+        sim::fatal("SyntheticConfig: readRatio must be in [0, 1]");
+    if (!(cfg.readSizePagesMean > 0.0 && cfg.writeSizePagesMean > 0.0))
+        sim::fatal("SyntheticConfig: readSizePagesMean and "
+                   "writeSizePagesMean must be > 0");
+    if (cfg.writeRegionFraction <= 0.0 || cfg.writeRegionFraction > 1.0)
+        sim::fatal("SyntheticConfig: writeRegionFraction must be in "
+                   "(0, 1]");
+    if (cfg.burstFraction < 0.0 || cfg.burstFraction > 1.0)
+        sim::fatal("SyntheticConfig: burstFraction must be in [0, 1]");
+    if (cfg.burstGapScale < 0.0)
+        sim::fatal("SyntheticConfig: burstGapScale must be >= 0");
+    // The long-mode gap mean, (1 - burstFraction * burstGapScale) *
+    // meanGap / (1 - burstFraction), must not go negative.
+    if (cfg.burstFraction * cfg.burstGapScale > 1.0)
+        sim::fatal("SyntheticConfig: burstFraction * burstGapScale must "
+                   "be <= 1");
+    if (cfg.trimFraction < 0.0 || cfg.trimFraction > 1.0)
+        sim::fatal("SyntheticConfig: trimFraction must be in [0, 1]");
+    if (cfg.subPageFraction < 0.0 || cfg.subPageFraction > 1.0)
+        sim::fatal("SyntheticConfig: subPageFraction must be in [0, 1]");
+    if (cfg.subPageFraction > 0.0 &&
+        (cfg.sectorsPerPage < 2 ||
+         cfg.sectorsPerPage > flash::kMaxSectorsPerPage))
+        sim::fatal("SyntheticConfig: sectorsPerPage must be in [2, 16] "
+                   "when sub-page requests are enabled");
+    return cfg;
+}
+
 } // namespace
 
 SyntheticTrace::SyntheticTrace(const SyntheticConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed),
+    : cfg_(validated(cfg)), rng_(cfg.seed),
       readZipf_(cfg.footprintPages, cfg.readZipf),
       writeZipf_(std::max<std::uint64_t>(
                      1, static_cast<std::uint64_t>(
                             static_cast<double>(cfg.footprintPages) *
                             cfg.writeRegionFraction)),
-                 cfg.writeZipf)
+                 cfg.writeZipf),
+      readSizeMu_(sim::Rng::lognormalMu(cfg.readSizePagesMean,
+                                        cfg.sizeSigma)),
+      writeSizeMu_(sim::Rng::lognormalMu(cfg.writeSizePagesMean,
+                                         cfg.sizeSigma))
 {
-    if (cfg_.footprintPages == 0 || cfg_.totalRequests == 0)
-        sim::fatal("SyntheticConfig: footprint and request count must be "
-                   "nonzero");
-    if (cfg_.readRatio < 0.0 || cfg_.readRatio > 1.0)
-        sim::fatal("SyntheticConfig: readRatio must be in [0, 1]");
-    if (cfg_.writeRegionFraction <= 0.0 || cfg_.writeRegionFraction > 1.0)
-        sim::fatal("SyntheticConfig: writeRegionFraction must be in "
-                   "(0, 1]");
-    if (cfg_.trimFraction < 0.0 || cfg_.trimFraction > 1.0)
-        sim::fatal("SyntheticConfig: trimFraction must be in [0, 1]");
-    if (cfg_.subPageFraction < 0.0 || cfg_.subPageFraction > 1.0)
-        sim::fatal("SyntheticConfig: subPageFraction must be in [0, 1]");
-    if (cfg_.subPageFraction > 0.0 &&
-        (cfg_.sectorsPerPage < 2 ||
-         cfg_.sectorsPerPage > flash::kMaxSectorsPerPage))
-        sim::fatal("SyntheticConfig: sectorsPerPage must be in [2, 16] "
-                   "when sub-page requests are enabled");
-
     readMult_ = coprimeMult(cfg_.footprintPages, 0x9E3779B97F4A7C15ull);
     readAdd_ = 0x2545F4914F6CDD1Dull % cfg_.footprintPages;
     writeMult_ = coprimeMult(cfg_.footprintPages, 0xC2B2AE3D27D4EB4Full);
@@ -60,8 +95,10 @@ SyntheticTrace::SyntheticTrace(const SyntheticConfig &cfg)
     // p_b * short + (1 - p_b) * long = meanGap.
     shortGapMean_ = meanGap_ * cfg_.burstGapScale;
     const double pb = cfg_.burstFraction;
-    longGapMean_ = (meanGap_ - pb * shortGapMean_) /
-                   std::max(1.0 - pb, 1e-9);
+    // validated() bounds pb * burstGapScale by 1; max() absorbs the
+    // rounding at that bound.
+    longGapMean_ = std::max(0.0, (meanGap_ - pb * shortGapMean_) /
+                                     std::max(1.0 - pb, 1e-9));
 }
 
 std::uint64_t
@@ -70,13 +107,14 @@ SyntheticTrace::permute(std::uint64_t rank, std::uint64_t mult,
 {
     // Affine permutation of Z_footprint: bijective since gcd(mult, n)=1.
     const std::uint64_t n = cfg_.footprintPages;
-    return (static_cast<unsigned __int128>(rank) * mult + add) % n;
+    // Exact in 64 bits: rank, mult, add < n <= kMaxPages < 2^32.
+    return (rank * mult + add) % n;
 }
 
 std::uint32_t
-SyntheticTrace::sampleSize(double mean)
+SyntheticTrace::sampleSize(double mu)
 {
-    const double v = rng_.lognormalMean(mean, cfg_.sizeSigma);
+    const double v = rng_.lognormal(mu, cfg_.sizeSigma);
     auto pages = static_cast<std::uint32_t>(std::llround(v));
     pages = std::clamp<std::uint32_t>(pages, 1, cfg_.maxRequestPages);
     return pages;
@@ -116,8 +154,7 @@ SyntheticTrace::next(IoRequest &out)
         page = base +
                permute(writeZipf_(rng_), writeMult_, writeAdd_) % region;
     }
-    out.pageCount = sampleSize(read ? cfg_.readSizePagesMean
-                                    : cfg_.writeSizePagesMean);
+    out.pageCount = sampleSize(read ? readSizeMu_ : writeSizeMu_);
     // Keep the request inside the footprint.
     if (page + out.pageCount > cfg_.footprintPages) {
         out.startPage = cfg_.footprintPages - out.pageCount;

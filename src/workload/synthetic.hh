@@ -122,7 +122,7 @@ class SyntheticTrace : public TraceStream
   private:
     std::uint64_t permute(std::uint64_t rank, std::uint64_t mult,
                           std::uint64_t add) const;
-    std::uint32_t sampleSize(double mean);
+    std::uint32_t sampleSize(double mu);
 
     SyntheticConfig cfg_;
     sim::Rng rng_;
@@ -130,6 +130,7 @@ class SyntheticTrace : public TraceStream
     sim::ZipfSampler writeZipf_;
     std::uint64_t readMult_, readAdd_;
     std::uint64_t writeMult_, writeAdd_;
+    double readSizeMu_, writeSizeMu_; // lognormal mu of the size draws
     std::uint64_t emitted_ = 0;
     double clock_ = 0.0;   // ns, double to accumulate fractional gaps
     double meanGap_;       // ns

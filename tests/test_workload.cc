@@ -148,6 +148,53 @@ TEST(Synthetic, SegregatedBurstsAreHomogeneous)
     EXPECT_LT(double(flipsInsideBurst) / double(insideBurst), 0.02);
 }
 
+/** FNV-1a over every field of every request of one whole stream. */
+std::uint64_t
+streamChecksum(const SyntheticConfig &cfg)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    SyntheticTrace t(cfg);
+    IoRequest r;
+    while (t.next(r)) {
+        mix(static_cast<std::uint64_t>(r.arrival.count()));
+        mix(r.isRead);
+        mix(r.isTrim);
+        mix(r.startPage);
+        mix(r.pageCount);
+        mix(r.startSector);
+        mix(r.sectorCount);
+    }
+    return h;
+}
+
+TEST(Synthetic, StreamChecksumsArePinned)
+{
+    // Every figure and golden replays these streams, so a faster draw
+    // must return the same values for the same state. Each preset runs
+    // at its own seed and at the prewrite pass's seed (seed ^ 0x5eed).
+    struct Pin
+    {
+        const char *preset;
+        std::uint64_t atSeed, atPrewriteSeed;
+    };
+    for (const Pin &pin : {
+             Pin{"proj_1", 0xddde7c5af38bc663ull, 0x3486aa04225d75a1ull},
+             Pin{"src1_0", 0x25280afb997353ccull, 0xf44dee6ef1d005d5ull},
+             Pin{"fig10-mix", 0x6a68b6f26af87960ull, 0x6698e6b2f32cdb81ull},
+         }) {
+        SyntheticConfig c = presetByName(pin.preset).synth;
+        EXPECT_EQ(streamChecksum(c), pin.atSeed) << pin.preset;
+        c.seed ^= 0x5eedu;
+        EXPECT_EQ(streamChecksum(c), pin.atPrewriteSeed) << pin.preset;
+    }
+}
+
 TEST(SyntheticDeath, SeventeenSectorsPerPageIsFatal)
 {
     // Sub-page requests carry 16-bit sector masks.
@@ -158,6 +205,84 @@ TEST(SyntheticDeath, SeventeenSectorsPerPageIsFatal)
                 "sectorsPerPage must be in \\[2, 16\\]");
     c.sectorsPerPage = 16;
     SyntheticTrace ok(c);
+}
+
+TEST(SyntheticDeath, MaxRequestPagesOutsideFootprintIsFatal)
+{
+    // A request larger than the footprint once wrapped startPage below 0.
+    SyntheticConfig c = smallCfg();
+    c.footprintPages = 20;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "maxRequestPages must be in \\[1, footprintPages\\]");
+    c.maxRequestPages = 0;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "maxRequestPages must be in \\[1, footprintPages\\]");
+}
+
+TEST(SyntheticDeath, BurstFractionOutsideUnitIntervalIsFatal)
+{
+    SyntheticConfig c = smallCfg();
+    for (double bf : {-0.1, 1.5}) {
+        c.burstFraction = bf;
+        EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                    "burstFraction must be in \\[0, 1\\]");
+    }
+}
+
+TEST(SyntheticDeath, NegativeBurstGapScaleIsFatal)
+{
+    SyntheticConfig c = smallCfg();
+    c.burstGapScale = -0.01;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "burstGapScale must be >= 0");
+}
+
+TEST(SyntheticDeath, NegativeLongGapMeanIsFatal)
+{
+    // 0.95 * 2.0 > 1 once sent arrivals backwards.
+    SyntheticConfig c = smallCfg();
+    c.burstFraction = 0.95;
+    c.burstGapScale = 2.0;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "burstFraction \\* burstGapScale must be <= 1");
+}
+
+TEST(SyntheticDeath, NonPositiveMeanSizeIsFatal)
+{
+    // The lognormal size draw takes log(mean).
+    SyntheticConfig c = smallCfg();
+    c.writeSizePagesMean = 0.0;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "writeSizePagesMean must be > 0");
+}
+
+TEST(SyntheticDeath, FootprintAboveMaxPagesIsFatal)
+{
+    SyntheticConfig c = smallCfg();
+    c.footprintPages = flash::kMaxPages + 1;
+    EXPECT_EXIT(SyntheticTrace{c}, ::testing::ExitedWithCode(1),
+                "footprintPages must be at most 4294967294");
+}
+
+TEST(Synthetic, EdgeOfContractKeepsTheStreamValid)
+{
+    // Requests as large as the footprint, and burstFraction *
+    // burstGapScale on its bound: 0.9 * (1 / 0.9) rounds to 1, while the
+    // long-gap mean computes to -9e-9 ns before it is clamped to 0.
+    SyntheticConfig c = smallCfg();
+    c.footprintPages = 20;
+    c.maxRequestPages = 20;
+    c.readSizePagesMean = 16.0;
+    c.burstFraction = 0.9;
+    c.burstGapScale = 1.0 / 0.9;
+    SyntheticTrace t(c);
+    IoRequest r;
+    sim::Time prev{};
+    while (t.next(r)) {
+        EXPECT_GE(r.arrival, prev);
+        EXPECT_LE(r.startPage + r.pageCount, c.footprintPages);
+        prev = r.arrival;
+    }
 }
 
 TEST(Presets, TableIIIHasAllElevenWorkloads)
