@@ -1,14 +1,14 @@
 /**
  * @file
  * Minimal fleet::runFleetPreset walkthrough — and the fleet smoke
- * workload (tools/run_smoke.sh runs it at --shards 1 and --shards 2
- * and requires byte-identical stdout, plus pastSchedules == 0).
+ * workload (tools/run_smoke.sh runs it twice and requires
+ * byte-identical stdout, plus pastSchedules == 0).
  *
  * Builds a 16-device fleet of tiny devices, replays a short synthetic
  * read-heavy trace striped across the members, and prints the archive
  * JSON (aggregate + per-device) to stdout. Usage:
  *
- *   fleet_demo [--devices N] [--shards N] [--stripe PAGES]
+ *   fleet_demo [--devices N] [--stripe PAGES]
  *              [--tag TAG]                # tag-derived fleet seed
  */
 #include <cstdint>
@@ -28,7 +28,6 @@ main(int argc, char **argv)
     using namespace ida;
 
     std::uint32_t devices = 16;
-    int shards = 1;
     std::uint64_t stripe = 8;
     std::string tag = "fleet-demo";
 
@@ -45,8 +44,6 @@ main(int argc, char **argv)
         if (std::strcmp(a, "--devices") == 0 && hasNext) {
             devices = static_cast<std::uint32_t>(
                 numeric(argv[++i], "--devices"));
-        } else if (std::strcmp(a, "--shards") == 0 && hasNext) {
-            shards = static_cast<int>(numeric(argv[++i], "--shards"));
         } else if (std::strcmp(a, "--stripe") == 0 && hasNext) {
             stripe = static_cast<std::uint64_t>(
                 numeric(argv[++i], "--stripe"));
@@ -63,7 +60,6 @@ main(int argc, char **argv)
     fc.device.adjustErrorRate = 0.20;
     fc.devices = devices;
     fc.stripePages = stripe;
-    fc.shards = shards;
     fc.epoch = 50 * sim::kMsec;
     // The batch layer's tag-derived-seed discipline, one level up: the
     // fleet seed comes from the experiment tag, each member decorrelates
@@ -83,7 +79,7 @@ main(int argc, char **argv)
 
     const fleet::FleetResult res = fleet::runFleetPreset(fc, p);
 
-    // Archive form only: byte-identical across --shards by contract.
+    // Archive form only: byte-identical from run to run by contract.
     std::cout << res.toJson(/*include_volatile=*/false);
     std::cerr << "fleet: " << res.measuredReads << " measured reads, "
               << res.pastSchedules << " past schedules, "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <string>
 
 #include "sim/log.hh"
 #include "stats/json_writer.hh"
@@ -22,11 +23,32 @@ deviceSeed(std::uint64_t fleet_seed, std::uint32_t device)
     return h ^ (h >> 31);
 }
 
-Fleet::Fleet(const FleetConfig &cfg)
-    : cfg_(cfg), map_(cfg.devices, cfg.stripePages)
+namespace {
+
+/** @p cfg if the fleet can run it, else a fatal error naming the knob. */
+const FleetConfig &
+validated(const FleetConfig &cfg)
 {
-    if (cfg_.epoch <= sim::Time{})
-        sim::fatal("Fleet: epoch must be positive");
+    if (cfg.devices < 1)
+        sim::fatal("Fleet: FleetConfig::devices must be >= 1, got " +
+                   std::to_string(cfg.devices));
+    if (cfg.stripePages < 1)
+        sim::fatal("Fleet: FleetConfig::stripePages must be >= 1, got " +
+                   std::to_string(cfg.stripePages));
+    if (cfg.shards != 1)
+        sim::fatal("Fleet: FleetConfig::shards must be 1, got " +
+                   std::to_string(cfg.shards));
+    if (cfg.epoch <= sim::Time{})
+        sim::fatal("Fleet: FleetConfig::epoch must be > 0, got " +
+                   std::to_string(cfg.epoch.count()) + " ns");
+    return cfg;
+}
+
+} // namespace
+
+Fleet::Fleet(const FleetConfig &cfg)
+    : cfg_(validated(cfg)), map_(cfg.devices, cfg.stripePages)
+{
     devices_.reserve(cfg_.devices);
     for (std::uint32_t d = 0; d < cfg_.devices; ++d) {
         ssd::SsdConfig member = cfg_.device;
@@ -34,28 +56,6 @@ Fleet::Fleet(const FleetConfig &cfg)
         devices_.push_back(std::make_unique<ssd::Ssd>(member));
     }
     staged_.resize(cfg_.devices);
-    completions_.resize(cfg_.devices);
-
-    shardCount_ = std::clamp(cfg_.shards, 1,
-                             static_cast<int>(cfg_.devices));
-    if (shardCount_ > 1) {
-        workers_.reserve(static_cast<std::size_t>(shardCount_));
-        for (int s = 0; s < shardCount_; ++s)
-            workers_.emplace_back([this, s] { shardMain(s); });
-    }
-}
-
-Fleet::~Fleet()
-{
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cvStart_.notify_all();
-        for (std::thread &w : workers_)
-            w.join();
-    }
 }
 
 std::uint64_t
@@ -134,14 +134,14 @@ Fleet::stage(const workload::IoRequest &req)
         hr.isTrim = req.isTrim;
         hr.startPage = run.startPage;
         hr.pageCount = run.pageCount;
-        const std::uint32_t dev = run.device;
-        hr.onComplete = [this, dev, slot](sim::Time done) {
-            // Runs on the shard thread that owns `dev`, while only that
-            // device's queue executes; the log is merged by the
-            // coordinator after the epoch barrier (device-index order).
-            completions_[dev].push_back(SubDone{slot, done});
+        hr.onComplete = [this, slot](sim::Time done) {
+            Slot &sl = slots_[slot];
+            sl.lastDone = std::max(sl.lastDone, done);
+            ++completedSubs_;
+            if (--sl.pending == 0)
+                finishRequest(slot);
         };
-        staged_[dev].push_back(hr);
+        staged_[run.device].push_back(hr);
         ++runs;
     });
     // Sub-page ranges survive only when the request maps to a single
@@ -168,56 +168,6 @@ Fleet::submitStaged()
     }
 }
 
-// ida-lint: shard-root
-void
-Fleet::shardMain(int shard)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        sim::Time end;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cvStart_.wait(lock, [&] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            end = epochEnd_;
-        }
-        for (std::uint32_t d = static_cast<std::uint32_t>(shard);
-             d < map_.devices();
-             d += static_cast<std::uint32_t>(shardCount_)) {
-            devices_[d]->events().runUntil(end);
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++doneCount_;
-        }
-        cvDone_.notify_one();
-    }
-}
-
-void
-Fleet::runEpoch(sim::Time end)
-{
-    if (workers_.empty()) {
-        for (auto &dev : devices_)
-            dev->events().runUntil(end);
-    } else {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            epochEnd_ = end;
-            doneCount_ = 0;
-            ++generation_;
-        }
-        cvStart_.notify_all();
-        std::unique_lock<std::mutex> lock(mu_);
-        cvDone_.wait(lock, [&] { return doneCount_ == shardCount_; });
-    }
-    fleetNow_ = end;
-}
-
 void
 Fleet::finishRequest(std::uint32_t slot)
 {
@@ -238,23 +188,6 @@ Fleet::finishRequest(std::uint32_t slot)
         lastCompletion_ = std::max(lastCompletion_, sl.lastDone);
     }
     releaseSlot(slot);
-}
-
-void
-Fleet::mergeCompletions()
-{
-    // Device-index order: the one place sub-completions from different
-    // shards meet, so the order must not depend on the shard layout.
-    for (std::uint32_t d = 0; d < map_.devices(); ++d) {
-        for (const SubDone &c : completions_[d]) {
-            Slot &sl = slots_[c.slot];
-            sl.lastDone = std::max(sl.lastDone, c.done);
-            ++completedSubs_;
-            if (--sl.pending == 0)
-                finishRequest(c.slot);
-        }
-        completions_[d].clear();
-    }
 }
 
 std::uint64_t
@@ -306,8 +239,11 @@ Fleet::run(workload::TraceStream &trace, const FleetRunOptions &opt)
             have = trace.next(req);
         }
         submitStaged();
-        runEpoch(end);
-        mergeCompletions();
+        // Device-index order, then each device's event order: the
+        // order fleet requests finish in.
+        for (auto &dev : devices_)
+            dev->events().runUntil(end);
+        fleetNow_ = end;
         if (!have && openRequests() == 0 && allDrained())
             break;
         const sim::Time drainLimit =
@@ -404,41 +340,14 @@ runFleetPreset(const FleetConfig &cfg,
                const workload::WorkloadPreset &preset)
 {
     FleetConfig fc = cfg;
-    fc.device.ftl.refreshPeriod = preset.refreshPeriod;
-    fc.device.ftl.refreshCheckInterval =
-        std::max<sim::Time>(preset.refreshPeriod / 64, sim::kSec);
-    if (preset.synth.duration > sim::Time{}) {
-        fc.device.ftl.preloadAgeSpread = std::max(
-            preset.warmupFraction * preset.synth.duration, sim::kSec);
-    }
+    workload::setRunKnobs(fc.device.ftl, preset.refreshPeriod,
+                          preset.warmupFraction, preset.synth.duration);
     Fleet fleet(fc);
 
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        preset.synth.footprintPages,
-        static_cast<std::uint64_t>(
-            0.7 * static_cast<double>(fleet.logicalPages())));
+    const std::uint64_t footprint = workload::clampFootprint(
+        preset.synth.footprintPages, fleet.logicalPages());
     fleet.preloadSequential(footprint);
-
-    if (preset.prewriteFraction > 0.0) {
-        workload::SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        workload::SyntheticTrace pre(pc);
-        workload::IoRequest w;
-        while (pre.next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start =
-                footprint > 0 ? w.startPage % footprint : 0;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                if (start + i < footprint)
-                    fleet.preloadWrite(start + i);
-            }
-        }
-        fleet.finalizePreload();
-    }
+    workload::preAge(preset, footprint, fleet);
 
     workload::SyntheticTrace trace(preset.synth);
     FleetRunOptions opt;

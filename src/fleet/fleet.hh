@@ -1,45 +1,37 @@
 /**
  * @file
- * Deterministic sharded multi-device fleet: one flat host LBA space
- * striped over N independent member SSDs, executed as a conservative-
- * lookahead parallel discrete-event simulation.
+ * Deterministic multi-device fleet: one flat host LBA space striped
+ * over N independent member SSDs, simulated on the calling thread.
  *
  * # Execution model
  *
  * Member devices never exchange events mid-flight: a fleet request is
  * split by the StripeMap into per-device sub-requests up front, and
  * each device then simulates its slice on its own private EventQueue.
- * That independence makes every device a lookahead domain of its own,
- * so the fleet advances in fixed epochs of length FleetConfig::epoch:
+ * The fleet advances in fixed epochs of length FleetConfig::epoch:
  *
- *   1. the coordinator (the thread calling run()) stages every trace
- *      arrival in [t, t+H) into per-device batches and submits them;
- *   2. the shard workers each advance their owned devices' queues with
- *      runUntil(t+H) — devices are distributed round-robin over
- *      FleetConfig::shards workers;
- *   3. a barrier; then the coordinator merges the per-device completion
- *      logs *in device-index order* and finishes fleet requests whose
- *      sub-requests have all completed (completion time = max over the
- *      stripes).
+ *   1. stage every trace arrival in [t, t+H) into per-device batches
+ *      and submit them;
+ *   2. advance each member's queue with runUntil(t+H), in device-index
+ *      order. A sub-request's completion updates its fleet request,
+ *      which finishes when its last stripe does (completion time = max
+ *      over the stripes).
  *
  * # Determinism contract
  *
  * A fleet run is byte-identical (FleetResult::toJson(false), aggregate
- * and per-device) for a fixed config at ANY shard count, including 1:
- * the per-device event streams depend only on the staged sub-requests
- * (identical by construction), epoch boundaries are shard-independent,
- * and all cross-device aggregation happens single-threaded in a fixed
+ * and per-device) for a fixed config: devices run in index order and
+ * each device runs in event order, so fleet requests finish in a fixed
  * order. Per-device seeds are derived, not shared: member d runs with
- * `device.seed ^ deviceSeed(fleetSeed, d)` — the same tag-derived-seed
+ * `device.seed ^ deviceSeed(fleetSeed, d)`, the same tag-derived-seed
  * discipline as workload::seedFromTag, extended one level down
  * (harnesses put seedFromTag(tag) into FleetConfig::fleetSeed).
  *
- * A sub-request injected across an epoch boundary into a device that
- * already advanced past its arrival would be a causality violation; the
- * member queues surface exactly that as a past-time schedule
- * (sim::PastSchedulePolicy — a panic under IDA_AUDIT, a counted clamp
- * otherwise), and FleetResult::pastSchedules sums the counters so CI
- * can assert zero.
+ * A sub-request submitted to a device that already advanced past its
+ * arrival would be a causality violation; the member queues surface
+ * exactly that as a past-time schedule (sim::PastSchedulePolicy: a
+ * panic under IDA_AUDIT, a counted clamp otherwise), and
+ * FleetResult::pastSchedules sums the counters so CI can assert zero.
  */
 #pragma once
 
@@ -47,10 +39,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 #include "fleet/stripe.hh"
 #include "ssd/ssd.hh"
@@ -71,21 +59,19 @@ struct FleetConfig
     /** Member count (>= 1). */
     std::uint32_t devices = 4;
 
-    /** Stripe unit in pages. */
+    /** Stripe unit in pages (>= 1). */
     std::uint64_t stripePages = 8;
 
     /**
-     * Shard worker threads; clamped to [1, devices]. Affects wall-clock
-     * only — results are byte-identical at any value (see the
-     * determinism contract above).
+     * Must be 1: the fleet runs its members on the calling thread. Kept
+     * only so callers that still set it to 1 build unchanged.
      */
     int shards = 1;
 
     /**
-     * Conservative-lookahead epoch H: devices run [t, t+H) without
-     * synchronizing. Larger epochs amortize the barrier; any value
-     * yields identical results because devices never interact inside
-     * an epoch.
+     * Epoch H (> 0): arrivals in [t, t+H) are staged, then every member
+     * runs to t+H. Devices never interact, so H moves no member event;
+     * the run ends on an epoch boundary.
      */
     sim::Time epoch = 10 * sim::kMsec;
 
@@ -163,18 +149,17 @@ struct FleetResult
 };
 
 /**
- * The fleet itself: owns the member SSDs and the shard workers.
+ * The fleet itself: owns the member SSDs.
  *
  * Usage: construct, preloadSequential(), then run() a trace. device()
- * and the counters are exposed for the cross-shard auditor
- * (fleet_audit.hh); they must only be touched between epochs (run()
- * owns the members while it executes).
+ * and the counters are exposed for the fleet auditor (fleet_audit.hh)
+ * and are consistent between epochs.
  */
 class Fleet
 {
   public:
+    /** Rejects, naming the knob, any config it cannot run. */
     explicit Fleet(const FleetConfig &cfg);
-    ~Fleet();
 
     Fleet(const Fleet &) = delete;
     Fleet &operator=(const Fleet &) = delete;
@@ -205,7 +190,7 @@ class Fleet
     FleetResult run(workload::TraceStream &trace,
                     const FleetRunOptions &opt);
 
-    // Counters for the cross-shard auditor; valid between epochs.
+    // Counters for the fleet auditor; valid between epochs.
     std::uint64_t stagedSubRequests() const { return stagedSubs_; }
     std::uint64_t completedSubRequests() const { return completedSubs_; }
     std::uint64_t submittedRequests() const { return submittedReqs_; }
@@ -232,23 +217,13 @@ class Fleet
         std::uint32_t link = kNilSlot; ///< free list
     };
 
-    /** One finished sub-request, logged by the owning shard. */
-    struct SubDone
-    {
-        std::uint32_t slot;
-        sim::Time done;
-    };
-
     static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t slot);
     void stage(const workload::IoRequest &req);
     void submitStaged();
-    void runEpoch(sim::Time end);
-    void mergeCompletions();
     void finishRequest(std::uint32_t slot);
-    void shardMain(int shard);
 
     FleetConfig cfg_;
     StripeMap map_;
@@ -258,7 +233,6 @@ class Fleet
     std::vector<Slot> slots_;
     std::uint32_t freeSlot_ = kNilSlot;
     std::vector<std::vector<ssd::HostRequest>> staged_;
-    std::vector<std::vector<SubDone>> completions_;
 
     std::uint64_t stagedSubs_ = 0;
     std::uint64_t completedSubs_ = 0;
@@ -266,7 +240,7 @@ class Fleet
     std::uint64_t completedReqs_ = 0;
     sim::Time fleetNow_{};
 
-    // Fleet-request-granular measurements (coordinator thread only).
+    // Fleet-request-granular measurements.
     sim::Time measureStart_{};
     sim::Time lastCompletion_{};
     stats::Summary readRespUs_;
@@ -275,27 +249,13 @@ class Fleet
     std::uint64_t measuredReads_ = 0;
     std::uint64_t measuredWrites_ = 0;
     std::uint64_t bytesRead_ = 0;
-
-    // Shard worker pool (spawned only when shardCount_ > 1). The
-    // coordinator and the workers alternate: a generation bump hands
-    // the devices to the workers for one epoch, the done-count
-    // handshake hands them back; both edges synchronize through mu_.
-    int shardCount_ = 1;
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t generation_ = 0;
-    int doneCount_ = 0;
-    sim::Time epochEnd_{};
-    bool stop_ = false;
 };
 
 /**
- * Run @p preset against a fleet, mirroring the single-device
- * runPreset(): preload 70% of capacity at most, optional pre-aging
- * writes, warm-up fraction unmeasured. The preset's footprint and
- * request addresses span the whole fleet LBA space.
+ * Run @p preset against a fleet with the single-device runPreset()'s
+ * set-up (workload::setRunKnobs, clampFootprint, preAge) and its
+ * unmeasured warm-up fraction. The preset's footprint and request
+ * addresses span the whole fleet LBA space.
  */
 FleetResult runFleetPreset(const FleetConfig &cfg,
                            const workload::WorkloadPreset &preset);

@@ -21,7 +21,7 @@ FleetAuditor::fail(const std::string &check, std::string detail)
 }
 
 void
-FleetAuditor::checkCrossShard()
+FleetAuditor::checkConservation()
 {
     const std::uint64_t staged = fleet_.stagedSubRequests();
     const std::uint64_t completed = fleet_.completedSubRequests();
@@ -67,8 +67,7 @@ FleetAuditor::checkCrossShard()
             fail("fleet-causality",
                  "device " + std::to_string(d) + " counted " +
                      std::to_string(past) +
-                     " past-time schedules (lookahead horizon "
-                     "violation)");
+                     " past-time schedules (causality violation)");
         }
     }
 }
@@ -80,7 +79,7 @@ FleetAuditor::runAll()
     for (auto &m : members_)
         found += m->runAll();
     const std::uint64_t before = fleetViolations_;
-    checkCrossShard();
+    checkConservation();
     ++runs_;
     return found + static_cast<std::size_t>(fleetViolations_ - before);
 }

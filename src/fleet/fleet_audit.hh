@@ -1,32 +1,30 @@
 /**
  * @file
- * Cross-shard extension of the invariant auditor (src/audit).
+ * Fleet extension of the invariant auditor (src/audit).
  *
  * The single-device Auditor closes the gap between a device's layers;
- * a fleet adds one more seam: the boundary between the coordinator's
- * fleet-level accounting and the N member devices running on shard
- * threads. FleetAuditor audits both sides — it runs every member's
- * full default catalog (audit::Auditor) and then checks the
- * conservation equations that span the shard boundaries:
+ * a fleet adds one more seam: the boundary between the fleet-level
+ * accounting and the N member devices. FleetAuditor audits both sides
+ * — it runs every member's full default catalog (audit::Auditor) and
+ * then checks the conservation equations that span the members:
  *
- *  - sub-request conservation: every sub-request the coordinator
- *    fanned out is either completed or pending in exactly one live
+ *  - sub-request conservation: every sub-request the fleet fanned
+ *    out is either completed or pending in exactly one live
  *    fleet slot (staged == completed + pending);
  *  - device/fleet agreement: the members' summed in-flight request
  *    counts equal the fleet's pending sub-requests;
  *  - request conservation: submitted fleet requests == completed +
  *    open;
  *  - clock alignment: every member queue sits exactly on the fleet's
- *    epoch boundary (a device ahead of or behind the barrier would
- *    break conservative lookahead);
+ *    epoch boundary (a device ahead of or behind it could be handed a
+ *    sub-request in its past);
  *  - causality: no member queue ever counted a past-time schedule
  *    (under IDA_AUDIT the kernel panics before this check could see
- *    one; in default builds this is where a clamped horizon violation
- *    becomes visible).
+ *    one; in default builds this is where a clamped one becomes
+ *    visible).
  *
  * Like the device auditor, this is a debug tool: O(devices * pages)
- * per run, touches nothing, and must only run between epochs (the
- * members belong to the shard workers while Fleet::run is inside one).
+ * per run, touches nothing, and must only run between epochs.
  */
 #pragma once
 
@@ -40,7 +38,7 @@
 
 namespace ida::fleet {
 
-/** Audits a Fleet: member catalogs plus cross-shard conservation. */
+/** Audits a Fleet: member catalogs plus fleet conservation. */
 class FleetAuditor
 {
   public:
@@ -48,12 +46,12 @@ class FleetAuditor
     explicit FleetAuditor(Fleet &fleet);
 
     /**
-     * Run every member's catalog and the cross-shard checks; returns
+     * Run every member's catalog and the fleet checks; returns
      * the number of new violations (member + fleet-level).
      */
     std::size_t runAll();
 
-    /** Fleet-level (cross-shard) violations only. */
+    /** Fleet-level violations only. */
     const std::vector<audit::Violation> &violations() const {
         return violations_;
     }
@@ -71,7 +69,7 @@ class FleetAuditor
 
   private:
     void fail(const std::string &check, std::string detail);
-    void checkCrossShard();
+    void checkConservation();
 
     Fleet &fleet_;
     std::vector<std::unique_ptr<audit::Auditor>> members_;

@@ -8,8 +8,8 @@
  * stripes a device receives pack contiguously into its private LPN
  * space (stripe k occupies device pages [(k/N)*S, (k/N+1)*S)). Pure
  * integer arithmetic, no state beyond the two parameters — the same
- * request always lands on the same device pages at any shard count,
- * which the fleet determinism contract (docs/FLEET.md) rests on.
+ * request always lands on the same device pages, which the fleet
+ * determinism contract (docs/FLEET.md) rests on.
  */
 #pragma once
 

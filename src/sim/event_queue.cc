@@ -37,10 +37,10 @@ EventQueue::notePastSchedule(Time when)
     ++pastSchedules_;
     if (pastPolicy_ == PastSchedulePolicy::Panic) {
         // A past-time schedule is a causality violation: either a model
-        // bug, or — in a sharded fleet run — an event injected across a
-        // lookahead-horizon boundary after the target queue already
-        // advanced past it. Clamping would silently alter results, so
-        // the audit posture is to die naming both timestamps.
+        // bug, or — in a fleet run — a sub-request staged after its
+        // member already advanced past the arrival. Clamping would
+        // silently alter results, so the audit posture is to die naming
+        // both timestamps.
         panic("EventQueue::schedule: past-time event (when=" +
               std::to_string(when.count()) +
               " < now=" + std::to_string(now_.count()) +

@@ -36,10 +36,10 @@
  * (pastSchedules()), and either clamped to now() (the legacy behaviour,
  * default in regular builds) or treated as a hard simulator bug via
  * sim::panic (the default under IDA_AUDIT). The panic policy exists for
- * the sharded fleet layer (src/fleet): a cross-shard lookahead-horizon
- * violation manifests exactly as a schedule() into the past, and a silent
- * clamp would absorb it and quietly change results instead of failing
- * loudly.
+ * the fleet layer (src/fleet): a sub-request handed to a member that
+ * already ran past its arrival manifests exactly as a schedule() into
+ * the past, and a silent clamp would absorb it and quietly change
+ * results instead of failing loudly.
  */
 #pragma once
 
@@ -70,8 +70,8 @@ namespace ida::sim {
  * and the occurrence is counted (pastSchedules()). Panic turns the same
  * occurrence into a sim::panic naming both times — the mode every
  * IDA_AUDIT build defaults to, because a past-time schedule is either a
- * model bug or, in a sharded fleet run, a conservative-lookahead
- * horizon violation that must never be absorbed silently.
+ * model bug or, in a fleet run, a sub-request staged behind a member's
+ * clock, which must never be absorbed silently.
  */
 enum class PastSchedulePolicy { Clamp, Panic };
 
@@ -81,8 +81,8 @@ enum class PastSchedulePolicy { Clamp, Panic };
  * Not thread safe *within one queue*; each simulated device owns its
  * queue and is single threaded by design (determinism matters more than
  * wall-clock speed at this scale). Distinct queues may be driven from
- * distinct threads — the sharded fleet layer (src/fleet) runs one
- * device per shard-owned queue and synchronizes only at epoch barriers.
+ * distinct threads — the matrix runner (src/workload/batch.hh) runs
+ * one job's device per worker.
  */
 class EventQueue
 {

@@ -40,47 +40,19 @@ RunResult
 runStream(const ssd::SsdConfig &device, TraceStream &trace,
           std::uint64_t footprint_pages, sim::Time refresh_period,
           double warmup_fraction, sim::Time duration_hint,
-          const std::string &label, TraceStream *prewrites = nullptr)
+          const std::string &label, const WorkloadPreset *pre_age = nullptr)
 {
     const auto wall0 = std::chrono::steady_clock::now();
 
     ssd::SsdConfig cfg = device;
-    cfg.ftl.refreshPeriod = refresh_period;
-    cfg.ftl.refreshCheckInterval =
-        std::max<sim::Time>(refresh_period / 64, sim::kSec);
-    if (duration_hint > sim::Time{}) {
-        // Preloaded (pre-trace) data becomes refresh-eligible during the
-        // warm-up window, so the measured window sees the steady state
-        // the paper measures: resident data already refreshed once.
-        cfg.ftl.preloadAgeSpread =
-            std::max(warmup_fraction * duration_hint, sim::kSec);
-    }
+    setRunKnobs(cfg.ftl, refresh_period, warmup_fraction, duration_hint);
     ssd::Ssd ssd(cfg);
 
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        footprint_pages,
-        static_cast<std::uint64_t>(0.7 *
-            static_cast<double>(ssd.logicalPages())));
+    const std::uint64_t footprint =
+        clampFootprint(footprint_pages, ssd.logicalPages());
     ssd.preloadSequential(footprint);
-
-    // Pre-age the resident data: apply a write stream instantly so
-    // blocks carry realistic invalid-page populations when the first
-    // refreshes hit (see WorkloadPreset::prewriteFraction).
-    if (prewrites) {
-        IoRequest w;
-        while (prewrites->next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start =
-                footprint > 0 ? w.startPage % footprint : 0;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                const flash::Lpn lpn = start + i;
-                if (lpn < footprint)
-                    ssd.ftl().preloadWrite(lpn);
-            }
-        }
-        ssd.ftl().finalizePreload();
-    }
+    if (pre_age)
+        preAge(*pre_age, footprint, ssd.ftl());
 
     // Feed the whole trace up front in submitBatch calls. The device
     // parks future arrivals in its arrival FIFO, so the event queue
@@ -171,22 +143,37 @@ harvestResult(const ssd::Ssd &ssd, const std::string &workload_label,
     return r;
 }
 
+void
+setRunKnobs(ftl::FtlConfig &ftl, sim::Time refresh_period,
+            double warmup_fraction, sim::Time duration)
+{
+    ftl.refreshPeriod = refresh_period;
+    ftl.refreshCheckInterval =
+        std::max<sim::Time>(refresh_period / 64, sim::kSec);
+    if (duration > sim::Time{}) {
+        // Preloaded (pre-trace) data becomes refresh-eligible during the
+        // warm-up window, so the measured window sees the steady state
+        // the paper measures: resident data already refreshed once.
+        ftl.preloadAgeSpread =
+            std::max(warmup_fraction * duration, sim::kSec);
+    }
+}
+
+std::uint64_t
+clampFootprint(std::uint64_t pages, std::uint64_t logical_pages)
+{
+    return std::min<std::uint64_t>(
+        pages, static_cast<std::uint64_t>(
+                   0.7 * static_cast<double>(logical_pages)));
+}
+
 RunResult
 runPreset(const ssd::SsdConfig &device, const WorkloadPreset &preset)
 {
     SyntheticTrace trace(preset.synth);
-    std::unique_ptr<SyntheticTrace> pre;
-    if (preset.prewriteFraction > 0.0) {
-        SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        pre = std::make_unique<SyntheticTrace>(pc);
-    }
     return runStream(device, trace, preset.synth.footprintPages,
                      preset.refreshPeriod, preset.warmupFraction,
-                     preset.synth.duration, preset.name, pre.get());
+                     preset.synth.duration, preset.name, &preset);
 }
 
 RunResult
@@ -205,39 +192,17 @@ runClosedLoop(const ssd::SsdConfig &device, const WorkloadPreset &preset,
     const auto wall0 = std::chrono::steady_clock::now();
 
     ssd::SsdConfig cfg = device;
-    cfg.ftl.refreshPeriod = preset.refreshPeriod;
-    cfg.ftl.refreshCheckInterval =
-        std::max<sim::Time>(preset.refreshPeriod / 64, sim::kSec);
+    setRunKnobs(cfg.ftl, preset.refreshPeriod, 0.0, sim::Time{});
     // At saturation the run is short; age everything so refreshes (and
     // their IDA adjustments) happen during the warm-up portion.
     cfg.ftl.preloadAgeSpread = sim::kSec;
     ssd::Ssd ssd(cfg);
 
     SyntheticTrace trace(preset.synth);
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        preset.synth.footprintPages,
-        static_cast<std::uint64_t>(
-            0.7 * static_cast<double>(ssd.logicalPages())));
+    const std::uint64_t footprint =
+        clampFootprint(preset.synth.footprintPages, ssd.logicalPages());
     ssd.preloadSequential(footprint);
-    if (preset.prewriteFraction > 0.0) {
-        SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        SyntheticTrace pre(pc);
-        IoRequest w;
-        while (pre.next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start = w.startPage % footprint;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                if (start + i < footprint)
-                    ssd.ftl().preloadWrite(start + i);
-            }
-        }
-        ssd.ftl().finalizePreload();
-    }
+    preAge(preset, footprint, ssd.ftl());
     ssd.start();
 
     // Preparation: a saturation run lasts only seconds of simulated

@@ -7,12 +7,14 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "ftl/wear.hh"
 #include "ssd/ssd.hh"
 #include "trace/attribution.hh"
 #include "workload/presets.hh"
+#include "workload/synthetic.hh"
 
 namespace ida::stats {
 class JsonWriter;
@@ -43,7 +45,7 @@ struct RunResult
      * timestamp (sim::EventQueue::pastSchedules). Always serialized so
      * CI can assert it is zero — a nonzero value means a model flow
      * scheduled into the past and was silently clamped (or, in a fleet
-     * run, a cross-shard lookahead horizon was violated). IDA_AUDIT
+     * run, a sub-request was staged behind a member's clock). IDA_AUDIT
      * builds panic on the first occurrence instead.
      */
     std::uint64_t pastSchedules = 0;
@@ -127,5 +129,54 @@ RunResult runClosedLoop(const ssd::SsdConfig &device,
 RunResult harvestResult(const ssd::Ssd &ssd,
                         const std::string &workload_label,
                         std::uint64_t footprint_pages);
+
+// Set-up shared by the runners above and fleet::runFleetPreset.
+
+/**
+ * Set the FTL knobs a run takes from its workload: @p refresh_period,
+ * checked every period/64 but at least every second, and, when
+ * @p duration is positive, a preload age spread of
+ * max(warmup_fraction * duration, 1 s).
+ */
+void setRunKnobs(ftl::FtlConfig &ftl, sim::Time refresh_period,
+                 double warmup_fraction, sim::Time duration);
+
+/** The preloaded footprint: @p pages, at most 70% of @p logical_pages. */
+std::uint64_t clampFootprint(std::uint64_t pages,
+                             std::uint64_t logical_pages);
+
+/**
+ * Pre-age the resident data (WorkloadPreset::prewriteFraction), so
+ * blocks carry realistic invalid-page populations when the first
+ * refreshes hit: replay the preset's stream at seed ^ 0x5eed, cut to
+ * prewriteFraction of its requests, write each page it writes inside
+ * @p footprint instantly through @p target.preloadWrite, then call
+ * @p target.finalizePreload. @p target is an ftl::Ftl or a
+ * fleet::Fleet. Does nothing when the preset asks for no pre-aging.
+ */
+template <typename Target>
+void
+preAge(const WorkloadPreset &preset, std::uint64_t footprint,
+       Target &target)
+{
+    if (preset.prewriteFraction <= 0.0)
+        return;
+    SyntheticConfig pc = preset.synth;
+    pc.seed = preset.synth.seed ^ 0x5eedu;
+    pc.totalRequests = static_cast<std::uint64_t>(
+        static_cast<double>(pc.totalRequests) * preset.prewriteFraction);
+    SyntheticTrace pre(pc);
+    IoRequest w;
+    while (pre.next(w)) {
+        if (w.isRead || w.isTrim)
+            continue;
+        const flash::Lpn start = footprint > 0 ? w.startPage % footprint : 0;
+        for (std::uint32_t i = 0; i < w.pageCount; ++i) {
+            if (start + i < footprint)
+                target.preloadWrite(start + i);
+        }
+    }
+    target.finalizePreload();
+}
 
 } // namespace ida::workload

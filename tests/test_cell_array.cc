@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+#include <vector>
+
 #include "flash/cell_array.hh"
 
 namespace ida::flash {
@@ -179,6 +183,30 @@ struct WlCase
     CodingScheme (*make)();
 };
 
+// Names the case in ctest's "GetParam() = ..." suffix; without it gtest
+// prints the raw bytes, function pointer included, which change with
+// ASLR at every test discovery.
+void
+PrintTo(const WlCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** Every scheme with every mask that keeps a level and drops one. */
+std::vector<std::tuple<WlCase, int>>
+wordlineCases()
+{
+    std::vector<std::tuple<WlCase, int>> cases;
+    for (const WlCase &c : {WlCase{"tlc124", &CodingScheme::tlc124},
+                            WlCase{"tlc232", &CodingScheme::tlc232},
+                            WlCase{"mlc12", &CodingScheme::mlc12},
+                            WlCase{"qlc1248", &CodingScheme::qlc1248}}) {
+        for (int mask = 1; mask < fullMask(c.make().bits()); ++mask)
+            cases.emplace_back(c, mask);
+    }
+    return cases;
+}
+
 class WordlineProperty
     : public ::testing::TestWithParam<std::tuple<WlCase, int>>
 {
@@ -189,8 +217,6 @@ TEST_P(WordlineProperty, AdjustPreservesAllValidLevels)
     const auto [c, maskInt] = GetParam();
     const CodingScheme scheme = c.make();
     const auto mask = static_cast<LevelMask>(maskInt);
-    if (mask == 0 || mask >= fullMask(scheme.bits()))
-        GTEST_SKIP() << "mask must drop at least one level";
 
     sim::Rng rng(99 + static_cast<std::uint64_t>(maskInt));
     Wordline wl(scheme, 256);
@@ -218,12 +244,7 @@ TEST_P(WordlineProperty, AdjustPreservesAllValidLevels)
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemesAllMasks, WordlineProperty,
-    ::testing::Combine(
-        ::testing::Values(WlCase{"tlc124", &CodingScheme::tlc124},
-                          WlCase{"tlc232", &CodingScheme::tlc232},
-                          WlCase{"mlc12", &CodingScheme::mlc12},
-                          WlCase{"qlc1248", &CodingScheme::qlc1248}),
-        ::testing::Range(0, 16)),
+    ::testing::ValuesIn(wordlineCases()),
     [](const auto &info) {
         return std::string(std::get<0>(info.param).name) + "_mask" +
                std::to_string(std::get<1>(info.param));

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "flash/coding.hh"
 
@@ -183,12 +185,22 @@ class ReflectedGrayProperty
 {
 };
 
+/** Every density with every proper non-empty mask. */
+std::vector<std::tuple<int, int>>
+reflectedGrayCases()
+{
+    std::vector<std::tuple<int, int>> cases;
+    for (int bits = 2; bits <= 5; ++bits) {
+        for (int mask = 1; mask < fullMask(bits); ++mask)
+            cases.emplace_back(bits, mask);
+    }
+    return cases;
+}
+
 TEST_P(ReflectedGrayProperty, MergeInvariants)
 {
     const auto [bits, maskInt] = GetParam();
     const auto mask = static_cast<LevelMask>(maskInt);
-    if (mask == 0 || mask >= fullMask(bits))
-        GTEST_SKIP() << "mask must be a proper non-empty subset";
 
     const CodingScheme c = CodingScheme::reflectedGray(bits);
     const IdaMerge &m = c.idaMerge(mask);
@@ -242,8 +254,7 @@ TEST_P(ReflectedGrayProperty, MergeInvariants)
 
 INSTANTIATE_TEST_SUITE_P(
     AllDensitiesAllMasks, ReflectedGrayProperty,
-    ::testing::Combine(::testing::Values(2, 3, 4, 5),
-                       ::testing::Range(0, 32)),
+    ::testing::ValuesIn(reflectedGrayCases()),
     [](const auto &info) {
         return "bits" + std::to_string(std::get<0>(info.param)) + "_mask" +
                std::to_string(std::get<1>(info.param));

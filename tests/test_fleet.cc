@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the sharded multi-device fleet layer (src/fleet):
- * striping arithmetic, the shard-count-invariance determinism
- * contract, cross-shard conservation auditing, and the causality
+ * Tests for the multi-device fleet layer (src/fleet): striping
+ * arithmetic, config rejection, the determinism contract and the
+ * pinned archive, fleet conservation auditing, and the causality
  * (past-time schedule) surfacing the fleet rests on.
  */
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/fleet.hh"
@@ -109,7 +111,7 @@ fleetPreset(std::uint32_t devices)
 }
 
 FleetConfig
-fleetConfig(std::uint32_t devices, int shards)
+fleetConfig(std::uint32_t devices)
 {
     FleetConfig fc;
     fc.device = ssd::SsdConfig::tiny();
@@ -117,44 +119,95 @@ fleetConfig(std::uint32_t devices, int shards)
     fc.device.adjustErrorRate = 0.20;
     fc.devices = devices;
     fc.stripePages = 8;
-    fc.shards = shards;
     fc.epoch = 50 * sim::kMsec;
     fc.fleetSeed = 99;
     return fc;
 }
 
-TEST(Fleet, ByteIdenticalAcrossShardCountsAndRepeats)
+TEST(FleetDeath, ZeroDevicesIsFatal)
 {
-    // The acceptance bar: >= 16 devices, aggregate AND per-device JSON
-    // byte-identical at shards 1 / 2 / 8, and again on a repeat run.
+    FleetConfig fc = fleetConfig(1);
+    fc.devices = 0;
+    EXPECT_EXIT(Fleet{fc}, ::testing::ExitedWithCode(1),
+                "FleetConfig::devices must be >= 1, got 0");
+}
+
+TEST(FleetDeath, ZeroStripePagesIsFatal)
+{
+    FleetConfig fc = fleetConfig(2);
+    fc.stripePages = 0;
+    EXPECT_EXIT(Fleet{fc}, ::testing::ExitedWithCode(1),
+                "FleetConfig::stripePages must be >= 1, got 0");
+}
+
+TEST(FleetDeath, ShardsOtherThanOneIsFatal)
+{
+    FleetConfig fc = fleetConfig(2);
+    fc.shards = 2;
+    EXPECT_EXIT(Fleet{fc}, ::testing::ExitedWithCode(1),
+                "FleetConfig::shards must be 1, got 2");
+}
+
+TEST(FleetDeath, NonPositiveEpochIsFatal)
+{
+    FleetConfig fc = fleetConfig(2);
+    fc.epoch = sim::Time{};
+    EXPECT_EXIT(Fleet{fc}, ::testing::ExitedWithCode(1),
+                "FleetConfig::epoch must be > 0, got 0 ns");
+}
+
+TEST(Fleet, ByteIdenticalOnRepeatWithNoPastSchedules)
+{
+    // >= 16 devices, aggregate AND per-device JSON byte-identical on a
+    // repeat run.
     const auto preset = fleetPreset(16);
-    std::string archive[3];
-    const int shards[3] = {1, 2, 8};
-    for (int i = 0; i < 3; ++i) {
-        const FleetResult res =
-            runFleetPreset(fleetConfig(16, shards[i]), preset);
-        // No leg may clamp a past-time event, in the fleet or in any
+    std::string archive[2];
+    for (std::string &a : archive) {
+        const FleetResult res = runFleetPreset(fleetConfig(16), preset);
+        // No run may clamp a past-time event, in the fleet or in any
         // member: a clamped run is a causality bug, not a measurement.
-        EXPECT_EQ(res.pastSchedules, 0u) << "shards " << shards[i];
+        EXPECT_EQ(res.pastSchedules, 0u);
         ASSERT_EQ(res.perDevice.size(), 16u);
         for (std::size_t d = 0; d < res.perDevice.size(); ++d)
-            EXPECT_EQ(res.perDevice[d].pastSchedules, 0u)
-                << "shards " << shards[i] << ", device " << d;
-        archive[i] = res.toJson(false);
+            EXPECT_EQ(res.perDevice[d].pastSchedules, 0u) << "device " << d;
+        a = res.toJson(false);
     }
-    const std::string s2b =
-        runFleetPreset(fleetConfig(16, 2), preset).toJson(false);
-
-    EXPECT_EQ(archive[0], archive[1]) << "--shards 1 vs 2 diverged";
-    EXPECT_EQ(archive[0], archive[2]) << "--shards 1 vs 8 diverged";
-    EXPECT_EQ(archive[1], s2b) << "repeat run diverged";
+    EXPECT_EQ(archive[0], archive[1]) << "repeat run diverged";
     EXPECT_NE(archive[0].find("\"pastSchedules\": 0"), std::string::npos);
     EXPECT_EQ(archive[0].find("wallSeconds"), std::string::npos);
 }
 
+/** FNV-1a over the bytes of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Fleet, ArchiveChecksumIsPinned)
+{
+    // The whole archive, aggregate and per-device, of the 16-device
+    // fleet at two fleet seeds: a change to how the fleet schedules its
+    // members must leave these bytes alone.
+    const auto preset = fleetPreset(16);
+    for (const auto &[seed, pinned] :
+         {std::pair{99ull, 0x6f984f0f7e5bbf54ull},
+          std::pair{7ull, 0x5e8d27cd5fb285b7ull}}) {
+        FleetConfig fc = fleetConfig(16);
+        fc.fleetSeed = seed;
+        EXPECT_EQ(fnv1a(runFleetPreset(fc, preset).toJson(false)), pinned)
+            << "fleet seed " << seed;
+    }
+}
+
 TEST(Fleet, AggregateMeasurementsAreConsistent)
 {
-    const auto res = runFleetPreset(fleetConfig(4, 2), fleetPreset(4));
+    const auto res = runFleetPreset(fleetConfig(4), fleetPreset(4));
     EXPECT_GT(res.measuredReads, 0u);
     EXPECT_GT(res.readRespUs, 0.0);
     EXPECT_GT(res.throughputMBps, 0.0);
@@ -178,7 +231,7 @@ TEST(Fleet, AggregateMeasurementsAreConsistent)
 
 TEST(Fleet, CrossShardConservationAuditIsGreen)
 {
-    FleetConfig fc = fleetConfig(6, 3);
+    FleetConfig fc = fleetConfig(6);
     Fleet fleet(fc);
     fleet.preloadSequential(6 * 400);
 
@@ -205,7 +258,7 @@ TEST(Fleet, CrossShardConservationAuditIsGreen)
 
 TEST(Fleet, AuditorFlagsInjectedHorizonViolation)
 {
-    FleetConfig fc = fleetConfig(2, 1);
+    FleetConfig fc = fleetConfig(2);
     Fleet fleet(fc);
     fleet.preloadSequential(2 * 200);
 
@@ -220,10 +273,10 @@ TEST(Fleet, AuditorFlagsInjectedHorizonViolation)
     opt.label = "violation";
     fleet.run(trace, opt);
 
-    // Forge the exact failure mode the epoch barrier prevents: an event
+    // Forge the exact failure mode epoch staging prevents: an event
     // injected behind a member's clock. Under the Clamp policy (the
-    // non-audit default) the kernel counts it — and the cross-shard
-    // auditor must refuse to stay green.
+    // non-audit default) the kernel counts it — and the fleet auditor
+    // must refuse to stay green.
     auto &q = fleet.device(0).events();
     q.setPastSchedulePolicy(sim::PastSchedulePolicy::Clamp);
     // The counter trips at schedule() time; no need to dispatch (and

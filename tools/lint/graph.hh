@@ -7,7 +7,7 @@
  * to every indexed function with that last name (overloads merge into
  * one node set — a conservative over-approximation, which is the right
  * direction for a gate), and a qualified call site (`sim::fatal`,
- * `Fleet::shardMain`) links only to functions whose qualified name
+ * `Ftl::refreshScan`) links only to functions whose qualified name
  * ends with the written chain on a `::` boundary. Unresolved names
  * (std:: library calls, macros) simply contribute no edge.
  *

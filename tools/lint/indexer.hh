@@ -7,9 +7,9 @@
  * translation unit:
  *
  *   - function definitions with their qualified names (namespace and
- *     class scopes are tracked, so an out-of-class `Fleet::shardMain`
- *     inside `namespace ida::fleet` indexes as
- *     `ida::fleet::Fleet::shardMain`);
+ *     class scopes are tracked, so an out-of-class `Ftl::refreshScan`
+ *     inside `namespace ida::ftl` indexes as
+ *     `ida::ftl::Ftl::refreshScan`);
  *   - call sites inside each body — plain calls, qualified calls,
  *     member calls through `.`/`->`, and calls made inside lambda
  *     bodies, which are attributed to the *defining* function (that is
@@ -77,8 +77,8 @@ struct CallSite
 /** One indexed function definition. */
 struct FunctionInfo
 {
-    std::string qualName; // ida::fleet::Fleet::shardMain
-    std::string lastName; // shardMain
+    std::string qualName; // ida::ftl::Ftl::refreshScan
+    std::string lastName; // refreshScan
     std::string file;     // root-relative path
     std::size_t nameLine = 0;
     std::size_t endLine = 0;

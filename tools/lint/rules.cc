@@ -177,7 +177,7 @@ const GraphRuleMeta kGraphRules[] = {
      "chain); keep dispatch paths on the pooled/slab containers"},
     {"IDA011", "no-unsynchronized-shard-state",
      "mutable static state reachable from shard-worker roots breaks "
-     "byte-determinism at any --shards; annotate deliberate sharing "
+     "byte-determinism at any --jobs; annotate deliberate sharing "
      "with // ida-lint: shared(mutex|atomic|epoch-barrier) or move the "
      "state into the shard"},
     {"IDA012", "rng-outside-factory",

@@ -3,9 +3,8 @@
 # experiment matrix through workload::runMatrix at two parallelism
 # levels, requiring byte-identical output (the determinism contract of
 # src/workload/batch.hh). The fleet layer gets the same treatment one
-# level up: fleet_demo at --shards 1 vs --shards 2 must be
-# byte-identical and must report pastSchedules == 0 (src/fleet/fleet.hh
-# determinism contract). Then run the end-to-end perf gate
+# level up: two fleet_demo runs must be byte-identical and must report
+# pastSchedules == 0 (src/fleet/fleet.hh determinism contract). Then run the end-to-end perf gate
 # (tools/check_perf.py: every BENCHMARK.json workload through perfbench
 # against bench/baselines/perf_*.json).
 #
@@ -51,25 +50,25 @@ fi
 echo "smoke: OK (matrix deterministic across -j1/-j2)"
 cat "$OUT_DIR/stdout_j1"
 
-# Fleet determinism: the sharded multi-device loop must emit
-# byte-identical archive JSON at any shard count, and a run that ever
-# clamped a past-time event is a causality bug, not a pass.
-"$BUILD_DIR/examples/fleet_demo" --shards 1 > "$OUT_DIR/fleet_s1" 2> /dev/null
-"$BUILD_DIR/examples/fleet_demo" --shards 2 > "$OUT_DIR/fleet_s2" 2> /dev/null
-if ! cmp -s "$OUT_DIR/fleet_s1" "$OUT_DIR/fleet_s2"; then
-    echo "smoke: FAIL - fleet_demo output differs between --shards 1 and 2" >&2
-    diff "$OUT_DIR/fleet_s1" "$OUT_DIR/fleet_s2" >&2 || true
+# Fleet determinism: the multi-device loop must emit byte-identical
+# archive JSON from run to run, and a run that ever clamped a
+# past-time event is a causality bug, not a pass.
+"$BUILD_DIR/examples/fleet_demo" > "$OUT_DIR/fleet_run1" 2> /dev/null
+"$BUILD_DIR/examples/fleet_demo" > "$OUT_DIR/fleet_run2" 2> /dev/null
+if ! cmp -s "$OUT_DIR/fleet_run1" "$OUT_DIR/fleet_run2"; then
+    echo "smoke: FAIL - fleet_demo output differs between two runs" >&2
+    diff "$OUT_DIR/fleet_run1" "$OUT_DIR/fleet_run2" >&2 || true
     exit 1
 fi
 # The gauge appears once per fleet and once per member device; every
 # occurrence must be zero.
-if ! grep -q '"pastSchedules": 0' "$OUT_DIR/fleet_s1" || \
-   grep -Eq '"pastSchedules": [1-9]' "$OUT_DIR/fleet_s1"; then
+if ! grep -q '"pastSchedules": 0' "$OUT_DIR/fleet_run1" || \
+   grep -Eq '"pastSchedules": [1-9]' "$OUT_DIR/fleet_run1"; then
     echo "smoke: FAIL - fleet run clamped past-time events (pastSchedules != 0)" >&2
-    grep '"pastSchedules"' "$OUT_DIR/fleet_s1" >&2 || true
+    grep '"pastSchedules"' "$OUT_DIR/fleet_run1" >&2 || true
     exit 1
 fi
-echo "smoke: OK (fleet deterministic across --shards 1/2, pastSchedules == 0)"
+echo "smoke: OK (fleet deterministic across two runs, pastSchedules == 0)"
 
 python3 "$SRC_DIR/tools/check_perf.py" "$BUILD_DIR"
 
