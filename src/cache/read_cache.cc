@@ -15,11 +15,11 @@ void
 ReadCache::unlink(std::uint32_t s)
 {
     Line &l = slots_[s];
-    if (l.prev != kNilLine)
+    if (l.prev != sim::kNoSlot)
         slots_[l.prev].next = l.next;
     else
         head_ = l.next;
-    if (l.next != kNilLine)
+    if (l.next != sim::kNoSlot)
         slots_[l.next].prev = l.prev;
     else
         tail_ = l.prev;
@@ -29,12 +29,12 @@ void
 ReadCache::pushFront(std::uint32_t s)
 {
     Line &l = slots_[s];
-    l.prev = kNilLine;
+    l.prev = sim::kNoSlot;
     l.next = head_;
-    if (head_ != kNilLine)
+    if (head_ != sim::kNoSlot)
         slots_[head_].prev = s;
     head_ = s;
-    if (tail_ == kNilLine)
+    if (tail_ == sim::kNoSlot)
         tail_ = s;
 }
 
@@ -81,18 +81,10 @@ ReadCache::insert(flash::Lpn lpn, flash::SectorMask sectors)
         const std::uint32_t victim = tail_;
         lines_.erase(slots_[victim].lpn);
         unlink(victim);
-        slots_[victim].next = freeLine_;
-        freeLine_ = victim;
+        slots_.release(victim);
         ++stats_.evictions;
     }
-    std::uint32_t s;
-    if (freeLine_ != kNilLine) {
-        s = freeLine_;
-        freeLine_ = slots_[s].next;
-    } else {
-        s = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(Line{});
-    }
+    const std::uint32_t s = slots_.acquire();
     slots_[s].lpn = lpn;
     slots_[s].sectors = sectors;
     pushFront(s);
@@ -113,8 +105,7 @@ ReadCache::invalidate(flash::Lpn lpn, flash::SectorMask sectors)
     ++stats_.invalidations;
     if (slots_[s].sectors == 0) {
         unlink(s);
-        slots_[s].next = freeLine_;
-        freeLine_ = s;
+        slots_.release(s);
         lines_.erase(it);
     }
 }

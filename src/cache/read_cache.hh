@@ -26,9 +26,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "flash/geometry.hh"
+#include "sim/slab.hh"
 #include "sim/time.hh"
 
 namespace ida::cache {
@@ -105,7 +105,7 @@ class ReadCache
     void
     forEachLine(Fn &&fn) const
     {
-        for (std::uint32_t s = head_; s != kNilLine; s = slots_[s].next)
+        for (std::uint32_t s = head_; s != sim::kNoSlot; s = slots_[s].next)
             fn(slots_[s].lpn, slots_[s].sectors);
     }
 
@@ -114,8 +114,8 @@ class ReadCache
      * The LRU is an index-linked list through a contiguous slot vector
      * (the seed's std::list allocated a node per line and every
      * promotion chased list pointers across the heap — this is on the
-     * host-read critical path). Slots recycle through a free list, so
-     * the vector stops growing at capacity.
+     * host-read critical path). Slots recycle through the slab, so it
+     * stops growing at capacity.
      */
     struct Line
     {
@@ -125,17 +125,14 @@ class ReadCache
         std::uint32_t next;
     };
 
-    static constexpr std::uint32_t kNilLine = ~std::uint32_t{0};
-
     void unlink(std::uint32_t s);
     void pushFront(std::uint32_t s);
 
     ReadCacheConfig cfg_;
     ReadCacheStats stats_;
-    std::vector<Line> slots_;
-    std::uint32_t head_ = kNilLine; // most recently used
-    std::uint32_t tail_ = kNilLine; // eviction victim
-    std::uint32_t freeLine_ = kNilLine;
+    sim::Slab<Line> slots_;
+    std::uint32_t head_ = sim::kNoSlot; // most recently used
+    std::uint32_t tail_ = sim::kNoSlot; // eviction victim
     std::unordered_map<flash::Lpn, std::uint32_t> lines_;
 };
 

@@ -21,7 +21,6 @@ ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
                    "geometry bitsPerCell");
     dies_.resize(geom_.dies());
     channelFree_.assign(geom_.channels, sim::Time{});
-    spans_.resize(1); // slot 0 is kNoSpan
 }
 
 sim::Time
@@ -34,15 +33,6 @@ ChipArray::transferTimeFor(std::uint32_t sectors) const
 }
 
 sim::Time
-ChipArray::currentReadLatency(Ppn ppn) const
-{
-    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    const int sensings =
-        table_.block(geom_.blockOf(ppn)).readSensings(page, coding_);
-    return timing_.readLatency(coding_, sensings);
-}
-
-void
 ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
                     DoneCallback done, Lpn lpn, std::uint32_t sectors)
 {
@@ -52,8 +42,8 @@ ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
     const int conv = coding_.sensingCount(
         static_cast<int>(geom_.levelOfPage(page)));
     const auto rounds = static_cast<std::uint64_t>(1 + extra_rounds);
-    const sim::Time sense =
-        timing_.readLatency(coding_, senses) * (1 + extra_rounds);
+    const sim::Time round = timing_.readLatency(coding_, senses);
+    const sim::Time sense = round * (1 + extra_rounds);
     stats_.retrySenseRounds += static_cast<std::uint64_t>(extra_rounds);
     stats_.sensingOps += static_cast<std::uint64_t>(senses) * rounds;
     stats_.sensingOpsConventional +=
@@ -61,26 +51,23 @@ ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
     stats_.sensingOpsSaved +=
         static_cast<std::uint64_t>(conv - senses) * rounds;
     const DieId die = geom_.dieOfBlock(bid);
-    Command cmd;
-    cmd.op = Command::Op::Read;
+    const std::uint32_t slot =
+        park(Command::Op::Read, sense, std::move(done),
+             host_read ? trace::SpanKind::HostRead
+                       : trace::SpanKind::InternalRead,
+             ppn, die, lpn);
+    Command &cmd = commands_[slot];
     cmd.hostRead = host_read;
-    cmd.senseOrBusyTime = sense;
-    cmd.usesChannel = true;
     cmd.transferTime = transferTimeFor(sectors);
-    cmd.postLatency = timing_.eccDecode;
-    cmd.done = std::move(done);
-    if (tracer_) {
-        cmd.span = openSpan(host_read ? trace::SpanKind::HostRead
-                                      : trace::SpanKind::InternalRead,
-                            ppn, die, lpn);
-        trace::Span &sp = spans_[cmd.span];
-        sp.senses = static_cast<std::uint16_t>(senses);
-        sp.sensesConventional = static_cast<std::uint16_t>(conv);
-        sp.retryRounds = static_cast<std::uint8_t>(extra_rounds);
+    if (cmd.span.traced()) {
+        cmd.span.senses = static_cast<std::uint16_t>(senses);
+        cmd.span.sensesConventional = static_cast<std::uint16_t>(conv);
+        cmd.span.retryRounds = static_cast<std::uint8_t>(extra_rounds);
     }
-    enqueue(die, std::move(cmd));
+    enqueue(die, slot);
     ++stats_.reads;
     stats_.senseTime += sense;
+    return round;
 }
 
 void
@@ -103,20 +90,16 @@ ChipArray::programPage(Ppn ppn, DoneCallback done, Lpn lpn, bool host_data,
         sim::panic("ChipArray::programPage: out-of-order program");
     table_.programNext(bid, events_.now(), sectors);
 
-    Command cmd;
-    cmd.op = Command::Op::Program;
-    cmd.senseOrBusyTime = timing_.pageProgram;
-    cmd.usesChannel = true;
-    cmd.transferTime = transferTimeFor(
+    const DieId die = geom_.dieOfBlock(bid);
+    const std::uint32_t slot =
+        park(Command::Op::Program, timing_.pageProgram, std::move(done),
+             host_data ? trace::SpanKind::HostWrite
+                       : trace::SpanKind::InternalProgram,
+             ppn, die, lpn);
+    commands_[slot].transferTime = transferTimeFor(
         sectors == 0 ? 0 : static_cast<std::uint32_t>(
                                std::popcount(sectors)));
-    cmd.done = std::move(done);
-    const DieId die = geom_.dieOfBlock(bid);
-    if (tracer_)
-        cmd.span = openSpan(host_data ? trace::SpanKind::HostWrite
-                                      : trace::SpanKind::InternalProgram,
-                            ppn, die, lpn);
-    enqueue(die, std::move(cmd));
+    enqueue(die, slot);
     ++stats_.programs;
 }
 
@@ -124,15 +107,10 @@ void
 ChipArray::eraseBlock(BlockId b, DoneCallback done)
 {
     table_.erase(b);
-    Command cmd;
-    cmd.op = Command::Op::Erase;
-    cmd.senseOrBusyTime = timing_.blockErase;
-    cmd.done = std::move(done);
     const DieId die = geom_.dieOfBlock(b);
-    if (tracer_)
-        cmd.span = openSpan(trace::SpanKind::Erase, geom_.firstPpnOf(b),
-                            die, kInvalidLpn);
-    enqueue(die, std::move(cmd));
+    enqueue(die, park(Command::Op::Erase, timing_.blockErase,
+                      std::move(done), trace::SpanKind::Erase,
+                      geom_.firstPpnOf(b), die, kInvalidLpn));
     ++stats_.erases;
 }
 
@@ -141,31 +119,30 @@ ChipArray::adjustWordline(BlockId b, std::uint32_t wl, LevelMask mask,
                           DoneCallback done)
 {
     table_.applyIda(b, wl, mask);
-    Command cmd;
-    cmd.op = Command::Op::AdjustWl;
-    cmd.senseOrBusyTime = timing_.voltageAdjust;
-    cmd.done = std::move(done);
     const DieId die = geom_.dieOfBlock(b);
-    if (tracer_)
-        cmd.span = openSpan(trace::SpanKind::AdjustWl,
-                            geom_.firstPpnOf(b) + geom_.pageOfWordline(wl, 0),
-                            die, kInvalidLpn);
-    enqueue(die, std::move(cmd));
+    enqueue(die, park(Command::Op::AdjustWl, timing_.voltageAdjust,
+                      std::move(done), trace::SpanKind::AdjustWl,
+                      geom_.firstPpnOf(b) + geom_.pageOfWordline(wl, 0),
+                      die, kInvalidLpn));
     ++stats_.adjusts;
 }
 
 std::uint32_t
-ChipArray::openSpan(trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn)
+ChipArray::park(Command::Op op, sim::Time busy, DoneCallback done,
+                trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn)
 {
-    std::uint32_t h;
-    if (!freeSpans_.empty()) {
-        h = freeSpans_.back();
-        freeSpans_.pop_back();
-    } else {
-        h = static_cast<std::uint32_t>(spans_.size());
-        spans_.emplace_back();
+    const std::uint32_t slot = commands_.acquire();
+    Command &cmd = commands_[slot];
+    cmd.op = op;
+    cmd.hostRead = false;
+    cmd.busyTime = busy;
+    cmd.transferTime = sim::Time{};
+    cmd.done = std::move(done);
+    trace::Span &sp = cmd.span;
+    if (!tracer_) {
+        sp.kind = trace::SpanKind::None;
+        return slot;
     }
-    trace::Span &sp = spans_[h];
     sp = trace::Span{};
     sp.id = tracer_->nextId();
     sp.kind = kind;
@@ -174,61 +151,50 @@ ChipArray::openSpan(trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn)
     sp.die = die;
     sp.channel = geom_.channelOfDie(die);
     sp.start = events_.now();
-    return h;
+    return slot;
 }
 
 void
-ChipArray::closeSpan(std::uint32_t handle, sim::Time complete)
+ChipArray::closeSpan(trace::Span &span, sim::Time complete)
 {
-    spans_[handle].complete = complete;
+    span.complete = complete;
     if (tracer_)
-        tracer_->record(spans_[handle]);
-    freeSpans_.push_back(handle);
+        tracer_->record(span);
+}
+
+void
+ChipArray::push(Queue &q, std::uint32_t slot)
+{
+    commands_[slot].next = kNoSlot;
+    (q.empty() ? q.head : commands_[q.tail].next) = slot;
+    q.tail = slot;
 }
 
 std::uint32_t
-ChipArray::acquireReadSlot(DoneCallback done, sim::Time completion)
+ChipArray::pop(Queue &q)
 {
-    std::uint32_t slot;
-    if (freeReadSlot_ != kNilSlot) {
-        slot = freeReadSlot_;
-        freeReadSlot_ = pendingReads_[slot].nextFree;
-    } else {
-        slot = static_cast<std::uint32_t>(pendingReads_.size());
-        pendingReads_.emplace_back();
-    }
-    PendingRead &pr = pendingReads_[slot];
-    pr.done = std::move(done);
-    pr.completion = completion;
+    const std::uint32_t slot = q.head;
+    q.head = commands_[slot].next;
     return slot;
 }
 
 void
 ChipArray::finishRead(std::uint32_t slot)
 {
-    // Move everything out and recycle the slot before running the
-    // callback: it may issue another read and reuse this very slot.
-    PendingRead &pr = pendingReads_[slot];
-    DoneCallback done = std::move(pr.done);
-    const sim::Time completion = pr.completion;
-    pr.done = nullptr;
-    pr.nextFree = freeReadSlot_;
-    freeReadSlot_ = slot;
-    --inflight_;
+    // Move the callback out and free the slot before running it: it may
+    // issue another read and reuse this very slot.
+    DoneCallback done = std::move(commands_[slot].done);
+    commands_.release(slot);
     if (done)
-        done(completion);
+        done(events_.now());
 }
 
 void
-ChipArray::enqueue(DieId die, Command cmd)
+ChipArray::enqueue(DieId die, std::uint32_t slot)
 {
-    ++inflight_;
     Die &d = dies_[die];
-    const bool is_host_read = cmd.op == Command::Op::Read && cmd.hostRead;
-    if (is_host_read)
-        d.readQ.push_back(std::move(cmd));
-    else
-        d.otherQ.push_back(std::move(cmd));
+    const bool is_host_read = commands_[slot].hostRead;
+    push(is_host_read ? d.readQ : d.otherQ, slot);
     if (!d.busy) {
         tryStart(die);
     } else if (!d.endArmed) {
@@ -256,18 +222,16 @@ ChipArray::trySuspend(DieId die)
     if (!timing_.programSuspension)
         return;
     Die &d = dies_[die];
-    if (!d.busy || !d.suspendable || d.hasSuspended || d.readQ.empty())
+    if (!d.busy || !d.suspendable || d.suspended != kNoSlot ||
+        d.readQ.empty())
         return;
     // Interrupt the running program/erase/adjust: remember its residual
     // die time, invalidate its pending end event, and let the host read
     // take the die.
     ++stats_.suspensions;
-    d.hasSuspended = true;
+    d.suspended = std::exchange(d.running, kNoSlot);
     d.suspendedRemaining = d.endTime - events_.now();
     stats_.dieBusy -= d.suspendedRemaining; // re-added on resume
-    d.suspendedDone = std::move(d.runningDone);
-    d.runningDone = nullptr;
-    d.suspendedSpan = std::exchange(d.runningSpan, kNoSpan);
     ++d.endGen;
     d.busy = false;
     d.suspendable = false;
@@ -275,15 +239,13 @@ ChipArray::trySuspend(DieId die)
 }
 
 void
-ChipArray::occupyDie(DieId die, sim::Time end, bool suspendable,
-                     DoneCallback done)
+ChipArray::occupyDie(DieId die, sim::Time end, bool suspendable)
 {
     Die &d = dies_[die];
     d.busy = true;
     d.suspendable = suspendable;
     d.endArmed = true;
     d.endTime = end;
-    d.runningDone = std::move(done);
     const std::uint64_t gen = ++d.endGen;
     events_.schedule(end, [this, die, gen] { onDieOpEnd(die, gen); });
 }
@@ -297,15 +259,17 @@ ChipArray::onDieOpEnd(DieId die, std::uint64_t gen)
         return; // the op was suspended; a new end event will come
     d.busy = false;
     d.suspendable = false;
-    // Close before invoking the completion callback: it may issue new
-    // work on this very die and start the next traced command.
-    if (d.runningSpan != kNoSpan)
-        closeSpan(std::exchange(d.runningSpan, kNoSpan), events_.now());
-    if (d.runningDone) {
-        DoneCallback done = std::move(d.runningDone);
-        d.runningDone = nullptr;
-        --inflight_;
-        done(events_.now());
+    if (d.running != kNoSlot) {
+        const std::uint32_t slot = std::exchange(d.running, kNoSlot);
+        Command &cmd = commands_[slot];
+        // Close before invoking the completion callback: it may issue
+        // new work on this very die and start the next traced command.
+        if (cmd.span.traced())
+            closeSpan(cmd.span, events_.now());
+        DoneCallback done = std::move(cmd.done);
+        commands_.release(slot);
+        if (done)
+            done(events_.now());
     }
     tryStart(die);
 }
@@ -314,13 +278,11 @@ void
 ChipArray::resumeSuspended(DieId die)
 {
     Die &d = dies_[die];
-    d.hasSuspended = false;
     const sim::Time end = events_.now() + timing_.suspendResumeOverhead +
                           d.suspendedRemaining;
     stats_.dieBusy += end - events_.now();
-    d.runningSpan = std::exchange(d.suspendedSpan, kNoSpan);
-    occupyDie(die, end, true, std::move(d.suspendedDone));
-    d.suspendedDone = nullptr;
+    d.running = std::exchange(d.suspended, kNoSlot);
+    occupyDie(die, end, true);
 }
 
 void
@@ -329,10 +291,10 @@ ChipArray::tryStart(DieId die)
     Die &d = dies_[die];
     if (d.busy)
         return;
-    std::deque<Command> *q = nullptr;
+    Queue *q = nullptr;
     if (!d.readQ.empty()) {
         q = &d.readQ; // read-first scheduling
-    } else if (d.hasSuspended) {
+    } else if (d.suspended != kNoSlot) {
         resumeSuspended(die); // interrupted op resumes before new work
         return;
     } else if (!d.otherQ.empty()) {
@@ -341,9 +303,9 @@ ChipArray::tryStart(DieId die)
         return;
     }
 
-    Command cmd = std::move(q->front());
-    q->pop_front();
-
+    const std::uint32_t slot = pop(*q);
+    Command &cmd = commands_[slot];
+    trace::Span &sp = cmd.span;
     const sim::Time now = events_.now();
     const std::uint32_t chan = geom_.channelOfDie(die);
 
@@ -354,7 +316,7 @@ ChipArray::tryStart(DieId die)
         // array read with the I/O transfer through the cache register
         // (read-page-cache mode), so back-to-back reads on one die are
         // sensing-bound, which is exactly the stage the paper attacks.
-        const sim::Time sense_done = now + cmd.senseOrBusyTime;
+        const sim::Time sense_done = now + cmd.busyTime;
         const sim::Time ch_start = timing_.channelContention
             ? std::max(sense_done, channelFree_[chan])
             : sense_done;
@@ -365,24 +327,21 @@ ChipArray::tryStart(DieId die)
         stats_.dieBusy += sense_done - now;
 
         // The read itself completes after transfer + ECC, independent
-        // of the die becoming free at sense completion. The callback is
-        // parked in the pending-read slab; the event carries only the
-        // slot index.
-        const sim::Time completion = ch_end + cmd.postLatency;
+        // of the die becoming free at sense completion. The command
+        // stays in its slot; the event carries only the slot index.
+        const sim::Time completion = ch_end + timing_.eccDecode;
         // A read's timeline is fully determined here (reads are never
         // suspended), so the span closes at die-start time.
-        if (cmd.span != kNoSpan) {
-            trace::Span &sp = spans_[cmd.span];
+        if (sp.traced()) {
             sp.dieStart = now;
             sp.senseEnd = sense_done;
             sp.channelStart = ch_start;
             sp.channelEnd = ch_end;
-            closeSpan(cmd.span, completion);
+            closeSpan(sp, completion);
         }
-        const std::uint32_t slot =
-            acquireReadSlot(std::move(cmd.done), completion);
         events_.schedule(completion, [this, slot] { finishRead(slot); });
-        if (d.readQ.empty() && d.otherQ.empty() && !d.hasSuspended) {
+        if (d.readQ.empty() && d.otherQ.empty() &&
+            d.suspended == kNoSlot) {
             // Nothing can start at sense completion and a read parks no
             // completion on the die: elide the die-end event (see
             // Die::endArmed). Back-to-back reads on an uncontended die
@@ -393,7 +352,7 @@ ChipArray::tryStart(DieId die)
             d.endTime = sense_done;
             ++d.endGen;
         } else {
-            occupyDie(die, sense_done, false, nullptr);
+            occupyDie(die, sense_done, false);
         }
         break;
       }
@@ -406,32 +365,30 @@ ChipArray::tryStart(DieId die)
         if (timing_.channelContention)
             channelFree_[chan] = ch_end;
         stats_.channelBusy += cmd.transferTime;
-        const sim::Time end = ch_end + cmd.senseOrBusyTime;
+        const sim::Time end = ch_end + cmd.busyTime;
         stats_.dieBusy += end - now;
-        if (cmd.span != kNoSpan) {
-            trace::Span &sp = spans_[cmd.span];
+        if (sp.traced()) {
             sp.dieStart = now;
             sp.senseEnd = now;
             sp.channelStart = ch_start;
             sp.channelEnd = ch_end;
         }
-        d.runningSpan = cmd.span; // closed in onDieOpEnd
-        occupyDie(die, end, true, std::move(cmd.done));
+        d.running = slot; // completes in onDieOpEnd
+        occupyDie(die, end, true);
         break;
       }
       case Command::Op::Erase:
       case Command::Op::AdjustWl: {
-        const sim::Time end = now + cmd.senseOrBusyTime;
+        const sim::Time end = now + cmd.busyTime;
         stats_.dieBusy += end - now;
-        if (cmd.span != kNoSpan) {
-            trace::Span &sp = spans_[cmd.span];
+        if (sp.traced()) {
             sp.dieStart = now;
             sp.senseEnd = now;
             sp.channelStart = now;
             sp.channelEnd = now;
         }
-        d.runningSpan = cmd.span; // closed in onDieOpEnd
-        occupyDie(die, end, true, std::move(cmd.done));
+        d.running = slot; // completes in onDieOpEnd
+        occupyDie(die, end, true);
         break;
       }
     }

@@ -9,10 +9,13 @@
  * scheduling", Table II).
  *
  * Block *state* mutates synchronously when a command is issued; the
- * command object only models *timing* and invokes its completion callback
- * at the simulated finish time. This keeps multi-step FTL flows (GC,
+ * command only models *timing* and invokes its completion callback at
+ * the simulated finish time. This keeps multi-step FTL flows (GC,
  * refresh) simple and deterministic: each phase issues its commands and
- * waits for all completions before mutating further.
+ * waits for all completions before mutating further. A command lives in
+ * one slab slot from issue to completion: queued, running, suspended
+ * and awaiting its read completion, it is only ever named by the slot's
+ * handle, so its callback is parked once and never moved between queues.
  *
  * Per-command timing (paper Sec. II-C, Table II):
  *  - Read:    sense tR(page) x (1 + retryRounds) on the die, then one
@@ -24,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
+#include "sim/slab.hh"
 #include "trace/span.hh"
 
 namespace ida::trace {
@@ -47,11 +50,12 @@ namespace ida::flash {
  * Completion callback: receives the command's finish time.
  *
  * 48 bytes of inline storage, allocation-free and move-only (see
- * sim/inline_callback.hh). Budgeted for the deepest capture set layered
- * on top: the FTL wraps a DoneCallback together with a `this` pointer
- * into one 64-byte EventQueue::Callback (ftl/ftl.cc write-buffer and
- * migration-prune paths), so 48 + 8 (vtable) + 8 (this) must stay
- * within EventQueue::Callback::capacity.
+ * sim/inline_callback.hh). ChipArray parks it in the command's slot at
+ * issue and moves it out only to run it. Budgeted for the deepest
+ * capture set layered on top: the FTL wraps a DoneCallback together
+ * with a `this` pointer into one 64-byte EventQueue::Callback
+ * (ftl/ftl.cc write-buffer and migration-prune paths), so 48 + 8
+ * (vtable) + 8 (this) must stay within EventQueue::Callback::capacity.
  */
 using DoneCallback = sim::InlineCallback<void(sim::Time), 48>;
 
@@ -135,10 +139,13 @@ class ChipArray
      * the channel transfer scales with the sector count — the partial
      * reads the read cache's hole-merging and GC's valid-sector copies
      * issue occupy the shared channel proportionally.
+     *
+     * Returns the memory-access latency of one sensing round, as
+     * charged to this read.
      */
-    void readPage(Ppn ppn, bool host_read, int extra_rounds,
-                  DoneCallback done, Lpn lpn = kInvalidLpn,
-                  std::uint32_t sectors = 0);
+    sim::Time readPage(Ppn ppn, bool host_read, int extra_rounds,
+                       DoneCallback done, Lpn lpn = kInvalidLpn,
+                       std::uint32_t sectors = 0);
 
     /**
      * Program the next in-order page of @p ppn's block; @p ppn must be
@@ -170,51 +177,60 @@ class ChipArray
     void adjustWordline(BlockId b, std::uint32_t wl, LevelMask mask,
                         DoneCallback done);
 
-    /** The memory-access latency a read of @p ppn would take right now. */
-    sim::Time currentReadLatency(Ppn ppn) const;
-
     const ChipStats &stats() const { return stats_; }
 
     /** Pending + running commands across all dies (for drain checks). */
-    std::uint64_t inflight() const { return inflight_; }
+    std::uint64_t inflight() const { return commands_.live(); }
 
     /**
      * Attach the span recorder (null detaches). Commands issued while a
-     * recorder is attached open a span in this array's slab; commands
-     * issued without one carry handle 0 and take the untraced path.
-     * Spans still open when the recorder is replaced or detached stay
-     * valid (the slab is ours) and go to whichever recorder is attached
-     * when they complete, or nowhere.
+     * recorder is attached stamp the span in their command slot;
+     * commands issued without one leave it untraced. Spans still open
+     * when the recorder is replaced or detached stay valid (the slot is
+     * ours) and go to whichever recorder is attached when they
+     * complete, or nowhere.
      */
     void setTracer(trace::Recorder *tracer) { tracer_ = tracer; }
 
   private:
-    /** Span handle of an untraced command (slot 0 is never handed out). */
-    static constexpr std::uint32_t kNoSpan = 0;
+    static constexpr std::uint32_t kNoSlot = sim::kNoSlot;
 
-    /** Small fields first, so the span handle fills padding (88 bytes). */
+    /**
+     * A flash command, parked in one slot of commands_ from issue to
+     * completion: queued on its die (linked through `next`), running or
+     * suspended there (Die::running, Die::suspended), or, for a read
+     * past its die stage, awaiting the completion event, which captures
+     * only {this, slot}. The span is stamped only when a recorder was
+     * attached at issue (span.traced()).
+     */
     struct Command
     {
         enum class Op : std::uint8_t { Read, Program, Erase, AdjustWl };
-        Op op;
+        Op op = Op::Read;
         bool hostRead = false;
-        /** True when the op uses the channel (read out / program in). */
-        bool usesChannel = false;
-        /** Open-span handle into spans_ (kNoSpan when untraced). */
-        std::uint32_t span = kNoSpan;
-        /** Precomputed die occupancy of the pre-transfer stage. */
-        sim::Time senseOrBusyTime{};
+        /** Next command in the die's queue. */
+        std::uint32_t next = kNoSlot;
+        /** Die occupancy of the pre-transfer stage (sense or cell time). */
+        sim::Time busyTime{};
         /** Channel occupancy: pageTransfer scaled by the sector count. */
         sim::Time transferTime{};
-        /** Extra latency after resources are released (ECC pipeline). */
-        sim::Time postLatency{};
         DoneCallback done;
+        trace::Span span;
+    };
+
+    /** A FIFO of command slots linked through Command::next. */
+    struct Queue
+    {
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
+
+        bool empty() const { return head == kNoSlot; }
     };
 
     struct Die
     {
-        std::deque<Command> readQ;
-        std::deque<Command> otherQ;
+        Queue readQ;
+        Queue otherQ;
         bool busy = false;
         /** Generation of the pending die-end event (stale-event guard). */
         std::uint64_t endGen = 0;
@@ -233,53 +249,32 @@ class ChipArray
         /** Whether the running op may be suspended by a host read. */
         bool suspendable = false;
         /**
-         * Span handle of the running program/erase/adjust; closed at
-         * the *actual* die-op end (onDieOpEnd), so suspension
-         * stretches land in the span instead of a precomputed
-         * completion time. Reads never park here — their completion is
-         * fully determined at start (tryStart closes them immediately).
+         * The running program/erase/adjust. It completes, and its span
+         * closes, at the *actual* die-op end (onDieOpEnd), so
+         * suspension stretches land in the span. Reads never park here:
+         * their completion is fully determined when they start.
          */
-        std::uint32_t runningSpan = kNoSpan;
-        /** Completion callback of the running non-read op. */
-        DoneCallback runningDone;
-        /** A suspended op waiting to resume (remaining die time). */
-        bool hasSuspended = false;
-        /** Span handle of the suspended op (see runningSpan). */
-        std::uint32_t suspendedSpan = kNoSpan;
+        std::uint32_t running = kNoSlot;
+        /** An op a host read suspended, waiting to resume. */
+        std::uint32_t suspended = kNoSlot;
+        /** The suspended op's remaining die time. */
         sim::Time suspendedRemaining{};
-        DoneCallback suspendedDone;
     };
-
-    /**
-     * A read past its die stage, waiting for its transfer + ECC
-     * completion event. Slab-pooled (free list through `nextFree`) so
-     * the completion event only captures {this, slot} — 16 bytes —
-     * instead of hauling the 56-byte DoneCallback through the event
-     * queue, and so the per-read bookkeeping allocates nothing in the
-     * steady state.
-     */
-    struct PendingRead
-    {
-        DoneCallback done;
-        sim::Time completion{};
-        std::uint32_t nextFree = kNilSlot;
-    };
-
-    static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
 
     sim::Time transferTimeFor(std::uint32_t sectors) const;
-    void enqueue(DieId die, Command cmd);
+    /** Park a new command in a slot; its span opens when traced. */
+    std::uint32_t park(Command::Op op, sim::Time busy, DoneCallback done,
+                       trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn);
+    void push(Queue &q, std::uint32_t slot);
+    std::uint32_t pop(Queue &q);
+    void enqueue(DieId die, std::uint32_t slot);
     void trySuspend(DieId die);
     void tryStart(DieId die);
-    void occupyDie(DieId die, sim::Time end, bool suspendable,
-                   DoneCallback done);
+    void occupyDie(DieId die, sim::Time end, bool suspendable);
     void onDieOpEnd(DieId die, std::uint64_t gen);
     void resumeSuspended(DieId die);
-    std::uint32_t acquireReadSlot(DoneCallback done, sim::Time completion);
     void finishRead(std::uint32_t slot);
-    std::uint32_t openSpan(trace::SpanKind kind, Ppn ppn, DieId die,
-                           Lpn lpn);
-    void closeSpan(std::uint32_t handle, sim::Time complete);
+    void closeSpan(trace::Span &span, sim::Time complete);
 
     const Geometry geom_;
     const FlashTiming timing_;
@@ -291,18 +286,13 @@ class ChipArray
     BlockTable table_;
     std::vector<Die> dies_;
     std::vector<sim::Time> channelFree_;
-    std::vector<PendingRead> pendingReads_;
-    std::uint32_t freeReadSlot_ = kNilSlot;
     /**
-     * Open spans of traced commands in flight, indexed by handle (slot
-     * 0 unused), with recycled handles on freeSpans_. Owned here rather
-     * than by the Recorder so replacing or detaching it mid-run never
-     * strands a queued command's handle.
+     * Every command in flight. Owned here rather than by the Recorder,
+     * so replacing or detaching it mid-run never strands a queued
+     * command's open span.
      */
-    std::vector<trace::Span> spans_;
-    std::vector<std::uint32_t> freeSpans_;
+    sim::Slab<Command> commands_;
     ChipStats stats_;
-    std::uint64_t inflight_ = 0;
     trace::Recorder *tracer_ = nullptr;
 };
 

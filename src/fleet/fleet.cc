@@ -86,26 +86,6 @@ Fleet::finalizePreload()
         dev->ftl().finalizePreload();
 }
 
-std::uint32_t
-Fleet::acquireSlot()
-{
-    if (freeSlot_ != kNilSlot) {
-        const std::uint32_t s = freeSlot_;
-        freeSlot_ = slots_[s].link;
-        slots_[s] = Slot{};
-        return s;
-    }
-    slots_.push_back(Slot{});
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void
-Fleet::releaseSlot(std::uint32_t slot)
-{
-    slots_[slot].link = freeSlot_;
-    freeSlot_ = slot;
-}
-
 void
 Fleet::stage(const workload::IoRequest &req)
 {
@@ -118,8 +98,9 @@ Fleet::stage(const workload::IoRequest &req)
     if (start + count > space)
         start = space - std::min<std::uint64_t>(count, space);
 
-    const std::uint32_t slot = acquireSlot();
+    const std::uint32_t slot = slots_.acquire();
     Slot &sl = slots_[slot];
+    sl = Slot{};
     sl.arrival = req.arrival;
     sl.isRead = req.isRead;
     sl.isTrim = req.isTrim;
@@ -187,21 +168,14 @@ Fleet::finishRequest(std::uint32_t slot)
         }
         lastCompletion_ = std::max(lastCompletion_, sl.lastDone);
     }
-    releaseSlot(slot);
+    slots_.release(slot);
 }
 
 std::uint64_t
 Fleet::pendingSubRequests() const
 {
     std::uint64_t pending = 0;
-    // The free list marks dead slots; count pendings of live ones.
-    std::vector<char> dead(slots_.size(), 0);
-    for (std::uint32_t f = freeSlot_; f != kNilSlot; f = slots_[f].link)
-        dead[f] = 1;
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-        if (!dead[s])
-            pending += slots_[s].pending;
-    }
+    slots_.forEachLive([&](const Slot &sl) { pending += sl.pending; });
     return pending;
 }
 

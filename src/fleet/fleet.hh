@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "fleet/stripe.hh"
+#include "sim/slab.hh"
 #include "ssd/ssd.hh"
 #include "stats/histogram.hh"
 #include "stats/stats.hh"
@@ -214,13 +215,8 @@ class Fleet
         std::uint32_t pages = 0;
         bool isRead = true;
         bool isTrim = false;
-        std::uint32_t link = kNilSlot; ///< free list
     };
 
-    static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
-
-    std::uint32_t acquireSlot();
-    void releaseSlot(std::uint32_t slot);
     void stage(const workload::IoRequest &req);
     void submitStaged();
     void finishRequest(std::uint32_t slot);
@@ -230,8 +226,7 @@ class Fleet
     std::vector<std::unique_ptr<ssd::Ssd>> devices_;
     std::uint64_t footprint_ = 0; ///< preloaded fleet pages (fold base)
 
-    std::vector<Slot> slots_;
-    std::uint32_t freeSlot_ = kNilSlot;
+    sim::Slab<Slot> slots_;
     std::vector<std::vector<ssd::HostRequest>> staged_;
 
     std::uint64_t stagedSubs_ = 0;

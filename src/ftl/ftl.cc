@@ -85,7 +85,7 @@ Ftl::quiescent() const
             return false;
     }
     return activeRefresh_ == 0 && flushesInFlight_ == 0 &&
-           rmwInFlight_ == 0;
+           pendingRmw_.live() == 0;
 }
 
 std::uint64_t
@@ -258,23 +258,23 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
     const int rounds = ecc_.retryRounds(
         blk.eraseCount(), events_.now() - blk.programTime(), rng_);
 
+    // Read-allocate at issue time, and only sectors flash or the write
+    // buffer can actually supply — never zero-fill holes — preserving
+    // the audited invariant cached ⊆ flashValid ∪ wbufDirty.
+    rcache_.insert(lpn, need & (fv | dirty));
+
+    const sim::Time actual =
+        chips_.readPage(src, true, rounds, std::move(done), lpn,
+                        static_cast<std::uint32_t>(std::popcount(fetch)));
+
     // IDA benefit accounting: latency saved vs the conventional coding.
     if (blk.isIdaWordline(geom_.wordlineOfPage(page))) {
         auto &rc = stats_.readClass;
         ++rc.idaServed;
         const sim::Time conv = chips_.timing().conventionalReadLatency(
             chips_.coding(), static_cast<int>(geom_.levelOfPage(page)));
-        const sim::Time actual = chips_.currentReadLatency(src);
         rc.idaSavings += (conv - actual) * (1 + rounds);
     }
-
-    // Read-allocate at issue time, and only sectors flash or the write
-    // buffer can actually supply — never zero-fill holes — preserving
-    // the audited invariant cached ⊆ flashValid ∪ wbufDirty.
-    rcache_.insert(lpn, need & (fv | dirty));
-
-    chips_.readPage(src, true, rounds, std::move(done), lpn,
-                    static_cast<std::uint32_t>(std::popcount(fetch)));
 }
 
 void
@@ -412,22 +412,9 @@ Ftl::programMerged(Lpn lpn, flash::SectorMask sectors, PageDone done,
     // Read-modify-write: fetch the surviving sectors, then program the
     // union. State lives in a slab slot so the read's completion
     // captures only {this, slot} (inside the DoneCallback budget).
-    std::uint32_t slot;
-    if (freeRmwSlot_ != kNilRmw) {
-        slot = freeRmwSlot_;
-        freeRmwSlot_ = pendingRmw_[slot].nextFree;
-    } else {
-        slot = static_cast<std::uint32_t>(pendingRmw_.size());
-        pendingRmw_.emplace_back();
-    }
-    PendingRmw &p = pendingRmw_[slot];
-    p.lpn = lpn;
-    p.expectOld = old;
-    p.sectors = sectors;
-    p.hostWrite = host_write;
-    p.done = std::move(done);
-    p.nextFree = kNilRmw;
-    ++rmwInFlight_;
+    const std::uint32_t slot = pendingRmw_.acquire();
+    pendingRmw_[slot] = PendingRmw{lpn, old, sectors, host_write,
+                                   std::move(done)};
     ++stats_.sector.rmwReads;
     chips_.readPage(old, false, 0,
                     [this, slot](sim::Time) { finishRmw(slot); },
@@ -444,9 +431,7 @@ Ftl::finishRmw(std::uint32_t slot)
     const flash::SectorMask sectors = p.sectors;
     const bool host = p.hostWrite;
     PageDone done = std::move(p.done);
-    p.nextFree = freeRmwSlot_;
-    freeRmwSlot_ = slot;
-    --rmwInFlight_;
+    pendingRmw_.release(slot);
 
     if (mapping_.lookup(lpn) != expect) {
         // The mapping moved under the read (GC, refresh, or another

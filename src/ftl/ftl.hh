@@ -28,6 +28,7 @@
 #include "ftl/write_buffer.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/slab.hh"
 
 namespace ida::trace {
 class Recorder;
@@ -290,7 +291,7 @@ class Ftl
     }
 
     /** Sub-page programs currently waiting on their RMW read. */
-    std::uint32_t rmwInFlight() const { return rmwInFlight_; }
+    std::uint32_t rmwInFlight() const { return pendingRmw_.live(); }
 
     /**
      * Gauge: valid pages whose sector mask is a strict subset of the
@@ -418,8 +419,7 @@ class Ftl
     /**
      * Slab slot for an in-flight read-modify-write: the RMW read's
      * completion captures only {this, slot} (inside the 48-byte
-     * DoneCallback budget) and finds everything else here. Free slots
-     * are chained through nextFree.
+     * DoneCallback budget) and finds everything else here.
      */
     struct PendingRmw
     {
@@ -428,9 +428,7 @@ class Ftl
         flash::SectorMask sectors;
         bool hostWrite;
         PageDone done;
-        std::uint32_t nextFree;
     };
-    static constexpr std::uint32_t kNilRmw = ~std::uint32_t{0};
 
     /**
      * Job slots, sized at construction and never resized (in-flight
@@ -448,9 +446,7 @@ class Ftl
     WriteBuffer wbuf_;
     cache::ReadCache rcache_;
     flash::SectorMask fullMask_;
-    std::vector<PendingRmw> pendingRmw_;
-    std::uint32_t freeRmwSlot_ = kNilRmw;
-    std::uint32_t rmwInFlight_ = 0;
+    sim::Slab<PendingRmw> pendingRmw_;
     trace::Recorder *tracer_ = nullptr;
     std::uint32_t flushesInFlight_ = 0;
     int activeRefresh_ = 0;

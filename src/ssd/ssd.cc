@@ -1,6 +1,7 @@
 #include "ssd/ssd.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "ecc/retry_model.hh"
 #include "sim/log.hh"
@@ -92,27 +93,9 @@ template <typename R>
 std::uint32_t
 Ssd::acquireSlot(R &&req)
 {
-    if (freeSlot_ == kNilSlot) {
-        requestSlots_.push_back(RequestSlot{std::forward<R>(req)});
-        return static_cast<std::uint32_t>(requestSlots_.size() - 1);
-    }
-    const std::uint32_t slot = freeSlot_;
-    RequestSlot &rs = requestSlots_[slot];
-    freeSlot_ = rs.link;
-    rs.req = std::forward<R>(req);
-    rs.pending = 0;
-    rs.lastDone = sim::Time{};
-    rs.link = kNilSlot;
+    const std::uint32_t slot = requestSlots_.acquire();
+    requestSlots_[slot] = RequestSlot{std::forward<R>(req)};
     return slot;
-}
-
-void
-Ssd::releaseSlot(std::uint32_t slot)
-{
-    RequestSlot &rs = requestSlots_[slot];
-    rs.req = HostRequest{};
-    rs.link = freeSlot_;
-    freeSlot_ = slot;
 }
 
 // ida-lint: hot-path-root
@@ -158,11 +141,11 @@ Ssd::submitBatch(std::span<const HostRequest> reqs)
 void
 Ssd::scheduleRun(std::span<const HostRequest> run)
 {
-    std::uint32_t head = kNilSlot;
-    std::uint32_t tail = kNilSlot;
+    std::uint32_t head = sim::kNoSlot;
+    std::uint32_t tail = sim::kNoSlot;
     for (const HostRequest &r : run) {
         const std::uint32_t slot = acquireSlot(r);
-        (head == kNilSlot ? head : requestSlots_[tail].link) = slot;
+        (head == sim::kNoSlot ? head : requestSlots_[tail].link) = slot;
         tail = slot;
     }
     if (head == tail)
@@ -190,13 +173,13 @@ Ssd::admitHead()
     // before dispatching: a dispatch may re-enter submit() and must
     // find the FIFO and its head event in agreement.
     const std::uint64_t seq = arrivals_.front().seq;
-    std::uint32_t head = kNilSlot;
-    std::uint32_t tail = kNilSlot;
+    std::uint32_t head = sim::kNoSlot;
+    std::uint32_t tail = sim::kNoSlot;
     do {
         const std::uint32_t slot =
             acquireSlot(std::move(arrivals_.front().req));
         arrivals_.pop_front();
-        (head == kNilSlot ? head : requestSlots_[tail].link) = slot;
+        (head == sim::kNoSlot ? head : requestSlots_[tail].link) = slot;
         tail = slot;
     } while (!arrivals_.empty() && arrivals_.front().seq == seq);
     armHead();
@@ -207,8 +190,8 @@ void
 Ssd::dispatchRun(std::uint32_t head)
 {
     // Read each link before dispatching its slot: a slot that completes
-    // synchronously is recycled and its link re-aimed at the free list.
-    for (std::uint32_t slot = head; slot != kNilSlot;) {
+    // synchronously is recycled and may be taken again at once.
+    for (std::uint32_t slot = head; slot != sim::kNoSlot;) {
         const std::uint32_t next = requestSlots_[slot].link;
         dispatchSlot(slot);
         slot = next;
@@ -260,8 +243,8 @@ Ssd::dispatchSlot(std::uint32_t slot)
         // std::function by contract, and this is a move of an existing
         // object, not a fresh type-erasure. ida-lint: allow(IDA010)
         std::function<void(sim::Time)> onComplete =
-            std::move(trimmed.req.onComplete);
-        releaseSlot(slot);
+            std::exchange(trimmed.req.onComplete, nullptr);
+        requestSlots_.release(slot);
         --inflightRequests_;
         if (arrival >= stats_.measureStart)
             ++stats_.trimRequests;
@@ -294,9 +277,9 @@ Ssd::pageDone(std::uint32_t slot, sim::Time when)
         return;
     // Move the request out and recycle the slot before any callback
     // runs: the completion may submit again and reuse this very slot.
-    const HostRequest req = std::move(rs.req);
+    const HostRequest req = std::exchange(rs.req, HostRequest{});
     const sim::Time lastDone = rs.lastDone;
-    releaseSlot(slot);
+    requestSlots_.release(slot);
     --inflightRequests_;
     if (req.onComplete)
         req.onComplete(lastDone);
@@ -361,13 +344,9 @@ Ssd::validateAdmission(std::string *why) const
     if (!bad.empty())
         return fail(bad);
 
-    std::uint64_t freeSlots = 0;
-    for (std::uint32_t s = freeSlot_; s != kNilSlot;
-         s = requestSlots_[s].link) {
-        if (++freeSlots > requestSlots_.size())
-            return fail("request-slot free list is cyclic");
-    }
-    const std::uint64_t live = requestSlots_.size() - freeSlots;
+    if (std::string slab; !requestSlots_.validate(&slab))
+        return fail("request slots: " + slab);
+    const std::uint64_t live = requestSlots_.live();
     if (inflightRequests_ != arrivals_.size() + live)
         return fail("inflightRequests " +
                     std::to_string(inflightRequests_) + " != " +

@@ -19,6 +19,7 @@
 #include "sim/chunked_fifo.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/slab.hh"
 #include "ssd/config.hh"
 #include "stats/histogram.hh"
 #include "stats/stats.hh"
@@ -174,7 +175,8 @@ class Ssd
      * Verify arrival admission, for the auditor (src/audit): the FIFO
      * is sorted by (arrival, seq) with no entry behind now(); an
      * arrival event is pending at the oldest run's (arrival, seq) iff
-     * the FIFO is non-empty; and inflightRequests() equals the FIFO's
+     * the FIFO is non-empty; the request slots' free list is sound
+     * (sim::Slab::validate); and inflightRequests() equals the FIFO's
      * entries plus the live request slots. O(FIFO + slots).
      *
      * Returns true when every invariant holds; otherwise false, with a
@@ -190,15 +192,14 @@ class Ssd
      * page operations are in flight. Slab-pooled so every
      * page-completion callback captures {this, slot} (16 bytes) instead
      * of a full HostRequest — and so requests allocate nothing in the
-     * steady state. `link` chains a run awaiting dispatch, then the
-     * free list after completion.
+     * steady state. `link` chains a run awaiting dispatch.
      */
     struct RequestSlot
     {
         HostRequest req;
         std::uint32_t pending = 0;
         sim::Time lastDone{};
-        std::uint32_t link = kNilSlot;
+        std::uint32_t link = sim::kNoSlot;
     };
 
     /** A submitted request in the arrival FIFO, with its run's seq. */
@@ -208,12 +209,9 @@ class Ssd
         std::uint64_t seq = 0;
     };
 
-    static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
-
     /** Take a free request slot and copy or move @p req into it. */
     template <typename R>
     std::uint32_t acquireSlot(R &&req);
-    void releaseSlot(std::uint32_t slot);
     void validateRequest(const HostRequest &req) const;
     /** Give a due or out-of-order run slots now and its own event. */
     void scheduleRun(std::span<const HostRequest> run);
@@ -246,8 +244,7 @@ class Ssd
     sim::ChunkedFifo<Arrival> arrivals_;
     /** The FIFO's oldest run has its arrival event pending. */
     bool headArmed_ = false;
-    std::vector<RequestSlot> requestSlots_;
-    std::uint32_t freeSlot_ = kNilSlot;
+    sim::Slab<RequestSlot> requestSlots_;
     std::uint64_t inflightRequests_ = 0;
 };
 

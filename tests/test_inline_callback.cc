@@ -5,9 +5,9 @@
  *
  * This translation unit replaces the global operator new/delete with
  * counting versions (delegating to malloc/free), which is why the
- * steady-state probe lives here: the counters observe every allocation
- * in the process, so a delta of zero across a dispatch storm is proof,
- * not inference.
+ * steady-state probes (event kernel, chip-array command queues) live
+ * here: the counters observe every allocation in the process, so a
+ * delta of zero across a dispatch storm is proof, not inference.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "flash/chip.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
 
@@ -313,6 +314,75 @@ TEST(InlineCallbackAlloc, EventQueueSteadyStateIsAllocationFree)
     EXPECT_GT(fired, warmed + 10'000u - 16u);
     EXPECT_EQ(g_news.load(), news_before);
     EXPECT_EQ(g_deletes.load(), deletes_before);
+}
+
+/** One die on one channel: every command queues behind the last. */
+flash::Geometry
+oneDieGeometry()
+{
+    flash::Geometry g;
+    g.channels = 1;
+    g.chipsPerChannel = 1;
+    g.diesPerChip = 1;
+    g.planesPerDie = 1;
+    g.blocksPerPlane = 4;
+    g.pagesPerBlock = 12;
+    g.bitsPerCell = 3;
+    return g;
+}
+
+/**
+ * The chip array's die queues, command slots and completion events,
+ * probed like the kernel above: once a burst shape has run, running it
+ * again allocates nothing. Each burst queues an erase, four programs and
+ * sixteen host reads on one die at one instant; with programSuspension
+ * on, a further read arrives mid-program and suspends it.
+ */
+TEST(InlineCallbackAlloc, ChipArrayQueuedCommandsAreAllocationFree)
+{
+    for (const bool suspension : {false, true}) {
+        SCOPED_TRACE(suspension ? "programSuspension" : "no suspension");
+        const flash::Geometry geom = oneDieGeometry();
+        flash::FlashTiming timing;
+        timing.programSuspension = suspension;
+        EventQueue q;
+        flash::ChipArray chips(geom, timing,
+                               flash::CodingScheme::tlc124(), q);
+        for (std::uint32_t p = 0; p < geom.pagesPerBlock; ++p)
+            chips.programImmediate(p); // block 0 readable
+
+        std::uint64_t done = 0;
+        const auto burst = [&] {
+            const auto cb = [&done](Time) { ++done; };
+            chips.eraseBlock(1, cb);
+            for (std::uint32_t p = 0; p < 4; ++p)
+                chips.programPage(geom.firstPpnOf(1) + p, cb);
+            for (std::uint32_t p = 0; p < 16; ++p)
+                chips.readPage(p % geom.pagesPerBlock, true, 0, cb);
+            q.runUntil(q.now() + 6 * kMsec); // erase done, programs run
+            chips.readPage(0, true, 0, cb);
+            q.run();
+        };
+
+        for (int i = 0; i < 3; ++i)
+            burst(); // warm-up: slots, event pool and heap grow
+        ASSERT_EQ(done, 3u * 22u);
+        ASSERT_EQ(chips.inflight(), 0u);
+        const std::uint64_t suspensions = chips.stats().suspensions;
+
+        const std::uint64_t news_before = g_news.load();
+        const std::uint64_t deletes_before = g_deletes.load();
+        for (int i = 0; i < 50; ++i)
+            burst();
+        EXPECT_EQ(g_news.load(), news_before);
+        EXPECT_EQ(g_deletes.load(), deletes_before);
+        EXPECT_EQ(done, 53u * 22u);
+        EXPECT_EQ(chips.inflight(), 0u);
+        // Per burst, the first read suspends the erase and the late
+        // read suspends the running program.
+        EXPECT_EQ(chips.stats().suspensions - suspensions,
+                  suspension ? 100u : 0u);
+    }
 }
 
 } // namespace

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "flash/timing.hh"
 #include "ftl/mapping.hh"
 #include "sim/rng.hh"
@@ -22,20 +24,15 @@ struct SchemeCase
 };
 
 /**
- * Case names at fixed offsets. gtest lists a SchemeCase by dumping its
- * raw bytes, and that dump is part of the ctest name; its first byte is
- * the low byte of `name`'s address. A plain string literal lets that
- * byte, and so the test name, move whenever code layout or the length
- * of the checkout path shifts read-only data. Slots of one 256-byte-
- * aligned table pin it; the 40-byte slot width keeps mlc12 at offset
- * 0x50, the name its cases were recorded under.
+ * Print a case by name. Without this gtest dumps the raw object bytes,
+ * which hold a string and a function address that move with ASLR, so
+ * the listed test names would differ on every run.
  */
-struct CaseName
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
 {
-    char text[40];
-};
-alignas(256) constexpr CaseName kCaseNames[] = {
-    {"tlc124"}, {"tlc232"}, {"mlc12"}, {"qlc1248"}};
+    *os << c.name;
+}
 
 class IdaLatencyProperty : public ::testing::TestWithParam<SchemeCase>
 {
@@ -76,10 +73,10 @@ TEST_P(IdaLatencyProperty, TopLevelAloneReachesFastestTier)
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, IdaLatencyProperty,
     ::testing::Values(
-        SchemeCase{kCaseNames[0].text, &flash::CodingScheme::tlc124},
-        SchemeCase{kCaseNames[1].text, &flash::CodingScheme::tlc232},
-        SchemeCase{kCaseNames[2].text, &flash::CodingScheme::mlc12},
-        SchemeCase{kCaseNames[3].text, &flash::CodingScheme::qlc1248}),
+        SchemeCase{"tlc124", &flash::CodingScheme::tlc124},
+        SchemeCase{"tlc232", &flash::CodingScheme::tlc232},
+        SchemeCase{"mlc12", &flash::CodingScheme::mlc12},
+        SchemeCase{"qlc1248", &flash::CodingScheme::qlc1248}),
     [](const auto &info) { return info.param.name; });
 
 // ---- Property: dTR scaling (Fig. 9) is linear per tier. ------------------

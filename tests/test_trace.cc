@@ -129,6 +129,64 @@ TEST(TracePhases, InstantSpansAreAllDram)
     EXPECT_EQ(p.total(), s.complete - s.start);
 }
 
+TEST(TracePhases, SuspendedProgramSpanCoversTheSuspension)
+{
+    // A host read suspends a traced host program mid-flight. The
+    // program's span must close when its callback actually runs, with
+    // the read's sense time and the resume overhead inside dieBusy.
+    sim::EventQueue events;
+    flash::Geometry g;
+    g.channels = 1;
+    g.chipsPerChannel = 1;
+    g.diesPerChip = 1;
+    g.planesPerDie = 1;
+    g.blocksPerPlane = 2;
+    g.pagesPerBlock = 12;
+    g.bitsPerCell = 3;
+    flash::FlashTiming timing;
+    timing.programSuspension = true;
+    flash::ChipArray chips(g, timing, flash::CodingScheme::tlc124(),
+                           events);
+    for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p)
+        chips.programImmediate(p); // block 0 readable
+    trace::Recorder rec(trace::Recorder::Options{true});
+    chips.setTracer(&rec);
+
+    sim::Time prog_done{-1};
+    sim::Time read_done{-1};
+    chips.programPage(g.firstPpnOf(1),
+                      [&](sim::Time t) { prog_done = t; }, 5, true);
+    events.runUntil(500 * sim::kUsec); // the program is mid-flight
+    chips.readPage(0, true, 0, [&](sim::Time t) { read_done = t; }, 9);
+    events.run();
+    ASSERT_EQ(chips.stats().suspensions, 1u);
+    ASSERT_EQ(rec.spans().size(), 2u);
+
+    const auto spanOf = [&rec](SpanKind kind) {
+        return std::find_if(
+            rec.spans().begin(), rec.spans().end(),
+            [kind](const Span &s) { return s.kind == kind; });
+    };
+    const auto prog = spanOf(SpanKind::HostWrite);
+    ASSERT_NE(prog, rec.spans().end());
+    EXPECT_EQ(prog->lpn, 5u);
+    EXPECT_EQ(prog->complete, prog_done);
+    EXPECT_EQ(prog_done, timing.pageTransfer + timing.pageProgram +
+                             timing.lsbRead +
+                             timing.suspendResumeOverhead);
+    const trace::SpanPhases p = trace::phasesOf(*prog);
+    EXPECT_EQ(p.queueWait, sim::Time{});
+    EXPECT_EQ(p.transfer, timing.pageTransfer);
+    EXPECT_EQ(p.dieBusy, timing.pageProgram + timing.lsbRead +
+                             timing.suspendResumeOverhead);
+    EXPECT_EQ(p.total(), prog_done);
+
+    const auto read = spanOf(SpanKind::HostRead);
+    ASSERT_NE(read, rec.spans().end());
+    EXPECT_EQ(read->dieStart, 500 * sim::kUsec); // no wait: it suspended
+    EXPECT_EQ(read->complete, read_done);
+}
+
 TEST(TraceAttribution, FoldsCountersAndPhases)
 {
     trace::Attribution a;
