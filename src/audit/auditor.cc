@@ -86,16 +86,6 @@ Auditor::maybeRun(std::uint64_t every_events)
 }
 
 void
-Auditor::arm(std::uint64_t every_events)
-{
-#ifdef IDA_AUDIT
-    ssd_.events().setAuditHook(every_events, [this] { runAll(); });
-#else
-    (void)every_events;
-#endif
-}
-
-void
 Auditor::rebase()
 {
     base_ = captureBaseline();

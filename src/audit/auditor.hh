@@ -12,18 +12,16 @@
  * cached views agree with ground-truth recomputation.
  *
  * Usage: attach an Auditor to a live Ssd, then either call runAll() at
- * points of interest (e.g. after drain), maybeRun(every) from a harness
- * drive loop, or — in IDA_AUDIT builds — arm(every) to have the event
- * kernel invoke it automatically every N executed events. The default
+ * points of interest (e.g. after drain), or maybeRun(every) from a
+ * harness drive loop to audit every N executed events. The default
  * check catalog is registered by the constructor; registerCheck() adds
  * custom checks. Violations accumulate and are never cleared by
  * running; a clean system reports zero forever.
  *
  * The auditor is deliberately O(pages) per run and touches no simulator
  * state; it is a debug tool, compiled into the library always but never
- * invoked from any hot path. The *periodic* wiring inside the event
- * kernel exists only under -DIDA_AUDIT=ON (see CMakeLists), so default
- * builds carry zero cost.
+ * invoked from any hot path: periodic audits are polled by the drive
+ * loop between runUntil() slices, so the event kernel carries no hook.
  */
 #pragma once
 
@@ -117,17 +115,9 @@ class Auditor
     /**
      * Run the catalog when at least @p every_events events have
      * executed since the last audit; returns true when it ran. The
-     * cheap polling form for harness drive loops — works in every
-     * build, unlike arm().
+     * cheap polling form for harness drive loops.
      */
     bool maybeRun(std::uint64_t every_events);
-
-    /**
-     * IDA_AUDIT builds: install this auditor as the event kernel's
-     * audit hook, auto-running every @p every_events executed events.
-     * A no-op in default builds (the kernel has no hook point).
-     */
-    void arm(std::uint64_t every_events);
 
     /**
      * Re-snapshot the conservation baselines. Call after an external

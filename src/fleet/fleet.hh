@@ -30,7 +30,7 @@
  * A sub-request submitted to a device that already advanced past its
  * arrival would be a causality violation; the member queues surface
  * exactly that as a past-time schedule (sim::PastSchedulePolicy: a
- * panic under IDA_AUDIT, a counted clamp otherwise), and
+ * panic by default, a counted clamp on a queue switched to Clamp), and
  * FleetResult::pastSchedules sums the counters so CI can assert zero.
  */
 #pragma once

@@ -19,9 +19,9 @@
  *    epoch boundary (a device ahead of or behind it could be handed a
  *    sub-request in its past);
  *  - causality: no member queue ever counted a past-time schedule
- *    (under IDA_AUDIT the kernel panics before this check could see
- *    one; in default builds this is where a clamped one becomes
- *    visible).
+ *    (under the default Panic policy the kernel dies before this
+ *    check could see one; on a queue switched to Clamp this is where
+ *    a clamped one becomes visible).
  *
  * Like the device auditor, this is a debug tool: O(devices * pages)
  * per run, touches nothing, and must only run between epochs.

@@ -39,8 +39,8 @@ EventQueue::notePastSchedule(Time when)
         // A past-time schedule is a causality violation: either a model
         // bug, or — in a fleet run — a sub-request staged after its
         // member already advanced past the arrival. Clamping would
-        // silently alter results, so the audit posture is to die naming
-        // both timestamps.
+        // silently alter results, so the default is to die naming both
+        // timestamps.
         panic("EventQueue::schedule: past-time event (when=" +
               std::to_string(when.count()) +
               " < now=" + std::to_string(now_.count()) +

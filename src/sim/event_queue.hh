@@ -32,14 +32,13 @@
  * byte-for-byte by tests/test_event_order.cc and the trace goldens.
  *
  * Callbacks may freely schedule new events. Past-time scheduling is
- * governed by a PastSchedulePolicy: it is always *counted*
- * (pastSchedules()), and either clamped to now() (the legacy behaviour,
- * default in regular builds) or treated as a hard simulator bug via
- * sim::panic (the default under IDA_AUDIT). The panic policy exists for
- * the fleet layer (src/fleet): a sub-request handed to a member that
- * already ran past its arrival manifests exactly as a schedule() into
- * the past, and a silent clamp would absorb it and quietly change
- * results instead of failing loudly.
+ * governed by a PastSchedulePolicy: by default it is a hard simulator
+ * bug reported via sim::panic; a queue switched to Clamp instead fires
+ * the event at now() and counts it (pastSchedules()). A past-time
+ * schedule is either a model bug or, in the fleet layer (src/fleet), a
+ * sub-request handed to a member that already ran past its arrival; a
+ * silent clamp would absorb it and quietly change results instead of
+ * failing loudly.
  */
 #pragma once
 
@@ -48,11 +47,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#ifdef IDA_AUDIT
-// ida-lint: allow(IDA001) audit-only hook; compiled out of default builds
-#include <functional>
-#endif
 
 #include "sim/inline_callback.hh"
 #include "sim/time.hh"
@@ -66,12 +60,12 @@ namespace ida::sim {
 /**
  * How schedule() treats a timestamp behind now().
  *
- * Clamp is the legacy single-device behaviour: the event fires at now()
- * and the occurrence is counted (pastSchedules()). Panic turns the same
- * occurrence into a sim::panic naming both times — the mode every
- * IDA_AUDIT build defaults to, because a past-time schedule is either a
- * model bug or, in a fleet run, a sub-request staged behind a member's
- * clock, which must never be absorbed silently.
+ * Panic, the default, turns the occurrence into a sim::panic naming both
+ * times, because a past-time schedule is either a model bug or, in a
+ * fleet run, a sub-request staged behind a member's clock, which must
+ * never be absorbed silently. Clamp is the legacy single-device
+ * behaviour: the event fires at now() and the occurrence is counted
+ * (pastSchedules()).
  */
 enum class PastSchedulePolicy { Clamp, Panic };
 
@@ -103,13 +97,13 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute time @p when.
      *
-     * Scheduling in the past is a programming error. Under the Clamp
-     * policy the event fires immediately at the current time instead
-     * (never rewinds the clock); each occurrence increments
-     * pastSchedules() and, in debug builds, emits a sim::warn so the
-     * offending flow is visible. Under the Panic policy (the IDA_AUDIT
-     * default) the occurrence is a sim::panic naming both timestamps —
-     * see PastSchedulePolicy.
+     * Scheduling in the past is a programming error. Under the Panic
+     * policy (the default) the occurrence is a sim::panic naming both
+     * timestamps — see PastSchedulePolicy. Under the Clamp policy the
+     * event fires immediately at the current time instead (never
+     * rewinds the clock); each occurrence increments pastSchedules()
+     * and, in debug builds, emits a sim::warn so the offending flow is
+     * visible.
      *
      * Templated so a lambda is constructed directly inside its pooled
      * slot (one placement-new) instead of materializing a Callback and
@@ -179,9 +173,8 @@ class EventQueue
 
     /**
      * Change how past-time schedules are handled. The default is
-     * PastSchedulePolicy::Panic in IDA_AUDIT builds and Clamp otherwise;
-     * tests that deliberately exercise the clamp path must select Clamp
-     * explicitly so they stay meaningful in audit builds.
+     * PastSchedulePolicy::Panic; tests that deliberately exercise the
+     * counted clamp path select Clamp explicitly.
      */
     void setPastSchedulePolicy(PastSchedulePolicy p) { pastPolicy_ = p; }
 
@@ -209,23 +202,6 @@ class EventQueue
      * path.
      */
     bool contains(Time when, std::uint64_t seq) const;
-
-#ifdef IDA_AUDIT
-    /**
-     * Audit builds only: invoke @p hook every @p every_events executed
-     * events (0 disables). The hook runs after the event's callback
-     * returns, so it observes a settled state. Compiled out entirely
-     * without IDA_AUDIT — the dispatch loop carries no check.
-     */
-    void
-    // ida-lint: allow(IDA001) audit-only hook; compiled out of default builds
-    setAuditHook(std::uint64_t every_events, std::function<void()> hook)
-    {
-        auditEvery_ = every_events;
-        auditHook_ = std::move(hook);
-        nextAuditAt_ = executed_ + (every_events ? every_events : 0);
-    }
-#endif
 
   private:
     friend struct ida::audit::testing::EventQueuePeer;
@@ -408,13 +384,6 @@ class EventQueue
         n.cb = nullptr;
         n.next = freeHead_;
         freeHead_ = idx;
-#ifdef IDA_AUDIT
-        if (auditEvery_ != 0 && executed_ >= nextAuditAt_) {
-            nextAuditAt_ = executed_ + auditEvery_;
-            if (auditHook_)
-                auditHook_();
-        }
-#endif
     }
 
     /** Pending events, a 4-ary min-heap under earlier(). */
@@ -427,15 +396,7 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t pastSchedules_ = 0;
-#ifdef IDA_AUDIT
     PastSchedulePolicy pastPolicy_ = PastSchedulePolicy::Panic;
-    // ida-lint: allow(IDA001) audit-only hook; compiled out of default builds
-    std::function<void()> auditHook_;
-    std::uint64_t auditEvery_ = 0;
-    std::uint64_t nextAuditAt_ = 0;
-#else
-    PastSchedulePolicy pastPolicy_ = PastSchedulePolicy::Clamp;
-#endif
 };
 
 } // namespace ida::sim

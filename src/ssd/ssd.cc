@@ -1,6 +1,7 @@
 #include "ssd/ssd.hh"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "ecc/retry_model.hh"
@@ -8,6 +9,20 @@
 #include "trace/recorder.hh"
 
 namespace ida::ssd {
+
+namespace {
+
+/** Out of line so the message building stays off the submit path. */
+[[noreturn, gnu::noinline]] void
+lateArrival(sim::Time arrival, sim::Time now)
+{
+    sim::fatal("Ssd::submit: HostRequest::arrival = " +
+               std::to_string(arrival.count()) +
+               " ns is behind the device clock now() = " +
+               std::to_string(now.count()) + " ns");
+}
+
+} // namespace
 
 double
 SsdStats::readThroughputMBps() const
@@ -75,6 +90,10 @@ Ssd::validateRequest(const HostRequest &req) const
     if (req.pageCount > capacity ||
         req.startPage > capacity - req.pageCount)
         sim::fatal("Ssd::submit: request beyond logical capacity");
+    // A request cannot arrive before the device's present: scheduling
+    // it would put an event behind the kernel's clock.
+    if (req.arrival < events_.now()) [[unlikely]]
+        lateArrival(req.arrival, events_.now());
     if (req.sectorCount != 0) {
         // A sub-page request's sector range must stay inside its page
         // range and touch both the first and the last page, so every

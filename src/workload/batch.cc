@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,14 +38,32 @@ seedFromTag(const std::string &tag)
     return h ^ (h >> 31);
 }
 
+namespace {
+
+/**
+ * @p s as a job count: the whole string is a decimal integer in
+ * [1, INT_MAX]. Anything else is a user error naming @p what.
+ */
+int
+parseJobs(const char *s, const char *what)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v <= 0 ||
+        v > INT_MAX)
+        sim::fatal(std::string(what) + " expects a positive integer, "
+                   "got '" + s + "'");
+    return static_cast<int>(v);
+}
+
+} // namespace
+
 int
 defaultJobs()
 {
-    if (const char *env = std::getenv("IDA_JOBS")) {
-        const int v = static_cast<int>(std::strtol(env, nullptr, 10));
-        if (v > 0)
-            return v;
-    }
+    if (const char *env = std::getenv("IDA_JOBS"))
+        return parseJobs(env, "IDA_JOBS");
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -51,24 +71,17 @@ defaultJobs()
 int
 jobsFromArgs(int argc, char **argv)
 {
-    auto parse = [](const char *s, const char *opt) -> int {
-        const int v = static_cast<int>(std::strtol(s, nullptr, 10));
-        if (v <= 0)
-            sim::fatal(std::string(opt) + " expects a positive integer, "
-                       "got '" + s + "'");
-        return v;
-    };
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) {
             if (i + 1 >= argc)
                 sim::fatal(std::string(a) + " expects a value");
-            return parse(argv[i + 1], a);
+            return parseJobs(argv[i + 1], a);
         }
         if (std::strncmp(a, "--jobs=", 7) == 0)
-            return parse(a + 7, "--jobs");
+            return parseJobs(a + 7, "--jobs");
         if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0')
-            return parse(a + 2, "-j");
+            return parseJobs(a + 2, "-j");
     }
     return 0;
 }
@@ -133,12 +146,11 @@ checkSpec(const RunSpec &spec)
 }
 
 RunResult
-runOne(const RunSpec &spec, bool reseed)
+runOne(const RunSpec &spec)
 {
     checkSpec(spec);
     ssd::SsdConfig device = spec.device;
-    if (reseed)
-        device.seed ^= seedFromTag(spec.tag);
+    device.seed ^= seedFromTag(spec.tag);
     switch (spec.kind) {
       case RunKind::ClosedLoop:
         return runClosedLoop(device, spec.preset, spec.queueDepth);
@@ -202,7 +214,7 @@ runMatrix(const std::vector<RunSpec> &specs, const BatchOptions &opts)
                 continue; // rejected up front (duplicate tag)
             const RunSpec &spec = specs[i];
             try {
-                out.results[i] = runOne(spec, opts.reseedFromTag);
+                out.results[i] = runOne(spec);
                 progress.done(spec.tag, out.results[i].wallSeconds);
             } catch (const std::exception &e) {
                 out.errors[i] = e.what();

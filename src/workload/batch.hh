@@ -22,7 +22,7 @@
  *     *per run*; the pool runs N independent queues side by side).
  *
  *  2. Per-spec seeding is derived from the spec's *tag*, not from its
- *     position in the batch: the effective device seed is
+ *     position in the batch: every run's effective device seed is
  *     `spec.device.seed ^ seedFromTag(spec.tag)` (a splitmix64-mixed
  *     FNV-1a hash; seedFromTag("") == 0 so an empty tag keeps the
  *     configured seed untouched). Two specs with identical configs but
@@ -102,9 +102,6 @@ struct BatchOptions
 
     /** Emit one thread-safe progress line per completed run (stderr). */
     bool progress = true;
-
-    /** Apply the tag-derived device seed (contract point 2). */
-    bool reseedFromTag = true;
 };
 
 /** Everything a matrix execution produced. */
@@ -136,16 +133,19 @@ struct BatchOutcome
 std::uint64_t seedFromTag(const std::string &tag);
 
 /**
- * Default worker count: the IDA_JOBS environment variable when set to a
- * positive integer, otherwise std::thread::hardware_concurrency()
- * (minimum 1).
+ * Default worker count: the IDA_JOBS environment variable when set,
+ * otherwise std::thread::hardware_concurrency() (minimum 1). An
+ * IDA_JOBS that is not a whole positive int is a user error
+ * (sim::fatal naming the variable).
  */
 int defaultJobs();
 
 /**
  * Parse a `--jobs N` / `--jobs=N` / `-jN` / `-j N` option out of
  * argv (first match wins); returns 0 (= use defaultJobs()) when absent.
- * Malformed values are a user error (sim::fatal).
+ * A value that is not a whole positive int (trailing characters, zero,
+ * negative, beyond INT_MAX) is a user error (sim::fatal naming the
+ * option).
  */
 int jobsFromArgs(int argc, char **argv);
 

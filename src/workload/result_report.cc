@@ -132,8 +132,8 @@ RunResult::writeJson(stats::JsonWriter &w, bool include_volatile) const
     trace::writeAttributionJson(w, attribution);
 
     // Causality gauge, always present: CI asserts it is zero, so a
-    // model flow that schedules into the past (and is clamped in
-    // non-audit builds) cannot pass silently.
+    // model flow that schedules into the past on a queue switched to
+    // the Clamp policy cannot pass silently.
     w.field("pastSchedules", pastSchedules);
     w.field("simulatedSec", sim::toSec(simulatedTime));
     if (include_volatile)

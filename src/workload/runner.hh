@@ -43,10 +43,11 @@ struct RunResult
     /**
      * Event-kernel causality gauge: schedule() calls handed a past
      * timestamp (sim::EventQueue::pastSchedules). Always serialized so
-     * CI can assert it is zero — a nonzero value means a model flow
-     * scheduled into the past and was silently clamped (or, in a fleet
-     * run, a sub-request was staged behind a member's clock). IDA_AUDIT
-     * builds panic on the first occurrence instead.
+     * CI can assert it is zero. Under the default Panic policy the run
+     * dies on the first occurrence, so only a queue switched to Clamp
+     * can report a nonzero value: a model flow scheduled into the past
+     * and was clamped (or, in a fleet run, a sub-request was staged
+     * behind a member's clock).
      */
     std::uint64_t pastSchedules = 0;
     /** End-of-run gauge: valid pages with a strict-subset sector mask. */

@@ -93,9 +93,6 @@ class ModelDriver
         ssd_ = &ssd;
         audit::Auditor auditor(ssd);
         auditor_ = &auditor;
-#ifdef IDA_AUDIT
-        auditor.arm(4096);
-#endif
 
         setup();
         ssd.start();

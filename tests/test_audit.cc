@@ -104,7 +104,6 @@ TEST(Auditor, MappingBlockCleanWithTheHighestPhysicalPageMapped)
     // state at the top of the address space too.
     ssd::Ssd ssd(ssd::SsdConfig::tiny());
     Auditor a(ssd);
-    a.arm(200);
     const flash::Ppn top = ssd.chips().geometry().pages() - 1;
     const std::uint64_t footprint = ssd.logicalPages() / 2;
     ssd.preloadSequential(footprint);
@@ -119,6 +118,7 @@ TEST(Auditor, MappingBlockCleanWithTheHighestPhysicalPageMapped)
         w.pageCount = 1;
         ssd.submit(w);
         ssd.events().run();
+        a.maybeRun(200);
         t = ssd.events().now() + sim::kMsec;
     }
     const flash::Lpn lpn = ssd.ftl().mapping().reverse(top);

@@ -74,9 +74,6 @@ runScenario(const Scenario &sc)
     ssd.start();
 
     Auditor auditor(ssd);
-#ifdef IDA_AUDIT
-    auditor.arm(4096); // the event kernel audits on its own, too
-#endif
 
     sim::Rng rng(sc.seed * 2654435761ull + 17);
     sim::Time t{};

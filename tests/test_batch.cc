@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -174,19 +175,71 @@ TEST(Batch, SeedFromTagIsStableAndTagSensitive)
     EXPECT_NE(seedFromTag("a"), seedFromTag("b"));
 }
 
+/** jobsFromArgs over a command line of @p args after the program name. */
+int
+parseJobsArgs(std::vector<const char *> args)
+{
+    args.insert(args.begin(), "prog");
+    return jobsFromArgs(static_cast<int>(args.size()),
+                        const_cast<char **>(args.data()));
+}
+
 TEST(Batch, JobsFromArgsParsesCommonSpellings)
 {
-    auto parse = [](std::vector<const char *> args) {
-        args.insert(args.begin(), "prog");
-        return jobsFromArgs(static_cast<int>(args.size()),
-                            const_cast<char **>(args.data()));
-    };
-    EXPECT_EQ(parse({}), 0);
-    EXPECT_EQ(parse({"--jobs", "4"}), 4);
-    EXPECT_EQ(parse({"--jobs=8"}), 8);
-    EXPECT_EQ(parse({"-j3"}), 3);
-    EXPECT_EQ(parse({"-j", "5"}), 5);
-    EXPECT_EQ(parse({"--other", "-j2"}), 2);
+    EXPECT_EQ(parseJobsArgs({}), 0);
+    EXPECT_EQ(parseJobsArgs({"--jobs", "4"}), 4);
+    EXPECT_EQ(parseJobsArgs({"--jobs=8"}), 8);
+    EXPECT_EQ(parseJobsArgs({"-j3"}), 3);
+    EXPECT_EQ(parseJobsArgs({"-j", "5"}), 5);
+    EXPECT_EQ(parseJobsArgs({"--other", "-j2"}), 2);
+    // The whole int range parses; nothing here builds a pool.
+    EXPECT_EQ(parseJobsArgs({"--jobs", "2147483647"}), 2147483647);
+}
+
+TEST(BatchDeath, MalformedJobsOptionIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad :
+         {"4x", "0", "-2", "", "2147483648", "99999999999999999999"}) {
+        EXPECT_EXIT(parseJobsArgs({"--jobs", bad}),
+                    ::testing::ExitedWithCode(1),
+                    std::string("--jobs expects a positive integer, got '") +
+                        bad + "'")
+            << bad;
+    }
+    EXPECT_EXIT(parseJobsArgs({"--jobs=4x"}), ::testing::ExitedWithCode(1),
+                "--jobs expects a positive integer, got '4x'");
+    EXPECT_EXIT(parseJobsArgs({"-j3.5"}), ::testing::ExitedWithCode(1),
+                "-j expects a positive integer, got '3.5'");
+}
+
+TEST(Batch, DefaultJobsReadsIdaJobs)
+{
+    const char *prev = std::getenv("IDA_JOBS");
+    const std::string saved = prev ? prev : "";
+    const bool wasSet = prev != nullptr;
+    ::setenv("IDA_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3);
+    ::unsetenv("IDA_JOBS");
+    EXPECT_GE(defaultJobs(), 1);
+    if (wasSet)
+        ::setenv("IDA_JOBS", saved.c_str(), 1);
+}
+
+TEST(BatchDeath, MalformedIdaJobsIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"abc", "0", "4x", "-1", "2147483648"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("IDA_JOBS", bad, 1);
+                defaultJobs();
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("IDA_JOBS expects a positive integer, got '") +
+                bad + "'")
+            << bad;
+    }
 }
 
 TEST(JsonWriter, EscapeRoundTripsEveryByteClass)

@@ -63,8 +63,8 @@ TEST(EventQueue, CallbacksCanScheduleMoreEvents)
 TEST(EventQueue, SchedulingInThePastClampsToNow)
 {
     EventQueue q;
-    // Exercise the Clamp policy explicitly: audit builds default to
-    // Panic, where this flow would (rightly) abort.
+    // Exercise the Clamp policy explicitly: under the default Panic
+    // policy this flow would (rightly) abort.
     q.setPastSchedulePolicy(PastSchedulePolicy::Clamp);
     Time fired_at{-1};
     q.schedule(Time{100}, [&] {
@@ -77,13 +77,12 @@ TEST(EventQueue, SchedulingInThePastClampsToNow)
 TEST(EventQueueDeathTest, PastScheduleUnderPanicPolicyDies)
 {
     testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // A deliberately mis-horizoned event: under the Panic policy (the
-    // IDA_AUDIT default) the kernel must abort instead of absorbing the
-    // causality violation by clamping.
+    // A deliberately mis-horizoned event: under the default policy the
+    // kernel must abort instead of absorbing the causality violation by
+    // clamping.
     EXPECT_DEATH(
         {
             EventQueue q;
-            q.setPastSchedulePolicy(PastSchedulePolicy::Panic);
             q.schedule(Time{100}, [&q] { q.schedule(Time{50}, [] {}); });
             q.run();
         },

@@ -481,6 +481,27 @@ TEST(SsdDeath, RequestBeyondCapacityIsFatal)
     EXPECT_EXIT(ssd.submit(r), ::testing::ExitedWithCode(1), "beyond");
 }
 
+TEST(SsdDeath, ArrivalBehindTheClockIsFatal)
+{
+    Ssd ssd(SsdConfig::tiny());
+    ssd.events().schedule(sim::Time{5000}, [] {});
+    ssd.events().run();
+    HostRequest r;
+    r.arrival = sim::Time{1000};
+    r.isRead = false;
+    EXPECT_EXIT(ssd.submit(r), ::testing::ExitedWithCode(1),
+                "fatal: Ssd::submit: HostRequest::arrival = 1000 ns is "
+                "behind the device clock now\\(\\) = 5000 ns");
+    // An arrival exactly at now() is the present, not the past.
+    bool done = false;
+    r.arrival = ssd.events().now();
+    r.onComplete = [&done](sim::Time) { done = true; };
+    ssd.submit(r);
+    ssd.events().run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(ssd.events().pastSchedules(), 0u);
+}
+
 TEST(SsdDeath, OversizedPreloadIsFatal)
 {
     Ssd ssd(SsdConfig::tiny());

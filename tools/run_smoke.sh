@@ -6,7 +6,8 @@
 # level up: two fleet_demo runs must be byte-identical and must report
 # pastSchedules == 0 (src/fleet/fleet.hh determinism contract). Then run the end-to-end perf gate
 # (tools/check_perf.py: every BENCHMARK.json workload through perfbench
-# against bench/baselines/perf_*.json).
+# against bench/baselines/perf_*.json), the trace exports and an
+# 8-seed audit sweep on the same tree.
 #
 # Usage: tools/run_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -80,6 +81,6 @@ python3 "$SRC_DIR/tools/check_perf.py" "$BUILD_DIR"
 "$SRC_DIR/tools/check_trace_json.sh" \
     "$OUT_DIR/trace.json" "$OUT_DIR/attr.json" --require-savings
 
-# Cross-layer invariant audit: separate Debug+IDA_AUDIT build, smoke
-# scale (8 seeds; CI and tools/run_audit.sh default to 50).
-"$SRC_DIR/tools/run_audit.sh" "$BUILD_DIR-audit" 8
+# Cross-layer invariant audit on the same tree, smoke scale (8 seeds;
+# CI and tools/run_audit.sh default to 50).
+"$SRC_DIR/tools/run_audit.sh" "$BUILD_DIR" 8
