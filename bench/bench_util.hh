@@ -38,15 +38,16 @@
 
 namespace ida::bench {
 
-/** Benchmark run-length scale from IDA_BENCH_SCALE (default 0.35). */
+/**
+ * Benchmark run-length scale from IDA_BENCH_SCALE (default 0.35). A
+ * value that is not a positive number is a user error (sim::fatal
+ * naming the variable).
+ */
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("IDA_BENCH_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            return v;
-    }
+    if (const char *env = std::getenv("IDA_BENCH_SCALE"))
+        return workload::parsePositiveReal(env, "IDA_BENCH_SCALE");
     return 0.35;
 }
 

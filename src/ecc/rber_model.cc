@@ -66,12 +66,15 @@ RberModel::roundsNeeded(double rber) const
 double
 RberModel::fractionalRoundsExact(double pe, double ticks) const
 {
+    // A read reaches this only through fractionalRounds()' off-table
+    // fallback, for an age past the knot table.
     const double scale =
         static_cast<double>(cfg_.retentionScale.count());
-    return (cfg_.wearExponent * std::log1p(pe / cfg_.peScale) +
-            cfg_.retentionExponent * std::log1p(ticks / scale)) *
-               invLogGain_ -
-           roundsOffset_;
+    // ida-lint: allow(IDA009) off-table fallback only
+    const double wear = cfg_.wearExponent * std::log1p(pe / cfg_.peScale);
+    // ida-lint: allow(IDA009) off-table fallback only
+    const double ret = cfg_.retentionExponent * std::log1p(ticks / scale);
+    return (wear + ret) * invLogGain_ - roundsOffset_;
 }
 
 double

@@ -17,8 +17,6 @@
  * only when allocate() hands them out and value-initializes them; the
  * untouched tail of a chunk costs address space, not memory.
  */
-// ida-lint: allow-file(IDA002) the arena IS the slab the rule points to;
-// it touches the raw heap only when growing a chunk at construction time.
 #pragma once
 
 #include <algorithm>

@@ -8,8 +8,6 @@
  * drained chunk is kept as a spare for the next one the tail needs, so
  * a queue that hovers around a chunk boundary does not allocate at all.
  */
-// ida-lint: allow-file(IDA002) chunk growth is the slab the rule points
-// to: one allocation per chunk of entries, never one per entry.
 #pragma once
 
 #include <array>
@@ -38,9 +36,10 @@ class ChunkedFifo
     {
         if (chunks_.empty() || tail_ == ChunkSize) {
             // One allocation per ChunkSize entries, none once a spare
-            // exists. ida-lint: allow(IDA010)
-            chunks_.push_back(spare_ ? std::move(spare_)
-                                     : std::make_unique<Chunk>());
+            // exists.
+            if (!spare_)
+                spare_ = std::make_unique<Chunk>(); // ida-lint: allow(IDA010)
+            chunks_.push_back(std::move(spare_));
             tail_ = 0;
         }
         ++size_;

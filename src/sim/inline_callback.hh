@@ -28,11 +28,6 @@
  */
 #pragma once
 
-// ida-lint: allow-file(IDA002) this file implements the zero-allocation
-// callback: placement-new into inline storage and manual destructor
-// calls are its whole job. tests/test_inline_callback.cc proves with a
-// counting operator new that no heap allocation ever happens.
-
 #include <cstddef>
 #include <cstring>
 #include <new>

@@ -55,10 +55,7 @@ Rng::lognormal(double mu, double sigma)
         y = 2.0 * uniform01() - 1.0;
         r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
-    // Workload-generation sampling, not event dispatch.
-    // ida-lint: allow(IDA009)
     const double normal = y * std::sqrt(-2 * std::log(r2) / r2);
-    // ida-lint: allow(IDA009)
     return std::exp(sigma * normal + mu);
 }
 
@@ -71,7 +68,6 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
     double sum = 0.0;
     for (std::uint64_t k = 0; k < n_; ++k) {
         // Construction-time CDF build, amortized over every draw.
-        // ida-lint: allow(IDA009)
         sum += std::pow(static_cast<double>(k + 1), -s_);
         cdf_[k] = sum;
     }

@@ -111,8 +111,6 @@ class Rng
     exponential(double mean)
     {
         assert(mean >= 0.0);
-        // Workload-generation sampling, not event dispatch.
-        // ida-lint: allow(IDA009)
         return -std::log(1.0 - uniform01()) / (1.0 / mean);
     }
 
@@ -128,7 +126,6 @@ class Rng
     lognormalMu(double mean, double sigma)
     {
         assert(mean > 0.0);
-        // ida-lint: allow(IDA009)
         return std::log(mean) - 0.5 * sigma * sigma;
     }
 

@@ -23,6 +23,7 @@ Histogram::bucketOf(double x) const
     if (!(x >= lo_))
         return 0;
     const int last = static_cast<int>(counts_.size()) - 1;
+    // ida-lint: allow(IDA009) add() calls this only for a new sample
     const double b = 1.0 + std::log(x / lo_) / logGrowth_;
     // +inf (and any huge sample) lands in the overflow bucket without
     // ever reaching an out-of-range float-to-int cast.

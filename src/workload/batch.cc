@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,23 +39,35 @@ seedFromTag(const std::string &tag)
     return h ^ (h >> 31);
 }
 
-namespace {
-
-/**
- * @p s as a job count: the whole string is a decimal integer in
- * [1, INT_MAX]. Anything else is a user error naming @p what.
- */
-int
-parseJobs(const char *s, const char *what)
+long long
+parsePositiveInt(const char *s, const char *what, long long max)
 {
     errno = 0;
     char *end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v <= 0 ||
-        v > INT_MAX)
+    const long long v = std::strtoll(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v <= 0 || v > max)
         sim::fatal(std::string(what) + " expects a positive integer, "
                    "got '" + s + "'");
-    return static_cast<int>(v);
+    return v;
+}
+
+double
+parsePositiveReal(const char *s, const char *what)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v) || !(v > 0.0))
+        sim::fatal(std::string(what) + " expects a positive number, "
+                   "got '" + s + "'");
+    return v;
+}
+
+namespace {
+
+int
+parseJobs(const char *s, const char *what)
+{
+    return static_cast<int>(parsePositiveInt(s, what, INT_MAX));
 }
 
 } // namespace

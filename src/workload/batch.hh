@@ -53,6 +53,7 @@
  */
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -131,6 +132,22 @@ struct BatchOutcome
  * the empty tag.
  */
 std::uint64_t seedFromTag(const std::string &tag);
+
+/**
+ * @p s as a count knob: the whole string is a decimal integer in
+ * [1, @p max]. Anything else (empty, trailing characters, zero,
+ * negative, out of range) is a user error: sim::fatal "<what> expects
+ * a positive integer, got '<s>'".
+ */
+long long parsePositiveInt(const char *s, const char *what,
+                           long long max = LLONG_MAX);
+
+/**
+ * @p s as a scale knob: the whole string is a finite decimal number
+ * above 0. Anything else is a user error: sim::fatal "<what> expects a
+ * positive number, got '<s>'".
+ */
+double parsePositiveReal(const char *s, const char *what);
 
 /**
  * Default worker count: the IDA_JOBS environment variable when set,

@@ -27,6 +27,28 @@ namespace {
 /** Staging buffer cap: the runner's own copy stays small on long traces. */
 constexpr std::size_t kSubmitBatch = 256;
 
+/**
+ * @p req as a host request arriving at @p arrival, its page range
+ * clamped into the preloaded @p footprint so every read is mapped.
+ */
+ssd::HostRequest
+toHostRequest(const IoRequest &req, sim::Time arrival,
+              std::uint64_t footprint)
+{
+    ssd::HostRequest hr;
+    hr.arrival = arrival;
+    hr.isRead = req.isRead;
+    hr.isTrim = req.isTrim;
+    hr.startSector = req.startSector;
+    hr.sectorCount = req.sectorCount;
+    hr.startPage = footprint > 0 ? req.startPage % footprint : 0;
+    hr.pageCount = req.pageCount;
+    if (hr.startPage + hr.pageCount > footprint)
+        hr.startPage = footprint - std::min<std::uint64_t>(
+            hr.pageCount, footprint);
+    return hr;
+}
+
 void
 flushBatch(ssd::Ssd &ssd, std::vector<ssd::HostRequest> &batch)
 {
@@ -63,18 +85,7 @@ runStream(const ssd::SsdConfig &device, TraceStream &trace,
     std::vector<ssd::HostRequest> batch;
     batch.reserve(kSubmitBatch);
     while (trace.next(req)) {
-        ssd::HostRequest hr;
-        hr.arrival = req.arrival;
-        hr.isRead = req.isRead;
-        hr.isTrim = req.isTrim;
-        hr.startSector = req.startSector;
-        hr.sectorCount = req.sectorCount;
-        // Clamp into the preloaded footprint so every read is mapped.
-        hr.startPage = footprint > 0 ? req.startPage % footprint : 0;
-        hr.pageCount = req.pageCount;
-        if (hr.startPage + hr.pageCount > footprint)
-            hr.startPage = footprint - std::min<std::uint64_t>(
-                hr.pageCount, footprint);
+        ssd::HostRequest hr = toHostRequest(req, req.arrival, footprint);
         last_arrival = std::max(last_arrival, hr.arrival);
         // Flush on a new arrival tick (keeps runs whole) or at the
         // buffer cap, so memory stays bounded on huge traces.
@@ -247,17 +258,8 @@ runClosedLoop(const ssd::SsdConfig &device, const WorkloadPreset &preset,
             ssd.ftl().resetReadClassification();
         }
         ++submitted;
-        ssd::HostRequest hr;
-        hr.arrival = ssd.events().now();
-        hr.isRead = r.isRead;
-        hr.isTrim = r.isTrim;
-        hr.startSector = r.startSector;
-        hr.sectorCount = r.sectorCount;
-        hr.startPage = r.startPage % footprint;
-        hr.pageCount = r.pageCount;
-        if (hr.startPage + hr.pageCount > footprint)
-            hr.startPage = footprint - std::min<std::uint64_t>(
-                hr.pageCount, footprint);
+        ssd::HostRequest hr =
+            toHostRequest(r, ssd.events().now(), footprint);
         hr.onComplete = pump;
         ssd.submit(hr);
     };

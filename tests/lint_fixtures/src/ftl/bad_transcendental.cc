@@ -1,23 +1,35 @@
 // Fixture: IDA009 no-transcendental-hot-path. Never compiled; scanned
-// by tests/test_lint.cc.
+// by tests/test_lint.cc. std::log and std::pow reached from the root
+// fire; the std::log that only the constructor reaches stays silent
+// without any allow().
 #include <cmath>
 
 namespace ida::ftl {
 
-double
-perReadPenalty(double rber, double gain)
+class Penalty
 {
-    return std::log(rber) / std::log(gain);
+  public:
+    explicit Penalty(double gain);
+    double onRead(double rber, double pe) const;
+
+  private:
+    double wearCurve(double pe) const;
+    double logGain_;
+};
+
+Penalty::Penalty(double gain) : logGain_(std::log(gain)) {}
+
+// ida-lint: hot-path-root
+double
+Penalty::onRead(double rber, double pe) const
+{
+    return std::log(rber) / logGain_ + wearCurve(pe);
 }
 
 double
-wearCurve(double pe, double k)
+Penalty::wearCurve(double pe) const
 {
-    return std::pow(pe / 3000.0, k) * std::exp(-k);
+    return std::pow(pe / 3000.0, 1.5);
 }
-
-// A blessed construction-time use must stay silent.
-// ida-lint: allow(IDA009)
-const double kLogTwo = std::log(2.0);
 
 } // namespace ida::ftl

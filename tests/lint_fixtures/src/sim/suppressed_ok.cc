@@ -2,6 +2,7 @@
 // must report NOTHING for this file (tests/test_lint.cc asserts rc 0).
 // Exercises all three forms: allow-file, same-line allow, and a
 // comment-only line blessing the next line.
+#include <cstdio>
 #include <cstdlib>
 
 // ida-lint: allow-file(IDA004)
@@ -14,13 +15,13 @@ legacySeed()
     return static_cast<unsigned>(rand());
 }
 
-int *
-bootstrapSlab()
+int
+parseDepth(const char *arg)
 {
-    int *slab = new int[64]; // ida-lint: allow(IDA002) one-time setup
-    // ida-lint: allow(IDA002) matching one-time teardown
-    delete[] slab;
-    return nullptr;
+    const int depth = std::atoi(arg); // ida-lint: allow(IDA007) checked
+    // ida-lint: allow(IDA008) one-off diagnostic
+    std::printf("depth=%d\n", depth);
+    return depth;
 }
 
 } // namespace ida::sim

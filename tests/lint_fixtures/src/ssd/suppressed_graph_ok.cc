@@ -1,8 +1,8 @@
-// Suppression fixture for the graph rules: every IDA010/IDA011/IDA012
-// site below carries its sanctioned escape hatch, so this file must
-// scan completely clean. Exercises the same-line allow, the
-// previous-comment-line allow, the shared(<kind>) annotation, and the
-// legacy-rule inheritance (an allow(IDA002) silencing IDA010).
+// Suppression fixture for the graph rules: every IDA009/IDA010/IDA011/
+// IDA012 site below carries its sanctioned escape hatch, so this file
+// must scan completely clean. Exercises the same-line allow, the
+// previous-comment-line allow, and the shared(<kind>) annotation.
+#include <cmath>
 #include <cstdint>
 
 namespace fix {
@@ -18,6 +18,7 @@ class Pipe
   private:
     void refill();
     int *slab_ = nullptr;
+    double scale_ = 0.0;
 };
 
 // ida-lint: hot-path-root
@@ -32,8 +33,10 @@ void
 Pipe::refill()
 {
     slab_ = new int[8]; // ida-lint: allow(IDA010) one-time refill
-    delete[] slab_;     // ida-lint: allow(IDA002) paired teardown
+    // ida-lint: allow(IDA010) paired teardown
+    delete[] slab_;
     slab_ = nullptr;
+    scale_ = std::log(8.0); // ida-lint: allow(IDA009) once per refill
 }
 
 // ida-lint: shard-root

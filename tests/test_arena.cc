@@ -95,10 +95,14 @@ TEST(Arena, AlignsEachArray)
 }
 
 /**
- * This process's resident set in bytes, if /proc/self/statm is readable
- * and the number means what it says. Under AddressSanitizer every
- * touched byte also faults in shadow memory, and with transparent huge
- * pages set to "always" one touched byte can fault in 2 MiB.
+ * This process's anonymous resident memory in bytes (statm's resident
+ * minus its file-backed pages), if /proc/self/statm is readable and the
+ * number means what it says. File-backed pages are left out because
+ * running code not yet mapped faults in its executable pages up to
+ * 64 KiB at a time (the kernel's fault-around), depending on where ASLR
+ * put the binary. Under AddressSanitizer every touched byte also faults
+ * in shadow memory, and with transparent huge pages set to "always" one
+ * touched byte can fault in 2 MiB.
  */
 std::optional<std::uint64_t>
 residentBytes()
@@ -118,9 +122,11 @@ residentBytes()
     std::ifstream statm("/proc/self/statm");
     std::uint64_t size = 0;
     std::uint64_t resident = 0;
-    if (!(statm >> size >> resident))
+    std::uint64_t fileBacked = 0;
+    if (!(statm >> size >> resident >> fileBacked))
         return std::nullopt;
-    return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+    return (resident - fileBacked) *
+           static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
 }
 
 /**

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "audit/auditor.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
+#include "workload/batch.hh"
 
 namespace ida::audit {
 namespace {
@@ -182,12 +184,19 @@ shrinkFailure(Scenario sc)
     return lo;
 }
 
+/** Replay seed count: IDA_AUDIT_REPLAY_SEEDS, or 4 when unset. */
+int
+replaySeeds()
+{
+    if (const char *env = std::getenv("IDA_AUDIT_REPLAY_SEEDS"))
+        return static_cast<int>(workload::parsePositiveInt(
+            env, "IDA_AUDIT_REPLAY_SEEDS", INT_MAX));
+    return 4;
+}
+
 TEST(AuditReplay, SeededWorkloadsStayClean)
 {
-    int nSeeds = 4;
-    if (const char *env = std::getenv("IDA_AUDIT_REPLAY_SEEDS"))
-        nSeeds = std::max(
-            1, static_cast<int>(std::strtol(env, nullptr, 10)));
+    const int nSeeds = replaySeeds();
 
     std::uint64_t refreshes = 0, idaRefreshes = 0, trims = 0;
     for (int s = 1; s <= nSeeds; ++s) {
@@ -235,6 +244,23 @@ TEST(AuditReplay, ReplayIsDeterministic)
     EXPECT_EQ(a.executed, b.executed);
     EXPECT_EQ(a.violations, b.violations);
     EXPECT_EQ(a.audits, b.audits);
+}
+
+TEST(AuditReplayDeath, MalformedSeedCountIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"", "abc", "8x", "0", "-3", "2147483648"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("IDA_AUDIT_REPLAY_SEEDS", bad, 1);
+                replaySeeds();
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("IDA_AUDIT_REPLAY_SEEDS expects a positive "
+                        "integer, got '") +
+                bad + "'")
+            << bad;
+    }
 }
 
 } // namespace

@@ -242,6 +242,27 @@ TEST(BatchDeath, MalformedIdaJobsIsFatal)
     }
 }
 
+TEST(Batch, PositiveKnobsParseWholeValues)
+{
+    EXPECT_EQ(parsePositiveInt("50", "seeds"), 50);
+    EXPECT_EQ(parsePositiveInt("4294967296", "ops"), 4294967296LL);
+    EXPECT_DOUBLE_EQ(parsePositiveReal("0.08", "scale"), 0.08);
+    EXPECT_DOUBLE_EQ(parsePositiveReal("2", "scale"), 2.0);
+}
+
+TEST(BatchDeath, MalformedScaleKnobIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"", "abc", "0.5x", "0", "-0.3", "inf", "nan"}) {
+        EXPECT_EXIT(parsePositiveReal(bad, "IDA_BENCH_SCALE"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("IDA_BENCH_SCALE expects a positive "
+                                "number, got '") +
+                        bad + "'")
+            << bad;
+    }
+}
+
 TEST(JsonWriter, EscapeRoundTripsEveryByteClass)
 {
     const std::string nasty =

@@ -15,10 +15,12 @@
  */
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "ftl_model.hh"
+#include "workload/batch.hh"
 
 namespace {
 
@@ -30,7 +32,8 @@ std::uint64_t
 opsPerRun()
 {
     if (const char *env = std::getenv("IDA_MODEL_OPS"))
-        return std::strtoull(env, nullptr, 10);
+        return static_cast<std::uint64_t>(
+            ida::workload::parsePositiveInt(env, "IDA_MODEL_OPS"));
     return 10'000;
 }
 
@@ -65,6 +68,22 @@ TEST(FtlModel, RunsAreDeterministic)
     EXPECT_EQ(a.unmappedReads, b.unmappedReads);
     EXPECT_EQ(a.modelFailures, b.modelFailures);
     EXPECT_EQ(a.auditViolations, b.auditViolations);
+}
+
+TEST(FtlModelDeath, MalformedOpsKnobIsFatal)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"", "abc", "10k", "0", "-5"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("IDA_MODEL_OPS", bad, 1);
+                opsPerRun();
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("IDA_MODEL_OPS expects a positive integer, got '") +
+                bad + "'")
+            << bad;
+    }
 }
 
 } // namespace

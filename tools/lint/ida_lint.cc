@@ -2,26 +2,22 @@
  * @file
  * ida-lint driver: the project's custom static-analysis gate.
  *
- * v2 is a whole-program analyzer. Every translation unit under the
- * root is stripped (source_view), indexed into functions, call sites,
- * event sites, and globals (indexer), linked into a name-resolved
- * symbol graph (graph), and checked by two rule packs (rules):
+ * A whole-program analyzer. Every translation unit under the root is
+ * stripped (source_view), indexed into functions, call sites, event
+ * sites, and globals (indexer), linked into a name-resolved symbol
+ * graph (graph), and checked by two rule packs (rules):
  *
- *   - IDA001–IDA009: the per-line regex rules, unchanged from v1;
- *   - IDA010–IDA012: reachability rules from the annotated hot-path
+ *   - IDA004–IDA008: per-line regex rules, scoped by directory;
+ *   - IDA009–IDA012: reachability rules from the annotated hot-path
  *     and shard-worker root sets, with call-chain witnesses.
  *
  * docs/LINTING.md is the rule catalogue; tests/lint_fixtures/ holds a
  * known-bad snippet per rule and tests/test_lint.cc pins the exact
  * findings each fixture must produce.
  *
- * Tree scans auto-load tools/lint_baseline.txt under the root:
- * grandfathered findings are counted on stderr but neither printed
- * nor fatal, so a migration can land before its cleanup does.
- *
- * Exit status: 0 when no (non-baselined) findings, 1 when any rule
- * fired, 2 on usage or I/O errors. Text output format (one finding
- * per line, pinned by tests/test_lint.cc):
+ * Exit status: 0 when no rule fired, 1 when any did, 2 on usage
+ * errors. Text output format (one finding per line, pinned by
+ * tests/test_lint.cc):
  *
  *     <path>:<line>: <rule-id>: <message> [<rule-name>]
  */
@@ -81,15 +77,12 @@ usage()
 {
     std::cerr
         << "usage: ida_lint [--root DIR] [--list-rules]\n"
-        << "                [--list-rule-ids] [--format text|json]\n"
-        << "                [--json-out FILE] [--baseline FILE]\n"
-        << "                [--no-baseline] [--write-baseline FILE]\n"
+        << "                [--list-rule-ids] [--dump-index]\n"
         << "                [FILE...]\n"
         << "\n"
         << "With no FILEs, scans src/ tests/ bench/ examples/ tools/\n"
         << "under the root (default: current directory), skipping\n"
-        << "tests/lint_fixtures, and auto-loads tools/lint_baseline.txt\n"
-        << "when present. Paths in findings are root-relative.\n";
+        << "tests/lint_fixtures. Paths in findings are root-relative.\n";
     return 2;
 }
 
@@ -103,11 +96,6 @@ main(int argc, char **argv)
     bool listRules = false;
     bool listRuleIds = false;
     bool dumpIndex = false;
-    bool noBaseline = false;
-    std::string format = "text";
-    std::string jsonOut;
-    std::string baselinePath;
-    std::string writeBaselinePath;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -119,18 +107,6 @@ main(int argc, char **argv)
             listRuleIds = true;
         } else if (arg == "--dump-index") {
             dumpIndex = true;
-        } else if (arg == "--format" && i + 1 < argc) {
-            format = argv[++i];
-        } else if (startsWith(arg, "--format=")) {
-            format = arg.substr(9);
-        } else if (arg == "--json-out" && i + 1 < argc) {
-            jsonOut = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baselinePath = argv[++i];
-        } else if (arg == "--no-baseline") {
-            noBaseline = true;
-        } else if (arg == "--write-baseline" && i + 1 < argc) {
-            writeBaselinePath = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
             return usage();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -139,8 +115,6 @@ main(int argc, char **argv)
             explicitFiles.emplace_back(arg);
         }
     }
-    if (format != "text" && format != "json")
-        return usage();
     root = fs::absolute(root).lexically_normal();
 
     if (listRules || listRuleIds) {
@@ -154,9 +128,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const bool treeScan = explicitFiles.empty();
     std::vector<fs::path> files;
-    if (!treeScan) {
+    if (!explicitFiles.empty()) {
         for (auto &f : explicitFiles)
             files.push_back(fs::absolute(f));
     } else {
@@ -182,7 +155,7 @@ main(int argc, char **argv)
 
     if (dumpIndex) {
         // Debug view of what the indexer recovered (not a stable
-        // interface; the JSON export is the machine-readable one).
+        // interface).
         for (const FileIndex &fi : idx.files) {
             std::cout << fi.rel << "\n";
             for (const FunctionInfo &fn : fi.functions) {
@@ -218,80 +191,12 @@ main(int argc, char **argv)
                   return a.rule < b.rule;
               });
 
-    if (!writeBaselinePath.empty()) {
-        std::ofstream out(writeBaselinePath);
-        if (!out) {
-            std::cerr << "ida-lint: cannot write baseline "
-                      << writeBaselinePath << "\n";
-            return 2;
-        }
-        writeBaseline(out, idx, findings);
-        std::cerr << "ida-lint: wrote " << findings.size()
-                  << " baseline entr"
-                  << (findings.size() == 1 ? "y" : "ies") << " to "
-                  << writeBaselinePath << "\n";
-        return 0;
-    }
-
-    // Baseline resolution: an explicit --baseline always applies; a
-    // tree scan additionally picks up the checked-in default so the
-    // repo gate and the CI job agree without extra flags.
-    std::set<std::string> baseline;
-    fs::path bp;
-    if (!noBaseline) {
-        if (!baselinePath.empty())
-            bp = baselinePath;
-        else if (treeScan)
-            bp = root / "tools" / "lint_baseline.txt";
-        if (!bp.empty() && fs::exists(bp)) {
-            std::ifstream in(bp);
-            if (!in) {
-                std::cerr << "ida-lint: cannot read baseline " << bp
-                          << "\n";
-                return 2;
-            }
-            baseline = loadBaseline(in);
-        } else if (!baselinePath.empty()) {
-            std::cerr << "ida-lint: baseline file not found: "
-                      << baselinePath << "\n";
-            return 2;
-        }
-    }
-
-    std::vector<Finding> reported;
-    std::vector<Finding> baselined;
-    for (const Finding &f : findings) {
-        if (baseline.count(baselineKey(idx, f)) > 0)
-            baselined.push_back(f);
-        else
-            reported.push_back(f);
-    }
-
-    if (!jsonOut.empty()) {
-        std::ofstream out(jsonOut);
-        if (!out) {
-            std::cerr << "ida-lint: cannot write " << jsonOut << "\n";
-            return 2;
-        }
-        renderJson(out, idx, reported, baselined);
-    }
-    if (format == "json") {
-        renderJson(std::cout, idx, reported, baselined);
-    } else {
-        for (const Finding &fd : reported)
-            std::cout << fd.path << ':' << fd.line << ": " << fd.rule
-                      << ": " << fd.message << " [" << fd.ruleName
-                      << "]\n";
-    }
-
-    if (!baselined.empty())
-        std::cerr << "ida-lint: " << baselined.size()
-                  << " baselined finding"
-                  << (baselined.size() == 1 ? "" : "s")
-                  << " suppressed (" << bp.generic_string() << ")\n";
-    if (!reported.empty()) {
-        std::cerr << "ida-lint: " << reported.size() << " finding"
-                  << (reported.size() == 1 ? "" : "s") << "\n";
+    for (const Finding &fd : findings)
+        std::cout << fd.path << ':' << fd.line << ": " << fd.rule << ": "
+                  << fd.message << " [" << fd.ruleName << "]\n";
+    if (!findings.empty()) {
+        std::cerr << "ida-lint: " << findings.size() << " finding"
+                  << (findings.size() == 1 ? "" : "s") << "\n";
         return 1;
     }
     return 0;

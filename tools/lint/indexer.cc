@@ -48,6 +48,16 @@ rngTypeNames()
     return s;
 }
 
+const std::unordered_set<std::string> &
+transcendentalNames()
+{
+    static const std::unordered_set<std::string> s = {
+        "std::pow", "std::log",  "std::log2", "std::log10",
+        "std::log1p", "std::exp", "std::exp2", "std::expm1",
+    };
+    return s;
+}
+
 std::string
 lastSegment(const std::string &chain)
 {
@@ -228,6 +238,10 @@ class Parser
             if (tok(end).text == "(" || tok(end).text == "<")
                 fn.events.push_back(
                     {EventKind::Alloc, chain, t.line, ""});
+        } else if (transcendentalNames().count(chain) > 0) {
+            if (tok(end).text == "(")
+                fn.events.push_back(
+                    {EventKind::Transcendental, chain, t.line, ""});
         } else if (rngTypeNames().count(last) > 0) {
             bool ctor = tok(end).text == "(" || tok(end).text == "{";
             if (!ctor && isWordTok(tok(end)) &&

@@ -17,11 +17,11 @@
  *     dispatch function parks on the event queue is hot-path code);
  *   - "event" sites the graph rules care about: heap traffic
  *     (new/delete/malloc/make_unique/make_shared), std::function,
- *     throw/try/catch, RNG constructions, and mutable function-local
- *     statics;
+ *     throw/try/catch, std:: transcendental calls (pow/log/exp and
+ *     kin), RNG constructions, and mutable function-local statics;
  *   - namespace-scope mutable variable definitions (class members and
  *     const/constexpr tables are deliberately out of scope);
- *   - the v2 annotations (hot-path-root / shard-root / rng-factory /
+ *   - the annotations (hot-path-root / shard-root / rng-factory /
  *     shared(...)) bound to the functions and variables they precede.
  *
  * The parser is intentionally approximate — it never needs to run the
@@ -56,6 +56,7 @@ enum class EventKind {
     Alloc,       // new/delete/malloc/calloc/realloc/free/make_unique/..
     StdFunction, // std::function use
     Exception,   // throw / try / catch
+    Transcendental, // std::pow/log/log2/log10/log1p/exp/exp2/expm1 call
     RngConstruct, // sim::Rng{...} or a std engine constructed inline
     LocalStatic, // mutable function-local static
 };

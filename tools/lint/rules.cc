@@ -1,39 +1,16 @@
 #include "rules.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <istream>
-#include <ostream>
 #include <regex>
 
 namespace idalint {
 
 namespace {
 
-/**
- * Directories whose dispatch paths must stay allocation-, exception-
- * and std::function-free (the PR 3 kernel contract). Matched against
- * the root-relative path prefix.
- */
-const std::vector<std::string> kHotPathDirs = {
-    "src/sim/",
-    "src/flash/",
-    "src/ftl/",
-    "src/cache/", // read-cache lookups sit on every host-read dispatch
-    "src/fleet/", // staging/merge runs once per host IO per epoch
-};
-
 bool
 startsWith(const std::string &s, const std::string &prefix)
 {
     return s.rfind(prefix, 0) == 0;
-}
-
-bool
-isHotPath(const std::string &rel)
-{
-    return std::any_of(kHotPathDirs.begin(), kHotPathDirs.end(),
-                       [&](const auto &d) { return startsWith(rel, d); });
 }
 
 bool
@@ -54,7 +31,7 @@ struct LineRule
     std::string name;
     std::string message;
     std::regex pattern;
-    enum class Scope { HotPath, Library, Everywhere, LibraryNoTime };
+    enum class Scope { Library, Everywhere, LibraryNoTime };
     Scope scope;
 };
 
@@ -68,29 +45,6 @@ lineRules()
                              LineRule::Scope scope) {
             r.push_back({id, name, message, std::regex(pattern), scope});
         };
-
-        add("IDA001", "no-std-function-hot-path",
-            "std::function (type-erased, may allocate) is banned in "
-            "dispatch-path code; use sim::InlineCallback",
-            "std::\\s*function\\b|#\\s*include\\s*<functional>",
-            LineRule::Scope::HotPath);
-
-        add("IDA002", "no-raw-heap-hot-path",
-            "raw heap traffic is banned in dispatch-path code; use the "
-            "pooled/slab containers set up at construction",
-            // `delete` needs an operand to its right so `= delete;`
-            // (deleted special members) stays legal — std::regex has no
-            // lookbehind, so match the expression forms instead.
-            "\\bnew\\b|\\bdelete\\s*\\[|\\bdelete\\s+[A-Za-z_(*:]|"
-            "\\bmalloc\\s*\\(|\\bcalloc\\s*\\(|"
-            "\\brealloc\\s*\\(|\\bfree\\s*\\(",
-            LineRule::Scope::HotPath);
-
-        add("IDA003", "no-exceptions-hot-path",
-            "exceptions are banned in dispatch-path code (the kernel is "
-            "built around sim::fatal and status returns)",
-            "\\bthrow\\b|\\btry\\b|\\bcatch\\s*\\(",
-            LineRule::Scope::HotPath);
 
         add("IDA004", "no-unseeded-rng",
             "unseeded/wall-clock entropy breaks seeded replay; thread a "
@@ -134,14 +88,6 @@ lineRules()
             "\\bfprintf\\s*\\(|\\bputs\\s*\\(",
             LineRule::Scope::Library);
 
-        add("IDA009", "no-transcendental-hot-path",
-            "per-event transcendental math (std::pow/log/exp) is banned "
-            "on dispatch paths; precompute a table at construction "
-            "instead (see ecc/rber_model's factored rounds table)",
-            "\\bstd::\\s*(pow|log|log2|log10|log1p|exp|exp2|expm1)"
-            "\\s*\\(",
-            LineRule::Scope::HotPath);
-
         return r;
     }();
     return rules;
@@ -151,8 +97,6 @@ bool
 inScope(const LineRule &rule, const std::string &rel)
 {
     switch (rule.scope) {
-    case LineRule::Scope::HotPath:
-        return isHotPath(rel);
     case LineRule::Scope::Library:
         return isLibrarySource(rel);
     case LineRule::Scope::LibraryNoTime:
@@ -171,6 +115,11 @@ struct GraphRuleMeta
 };
 
 const GraphRuleMeta kGraphRules[] = {
+    {"IDA009", "no-transcendental-hot-path",
+     "per-event transcendental math (std::pow/log/exp) is transitively "
+     "reachable from a hot-path root (the finding carries the call "
+     "chain); precompute a table at construction instead (see "
+     "ecc/rber_model's factored rounds table)"},
     {"IDA010", "no-hot-path-reachable-alloc",
      "allocation, std::function, or exception machinery is transitively "
      "reachable from a hot-path root (the finding carries the call "
@@ -202,69 +151,14 @@ eventNoun(EventKind k)
         return "std::function";
     case EventKind::Exception:
         return "exception machinery";
+    case EventKind::Transcendental:
+        return "transcendental math";
     case EventKind::RngConstruct:
         return "RNG construction";
     case EventKind::LocalStatic:
         return "mutable local static";
     }
     return "event";
-}
-
-/** The legacy per-line rule an IDA010 event inherits suppressions
- *  from, so existing allow(IDA001..IDA003) comments keep working. */
-const char *
-legacyRuleFor(EventKind k)
-{
-    switch (k) {
-    case EventKind::Alloc:
-        return "IDA002";
-    case EventKind::StdFunction:
-        return "IDA001";
-    case EventKind::Exception:
-        return "IDA003";
-    default:
-        return "";
-    }
-}
-
-std::string
-trimCopy(const std::string &s)
-{
-    const std::size_t b = s.find_first_not_of(" \t");
-    if (b == std::string::npos)
-        return "";
-    const std::size_t e = s.find_last_not_of(" \t");
-    return s.substr(b, e - b + 1);
-}
-
-void
-jsonEscape(std::ostream &out, const std::string &s)
-{
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out << "\\\"";
-            break;
-        case '\\':
-            out << "\\\\";
-            break;
-        case '\n':
-            out << "\\n";
-            break;
-        case '\t':
-            out << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out << buf;
-            } else {
-                out << c;
-            }
-        }
-    }
 }
 
 std::string
@@ -351,26 +245,27 @@ runGraphRules(const Index &idx, const SymbolGraph &g,
         return startsWith(n.file->rel, "src/");
     };
 
-    // IDA010: no alloc/std::function/exception reachable from a
-    // hot-path root. Inherits the matching per-line suppressions so
-    // the existing allow(IDA001..IDA003) comments keep their force.
+    // IDA009 and IDA010: per-event math and allocation, std::function
+    // or exception machinery reachable from a hot-path root.
     for (std::size_t i = 0; i < g.size(); ++i) {
         if (!hot.reached(i) || !inSrc(g.node(i)))
             continue;
         const GraphNode &n = g.node(i);
         for (const EventSite &ev : n.fn->events) {
-            if (ev.kind != EventKind::Alloc &&
-                ev.kind != EventKind::StdFunction &&
-                ev.kind != EventKind::Exception)
+            const char *rule = nullptr;
+            if (ev.kind == EventKind::Transcendental)
+                rule = "IDA009";
+            else if (ev.kind == EventKind::Alloc ||
+                     ev.kind == EventKind::StdFunction ||
+                     ev.kind == EventKind::Exception)
+                rule = "IDA010";
+            if (rule == nullptr || n.file->sup.allows(rule, ev.line))
                 continue;
-            if (n.file->sup.allows("IDA010", ev.line) ||
-                n.file->sup.allows(legacyRuleFor(ev.kind), ev.line))
-                continue;
-            out.push_back({n.file->rel, ev.line, "IDA010",
+            out.push_back({n.file->rel, ev.line, rule,
                            std::string(eventNoun(ev.kind)) +
                                " reachable from hot-path root: " +
                                witnessChain(g, hot, i) + " : " + ev.token,
-                           ruleNameFor("IDA010")});
+                           ruleNameFor(rule)});
         }
     }
 
@@ -459,105 +354,6 @@ runGraphRules(const Index &idx, const SymbolGraph &g,
                            ruleNameFor("IDA012")});
         }
     }
-}
-
-std::string
-baselineKey(const Index &idx, const Finding &f)
-{
-    std::string context;
-    for (const FileIndex &fi : idx.files) {
-        if (fi.rel != f.path)
-            continue;
-        const FunctionInfo *best = nullptr;
-        for (const FunctionInfo &fn : fi.functions) {
-            if (fn.nameLine <= f.line && f.line <= fn.endLine &&
-                (best == nullptr || fn.nameLine > best->nameLine))
-                best = &fn;
-        }
-        if (best != nullptr) {
-            context = best->qualName;
-        } else {
-            for (const GlobalVar &gv : fi.globals) {
-                if (gv.line == f.line) {
-                    context = "global:" + gv.qualName;
-                    break;
-                }
-            }
-        }
-        if (context.empty() && f.line >= 1 &&
-            f.line <= fi.view.raw.size())
-            context = "L:" + trimCopy(fi.view.raw[f.line - 1]);
-        break;
-    }
-    if (context.empty())
-        context = "L:?";
-    return f.rule + "|" + f.path + "|" + context;
-}
-
-std::set<std::string>
-loadBaseline(std::istream &in)
-{
-    std::set<std::string> keys;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::string t = trimCopy(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        keys.insert(t);
-    }
-    return keys;
-}
-
-void
-writeBaseline(std::ostream &out, const Index &idx,
-              const std::vector<Finding> &findings)
-{
-    out << "# ida-lint baseline: grandfathered findings, one key per "
-           "line.\n"
-        << "# Key format: <rule>|<path>|<context> (context = containing "
-           "function).\n"
-        << "# Regenerate with: ida_lint --root . --write-baseline "
-           "tools/lint_baseline.txt\n";
-    std::set<std::string> keys;
-    for (const Finding &f : findings)
-        keys.insert(baselineKey(idx, f));
-    for (const std::string &k : keys)
-        out << k << "\n";
-}
-
-void
-renderJson(std::ostream &out, const Index &idx,
-           const std::vector<Finding> &reported,
-           const std::vector<Finding> &baselined)
-{
-    out << "{\n"
-        << "  \"schema\": \"ida-lint-findings-v1\",\n"
-        << "  \"counts\": {\"reported\": " << reported.size()
-        << ", \"baselined\": " << baselined.size() << "},\n"
-        << "  \"findings\": [";
-    bool first = true;
-    const auto emit = [&](const Finding &f, bool isBaselined) {
-        if (!first)
-            out << ",";
-        first = false;
-        out << "\n    {\"rule\": \"";
-        jsonEscape(out, f.rule);
-        out << "\", \"name\": \"";
-        jsonEscape(out, f.ruleName);
-        out << "\", \"path\": \"";
-        jsonEscape(out, f.path);
-        out << "\", \"line\": " << f.line << ", \"baselined\": "
-            << (isBaselined ? "true" : "false") << ", \"key\": \"";
-        jsonEscape(out, baselineKey(idx, f));
-        out << "\", \"message\": \"";
-        jsonEscape(out, f.message);
-        out << "\"}";
-    };
-    for (const Finding &f : reported)
-        emit(f, false);
-    for (const Finding &f : baselined)
-        emit(f, true);
-    out << "\n  ]\n}\n";
 }
 
 } // namespace idalint

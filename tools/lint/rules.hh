@@ -1,26 +1,20 @@
 /**
  * @file
- * ida-lint rule packs and reporting helpers.
+ * ida-lint rule packs.
  *
  * Two layers share one Finding type:
  *
- *   - the v1 per-line rules (IDA001–IDA009): regex matches over the
- *     stripped code channel, scoped by directory (hot-path dirs,
- *     library, everywhere) exactly as before;
- *   - the v2 graph rules (IDA010–IDA012): reachability queries over
- *     the SymbolGraph, with a call-chain witness embedded in the
- *     finding message.
- *
- * Baselines let a known finding ride while the tree is migrated: keys
- * are line-number-free (`rule|path|context`, where context is the
- * containing function's qualified name) so unrelated edits above a
- * grandfathered site do not invalidate the entry.
+ *   - the per-line rules (IDA004–IDA008): regex matches over the
+ *     stripped code channel, scoped by directory (library or
+ *     everywhere);
+ *   - the graph rules (IDA009–IDA012): reachability queries over the
+ *     SymbolGraph, with a call-chain witness embedded in the finding
+ *     message. "Hot" means reachable from an annotated hot-path root;
+ *     no directory list says it.
  */
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,37 +40,14 @@ struct RuleInfo
     std::string message;
 };
 
-/** The full registered rule pack, IDA001..IDA012, in id order. */
+/** The full registered rule pack, IDA004..IDA012, in id order. */
 std::vector<RuleInfo> allRules();
 
-/** Run the per-line rule pack (IDA001–IDA009) over one file. */
+/** Run the per-line rule pack (IDA004–IDA008) over one file. */
 void runLineRules(const FileIndex &fi, std::vector<Finding> &out);
 
-/** Run the graph rule pack (IDA010–IDA012) over the whole index. */
+/** Run the graph rule pack (IDA009–IDA012) over the whole index. */
 void runGraphRules(const Index &idx, const SymbolGraph &g,
                    std::vector<Finding> &out);
-
-/**
- * Stable, line-number-free baseline key for @p f: `rule|path|context`
- * where context is the qualified name of the containing function,
- * `global:<qualName>` for a namespace-scope variable finding, or the
- * trimmed source line as a last resort.
- */
-std::string baselineKey(const Index &idx, const Finding &f);
-
-/** Parse a baseline stream: one key per line, `#` comments, blanks. */
-std::set<std::string> loadBaseline(std::istream &in);
-
-/** Write the (sorted, unique) keys of @p findings as a baseline. */
-void writeBaseline(std::ostream &out, const Index &idx,
-                   const std::vector<Finding> &findings);
-
-/**
- * Render findings as the machine-readable export
- * (schema "ida-lint-findings-v1"; see docs/LINTING.md).
- */
-void renderJson(std::ostream &out, const Index &idx,
-                const std::vector<Finding> &reported,
-                const std::vector<Finding> &baselined);
 
 } // namespace idalint

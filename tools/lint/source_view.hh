@@ -1,7 +1,7 @@
 /**
  * @file
  * ida-lint text layer: comment/string stripping, suppression comments,
- * and the v2 annotation grammar.
+ * and the annotation grammar.
  *
  * Everything downstream (the per-line rule pack in rules.cc and the
  * whole-program indexer in indexer.cc) works on a FileView: `code` has
@@ -12,11 +12,11 @@
  *
  * Comment grammar (all forms start with "ida-lint:"):
  *
- *   allow(IDA002) why...        silence a rule on this line (a
+ *   allow(IDA010) why...        silence a rule on this line (a
  *                               comment-only line blesses the next)
  *   allow-file(IDA004)          silence a rule for the whole file
  *   hot-path-root               the next function definition is a
- *                               dispatch-path root for IDA010
+ *                               dispatch-path root for IDA009/IDA010
  *   shard-root                  the next function definition is a
  *                               shard-worker root for IDA011
  *   rng-factory                 the next function definition is a

@@ -13,11 +13,16 @@
 # Usage: tools/run_audit.sh [build-dir] [seeds]
 #   build-dir: an already configured tree (default build); only the
 #              test binary is (re)built, nothing is configured
-#   seeds:     default 50
+#   seeds:     a positive integer, default 50
 set -eu
 
 BUILD_DIR="${1:-build}"
 SEEDS="${2:-50}"
+
+if ! [ "$SEEDS" -gt 0 ] 2> /dev/null; then
+    echo "audit: FAIL - seeds expects a positive integer, got '$SEEDS'" >&2
+    exit 1
+fi
 
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
     echo "audit: FAIL - $BUILD_DIR is not a configured build tree" \
