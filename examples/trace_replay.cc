@@ -2,23 +2,26 @@
  * @file
  * Trace replay: run any workload — a named synthetic preset or a real
  * MSR Cambridge CSV trace — against a chosen system configuration and
- * print the full measurement record.
+ * print the run's full measurement record as one JSON object
+ * (RunResult::toJson) on stdout.
  *
  * Usage:
  *   trace_replay [--system baseline|ida-e0|ida-e20|ida-e50|move-to-lsb]
  *                [--device tlc|mlc|qlc] [--scale F]
  *                [--workload NAME | --msr FILE.csv]
- *                [--report text|csv] [--suspension] [--wbuf PAGES]
+ *                [--suspension] [--wbuf PAGES]
  */
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include <iostream>
-
+#include "sim/log.hh"
+#include "workload/batch.hh"
 #include "workload/msr_parser.hh"
-#include "workload/result_report.hh"
 #include "workload/runner.hh"
 
 namespace {
@@ -32,38 +35,25 @@ usage()
                  "usage: trace_replay [--system baseline|ida-e0|ida-e20|"
                  "ida-e50|move-to-lsb]\n"
                  "                    [--device tlc|mlc|qlc] [--scale F]\n"
-                 "                    [--workload NAME | --msr FILE]\n");
+                 "                    [--workload NAME | --msr FILE]\n"
+                 "                    [--suspension] [--wbuf PAGES]\n");
     std::exit(2);
 }
 
-void
-printResult(const workload::RunResult &r)
+/** --wbuf's value: a whole number of pages in [0, UINT32_MAX]. */
+std::uint32_t
+parseWbufPages(const char *s)
 {
-    std::printf("\nworkload %s on %s\n", r.workload.c_str(),
-                r.system.c_str());
-    std::printf("  measured reads / writes : %llu / %llu\n",
-                (unsigned long long)r.measuredReads,
-                (unsigned long long)r.measuredWrites);
-    std::printf("  read response (mean/p99): %.1f / %.1f us\n",
-                r.readRespUs, r.readP99Us);
-    std::printf("  write response (mean)   : %.1f us\n", r.writeRespUs);
-    std::printf("  read throughput         : %.2f MB/s\n",
-                r.throughputMBps);
-    std::printf("  refreshes (IDA/baseline): %llu / %llu\n",
-                (unsigned long long)r.ftl.refresh.idaRefreshes,
-                (unsigned long long)r.ftl.refresh.baselineRefreshes);
-    std::printf("  adjusted wordlines      : %llu\n",
-                (unsigned long long)r.ftl.refresh.adjustedWordlines);
-    std::printf("  IDA-served reads        : %llu\n",
-                (unsigned long long)r.ftl.readClass.idaServed);
-    std::printf("  GC invocations / erases : %llu / %llu\n",
-                (unsigned long long)r.ftl.gc.invocations,
-                (unsigned long long)r.ftl.gc.erases);
-    std::printf("  in-use blocks (end)     : %llu of %llu\n",
-                (unsigned long long)r.inUseBlocksEnd,
-                (unsigned long long)r.totalBlocks);
-    std::printf("  simulated / wall time   : %.1f s / %.1f s\n",
-                sim::toSec(r.simulatedTime), r.wallSeconds);
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    // strtoull would skip blanks and wrap a leading '-'; demand a digit.
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+        errno == ERANGE || v > UINT32_MAX)
+        sim::fatal(std::string("--wbuf expects a whole number of pages "
+                               "from 0 to 4294967295, got '") +
+                   s + "'");
+    return static_cast<std::uint32_t>(v);
 }
 
 } // namespace
@@ -75,7 +65,6 @@ main(int argc, char **argv)
     std::string device = "tlc";
     std::string workloadName = "proj_1";
     std::string msrPath;
-    std::string reportMode;
     double scale = 0.25;
     bool suspension = false;
     std::uint32_t wbufPages = 0;
@@ -97,15 +86,12 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--msr"))
             msrPath = need("--msr");
         else if (!std::strcmp(argv[i], "--scale"))
-            scale = std::atof(need("--scale").c_str());
-        else if (!std::strcmp(argv[i], "--report"))
-            reportMode = need("--report");
+            scale = workload::parsePositiveReal(need("--scale").c_str(),
+                                                "--scale");
         else if (!std::strcmp(argv[i], "--suspension"))
             suspension = true;
         else if (!std::strcmp(argv[i], "--wbuf"))
-            wbufPages = static_cast<std::uint32_t>(
-                static_cast<int>(
-                    std::strtol(need("--wbuf").c_str(), nullptr, 10)));
+            wbufPages = parseWbufPages(need("--wbuf").c_str());
         else
             usage();
     }
@@ -139,33 +125,20 @@ main(int argc, char **argv)
         usage();
     }
 
+    workload::RunResult r;
     if (!msrPath.empty()) {
         // Real MSR trace: size the footprint to half the logical space.
         ssd::Ssd probe(cfg);
         const std::uint64_t footprint = probe.logicalPages() / 2;
         workload::MsrTrace trace(msrPath, cfg.geometry.pageSizeBytes,
                                  footprint);
-        const auto r = workload::runTrace(cfg, trace, footprint,
-                                          3 * sim::kDay, 0.3, msrPath);
-        std::printf("malformed lines skipped: %llu\n",
-                    (unsigned long long)trace.malformedLines());
-        if (reportMode == "csv")
-            workload::makeReport(r).printCsv(std::cout);
-        else if (reportMode == "text")
-            workload::makeReport(r).printText(std::cout);
-        else
-            printResult(r);
-        return 0;
+        r = workload::runTrace(cfg, trace, footprint, 3 * sim::kDay, 0.3,
+                               msrPath);
+    } else {
+        r = workload::runPreset(
+            cfg, workload::scaled(workload::presetByName(workloadName),
+                                  scale));
     }
-
-    const auto preset =
-        workload::scaled(workload::presetByName(workloadName), scale);
-    const auto r = workload::runPreset(cfg, preset);
-    if (reportMode == "csv")
-        workload::makeReport(r).printCsv(std::cout);
-    else if (reportMode == "text")
-        workload::makeReport(r).printText(std::cout);
-    else
-        printResult(r);
+    std::printf("%s\n", r.toJson().c_str());
     return 0;
 }

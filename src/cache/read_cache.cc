@@ -1,13 +1,9 @@
 #include "cache/read_cache.hh"
 
-#include "sim/log.hh"
-
 namespace ida::cache {
 
 ReadCache::ReadCache(const ReadCacheConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.dramLatency < sim::Time{})
-        sim::fatal("ReadCache: dramLatency must be non-negative");
     slots_.reserve(cfg_.capacityPages);
 }
 

@@ -20,7 +20,7 @@
  *    invariant  cached(lpn) ⊆ flashValid(lpn) ∪ wbufDirty(lpn).
  *
  * Pure bookkeeping plus stats: the owner (Ftl) decides what to read
- * from flash and charges the DRAM latency for hits.
+ * from flash and charges ftl::kDramLatency for hits.
  */
 #pragma once
 
@@ -29,7 +29,6 @@
 
 #include "flash/geometry.hh"
 #include "sim/slab.hh"
-#include "sim/time.hh"
 
 namespace ida::cache {
 
@@ -38,9 +37,6 @@ struct ReadCacheConfig
 {
     /** Capacity in pages; 0 disables the cache entirely. */
     std::uint32_t capacityPages = 0;
-
-    /** DRAM access latency for cache-hit reads. */
-    sim::Time dramLatency = 5 * sim::kUsec;
 };
 
 /** Accounting for the cache's behaviour. */

@@ -6,18 +6,17 @@
 
 namespace ida::flash {
 
-BlockTable::BlockTable(const Geometry &geom, sim::Arena &arena)
+BlockTable::BlockTable(const Geometry &geom)
     : pagesPerBlock_(geom.pagesPerBlock),
       bits_(geom.bitsPerCell),
       wordlinesPerBlock_(geom.wordlinesPerBlock()),
       fullSectorMask_(geom.fullSectorMask()),
       fullLevelMask_(fullMask(static_cast<int>(geom.bitsPerCell))),
-      sectorValid_(arena.allocate<SectorMask>(geom.pages())),
-      wlMask_(arena.allocate<LevelMask>(geom.pages() / bits_)),
-      wlInvalid_(arena.allocate<LevelMask>(geom.pages() / bits_)),
-      records_(arena.allocate<BlockRecord>(geom.blocks()))
+      wlMask_(geom.pages() / bits_, fullLevelMask_),
+      wlInvalid_(geom.pages() / bits_),
+      records_(geom.blocks()),
+      sectorValid_(geom.pages())
 {
-    std::fill(wlMask_, wlMask_ + geom.pages() / bits_, fullLevelMask_);
 }
 
 std::uint32_t
@@ -98,13 +97,11 @@ BlockTable::applyIda(BlockId b, std::uint32_t wl, LevelMask validMask)
 void
 BlockTable::erase(BlockId b)
 {
-    SectorMask *pages = sectorValid_ + b * pagesPerBlock_;
-    std::fill(pages, pages + pagesPerBlock_, SectorMask{0});
+    std::fill_n(&sectorValid_[b * pagesPerBlock_], pagesPerBlock_,
+                SectorMask{0});
     const std::uint64_t wl = b * wordlinesPerBlock_;
-    std::fill(wlMask_ + wl, wlMask_ + wl + wordlinesPerBlock_,
-              fullLevelMask_);
-    std::fill(wlInvalid_ + wl, wlInvalid_ + wl + wordlinesPerBlock_,
-              LevelMask{0});
+    std::fill_n(&wlMask_[wl], wordlinesPerBlock_, fullLevelMask_);
+    std::fill_n(&wlInvalid_[wl], wordlinesPerBlock_, LevelMask{0});
     BlockRecord &r = records_[b];
     r.writePtr = 0;
     r.validCount = 0;

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "flash/coding.hh"
 #include "flash/geometry.hh"
-#include "sim/arena.hh"
 #include "sim/time.hh"
 
 namespace ida::audit::testing {
@@ -52,7 +52,7 @@ struct BlockRecord
 /**
  * The device's block state: every page's sector mask, every wordline's
  * coding mask and invalid-level cache, and one BlockRecord per block,
- * carved as four flat arrays from a device arena (sim::Arena). Page
+ * held as four flat arrays sized once at construction. Page
  * arrays are indexed by Ppn and wordline arrays by Ppn / bitsPerCell,
  * so the read critical path walks cache-line-packed memory. All
  * mutation goes through here; block() hands out read-only views.
@@ -61,7 +61,7 @@ class BlockTable
 {
   public:
     /** geom.blocks() erased blocks of @p geom's (validated) shape. */
-    BlockTable(const Geometry &geom, sim::Arena &arena);
+    explicit BlockTable(const Geometry &geom);
 
     BlockTable(const BlockTable &) = delete;
     BlockTable &operator=(const BlockTable &) = delete;
@@ -119,10 +119,17 @@ class BlockTable
     std::uint32_t wordlinesPerBlock_;
     SectorMask fullSectorMask_;
     LevelMask fullLevelMask_;
-    SectorMask *sectorValid_;  // valid sectors of each page
-    LevelMask *wlMask_;        // coding mask of each wordline
-    LevelMask *wlInvalid_;     // cache: Invalid levels per wordline
-    BlockRecord *records_;
+    std::vector<LevelMask> wlMask_;    // coding mask of each wordline
+    std::vector<LevelMask> wlInvalid_; // cache: Invalid levels per wordline
+    std::vector<BlockRecord> records_;
+    /**
+     * Valid sectors of each page. Declared, so allocated, last: the
+     * FTL allocates its L2P and P2L arrays next, so the device's three
+     * big arrays sit back to back on the heap and free as one block
+     * that the next device reuses whole, rather than as holes that a
+     * process building device after device has to grow around.
+     */
+    std::vector<SectorMask> sectorValid_;
 };
 
 /** A read-only view of one block of a BlockTable. */

@@ -13,8 +13,7 @@ ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
                      const CodingScheme &coding, sim::EventQueue &events)
     : geom_((geom.validate(), geom)), // before the table sizes itself
       timing_(timing), coding_(coding),
-      events_(events), arena_(std::make_unique<sim::Arena>()),
-      table_(geom_, *arena_)
+      events_(events), table_(geom_)
 {
     if (static_cast<std::uint32_t>(coding_.bits()) != geom_.bitsPerCell)
         sim::fatal("ChipArray: coding scheme bit density does not match "

@@ -27,14 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "flash/block.hh"
 #include "flash/coding.hh"
 #include "flash/geometry.hh"
 #include "flash/timing.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_callback.hh"
 #include "sim/slab.hh"
@@ -111,13 +109,6 @@ class ChipArray
      */
     BlockTable &blockTable() { return table_; }
     const BlockTable &blockTable() const { return table_; }
-
-    /**
-     * The device arena backing the block table. The FTL carves its own
-     * per-device tables (L2P/P2L, block metadata) from the same arena
-     * so the whole read path walks one allocation pool.
-     */
-    sim::Arena &arena() { return *arena_; }
 
     /**
      * Issue a page read.
@@ -281,8 +272,6 @@ class ChipArray
     const CodingScheme coding_;
     sim::EventQueue &events_;
 
-    /** Declared before table_: its arrays must not outlive the arena. */
-    std::unique_ptr<sim::Arena> arena_;
     BlockTable table_;
     std::vector<Die> dies_;
     std::vector<sim::Time> channelFree_;

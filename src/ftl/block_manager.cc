@@ -9,18 +9,14 @@ namespace ida::ftl {
 
 BlockManager::BlockManager(const flash::Geometry &geom,
                            flash::ChipArray &chips)
-    : geom_(geom), chips_(chips),
-      flags_(chips.arena().allocate<std::uint8_t>(geom.blocks())),
-      refreshedAt_(chips.arena().allocate<sim::Time>(geom.blocks())),
-      age_(chips.arena().allocate<AgeNode>(geom.blocks() + 1)),
-      freePool_(geom.planes())
+    : geom_(geom), chips_(chips), freePool_(geom.planes())
 {
     if (geom_.blocks() >= kUnlinked)
         sim::fatal("BlockManager: more blocks than the age index can link");
-    std::fill(flags_, flags_ + geom_.blocks(),
-              static_cast<std::uint8_t>(kInFreePool));
-    std::fill(age_, age_ + geom_.blocks(),
-              AgeNode{sim::Time{}, kUnlinked, kUnlinked});
+    flags_.assign(geom_.blocks(), kInFreePool);
+    refreshedAt_.assign(geom_.blocks(), sim::Time{});
+    age_.assign(geom_.blocks() + 1,
+                AgeNode{sim::Time{}, kUnlinked, kUnlinked});
     age_[head()] = AgeNode{sim::Time{}, head(), head()};
     for (std::uint64_t b = 0; b < geom_.blocks(); ++b)
         freePool_[geom_.planeOfBlock(b)].push_back(b);

@@ -5,17 +5,16 @@
  * of the physical flash::BlockTable state.
  *
  * The metadata is stored structure-of-arrays: one packed flags byte per
- * block plus a parallel refreshed-at timestamp array, both carved from
- * the device arena (see flash::ChipArray::arena). The GC-victim scan
+ * block plus a parallel refreshed-at timestamp array. The GC-victim scan
  * walks one plane per GC start, so a 1-byte-per-block eligibility test
  * keeps it inside a few KiB of cache instead of striding a 16-byte AoS
  * record.
  *
  * Refresh candidates come from an age index instead of a scan: every
- * closed data block sits in an intrusive doubly-linked list, also in
- * arena arrays, kept sorted by (refreshedAt, block id). The id breaks
- * ties between equal ages, so the order is fully determined and
- * portable. A block joins the list in closeActive, leaves
+ * closed data block sits in an intrusive doubly-linked list, held in
+ * one more per-block array and kept sorted by (refreshedAt, block id).
+ * The id breaks ties between equal ages, so the order is fully
+ * determined and portable. A block joins the list in closeActive, leaves
  * it in release, and setRefreshedAt re-keys it; new keys are almost
  * always "now", so inserts walk back from the tail past only the
  * blocks closed since. The refresh policy walks from the head and
@@ -132,7 +131,7 @@ class BlockManager
 
     BlockManager(const flash::Geometry &geom, flash::ChipArray &chips);
 
-    MetaRef meta(BlockId b) { return {flags_ + b, refreshedAt_ + b}; }
+    MetaRef meta(BlockId b) { return {&flags_[b], &refreshedAt_[b]}; }
     ConstMetaRef meta(BlockId b) const {
         return {flags_[b], refreshedAt_[b]};
     }
@@ -278,11 +277,11 @@ class BlockManager
 
     const flash::Geometry &geom_;
     flash::ChipArray &chips_;
-    /** SoA metadata, device-arena backed: flags byte + timestamp. */
-    std::uint8_t *flags_;
-    sim::Time *refreshedAt_;
-    /** Age index of the closed blocks, device-arena backed. */
-    AgeNode *age_;
+    /** SoA metadata, one entry per block: flags byte + timestamp. */
+    std::vector<std::uint8_t> flags_;
+    std::vector<sim::Time> refreshedAt_;
+    /** Age index of the closed blocks, plus its sentinel. */
+    std::vector<AgeNode> age_;
     bool ageIndexDeferred_ = false;
     std::vector<std::deque<BlockId>> freePool_;
     std::uint64_t inUse_ = 0;

@@ -19,7 +19,7 @@ Ftl::Ftl(const flash::Geometry &geom, const FtlConfig &cfg,
       logicalPages_(static_cast<std::uint64_t>(
           std::floor(static_cast<double>(geom.pages()) *
                      (1.0 - cfg.overProvision)))),
-      mapping_(logicalPages_, geom.pages(), &chips.arena()),
+      mapping_(logicalPages_, geom.pages()),
       blocks_(geom, chips),
       allocator_(geom, chips, blocks_,
                  [this](std::uint64_t plane) { maybeStartGc(plane); }),
@@ -170,7 +170,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // time is known now, so the event captures {done, t} instead of
         // dragging a `this` along just to re-read the clock.
         wbuf_.noteReadHit();
-        const sim::Time t = events_.now() + wbuf_.config().dramLatency;
+        const sim::Time t = events_.now() + kDramLatency;
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                    events_.now(), t);
@@ -183,7 +183,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // Every requested sector is in controller DRAM and at least one
         // comes from the read cache: a cache hit at DRAM latency.
         rcache_.noteHit();
-        const sim::Time t = events_.now() + rcache_.config().dramLatency;
+        const sim::Time t = events_.now() + kDramLatency;
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::CacheReadHit, lpn,
                                    events_.now(), t);
@@ -198,7 +198,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
             // never written: serve from DRAM, zero-filling the holes.
             ++stats_.sector.zeroFillReads;
             wbuf_.noteReadHit();
-            const sim::Time t = events_.now() + wbuf_.config().dramLatency;
+            const sim::Time t = events_.now() + kDramLatency;
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                        events_.now(), t);
@@ -225,13 +225,13 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         sim::Time t = events_.now();
         if ((cached & need) != 0) {
             rcache_.noteHit();
-            t += rcache_.config().dramLatency;
+            t += kDramLatency;
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::CacheReadHit, lpn,
                                        events_.now(), t);
         } else if ((dirty & need) != 0) {
             wbuf_.noteReadHit();
-            t += wbuf_.config().dramLatency;
+            t += kDramLatency;
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                        events_.now(), t);
@@ -308,7 +308,7 @@ Ftl::hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done)
         // the destage will re-program them anyway.
         if (cfg_.sectorMode && m != fullMask_)
             invalidateMappedSectors(lpn, m);
-        const sim::Time t = events_.now() + wbuf_.config().dramLatency;
+        const sim::Time t = events_.now() + kDramLatency;
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufWrite, lpn,
                                    events_.now(), t);

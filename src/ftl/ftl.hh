@@ -201,6 +201,12 @@ using PageDone = flash::DoneCallback;
 using ReleaseDone = sim::InlineCallback<void(), 24>;
 
 /**
+ * Access latency of the controller DRAM behind the write buffer and the
+ * read cache: a host read or write served from either takes this long.
+ */
+inline constexpr sim::Time kDramLatency = 5 * sim::kUsec;
+
+/**
  * The flash translation layer.
  */
 class Ftl

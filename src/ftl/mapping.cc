@@ -1,6 +1,5 @@
 #include "ftl/mapping.hh"
 
-#include <algorithm>
 #include <string>
 
 #include "sim/log.hh"
@@ -8,7 +7,7 @@
 namespace ida::ftl {
 
 MappingTable::MappingTable(std::uint64_t logical_pages,
-                           std::uint64_t physical_pages, sim::Arena *arena)
+                           std::uint64_t physical_pages)
     : logicalPages_(logical_pages), physicalPages_(physical_pages)
 {
     if (logical_pages == 0 || physical_pages < logical_pages)
@@ -18,15 +17,8 @@ MappingTable::MappingTable(std::uint64_t logical_pages,
                    " physical pages exceed " +
                    std::to_string(flash::kMaxPages) +
                    " (mapping entries are 32 bits)");
-    if (arena == nullptr) {
-        backing_ = std::make_unique<sim::Arena>(
-            (logical_pages + physical_pages) * sizeof(Entry) + 16);
-        arena = backing_.get();
-    }
-    l2p_ = arena->allocate<Entry>(logical_pages);
-    p2l_ = arena->allocate<Entry>(physical_pages);
-    std::fill(l2p_, l2p_ + logical_pages, kUnmapped);
-    std::fill(p2l_, p2l_ + physical_pages, kUnmapped);
+    l2p_.assign(logical_pages, kUnmapped);
+    p2l_.assign(physical_pages, kUnmapped);
 }
 
 Ppn

@@ -6,10 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "flash/geometry.hh"
-#include "sim/arena.hh"
 
 namespace ida::ftl {
 
@@ -21,10 +20,8 @@ using flash::kInvalidPpn;
 /**
  * Flat page-level mapping table with an always-consistent inverse.
  *
- * Both directions are flat arrays carved from the device arena when one
- * is supplied (the SSD passes its ChipArray's arena so the L2P lookup —
- * the first hop of every host read — shares the block state's allocation
- * pool); without an arena the table owns a private backing arena.
+ * Both directions are flat arrays, filled with the unmapped sentinel
+ * once the sizes have been checked.
  *
  * Entries are stored as 32 bits with ~0u as the unmapped sentinel, half
  * the footprint of 64-bit entries; the API takes and returns 64-bit
@@ -34,8 +31,7 @@ using flash::kInvalidPpn;
 class MappingTable
 {
   public:
-    MappingTable(std::uint64_t logical_pages, std::uint64_t physical_pages,
-                 sim::Arena *arena = nullptr);
+    MappingTable(std::uint64_t logical_pages, std::uint64_t physical_pages);
 
     std::uint64_t logicalPages() const { return logicalPages_; }
     std::uint64_t physicalPages() const { return physicalPages_; }
@@ -74,12 +70,10 @@ class MappingTable
         return e == kUnmapped ? kInvalidPpn : e;
     }
 
-    /** Declared before the views so they never dangle. */
-    std::unique_ptr<sim::Arena> backing_;
     std::uint64_t logicalPages_;
     std::uint64_t physicalPages_;
-    Entry *l2p_;
-    Entry *p2l_;
+    std::vector<Entry> l2p_;
+    std::vector<Entry> p2l_;
     std::uint64_t mapped_ = 0;
 };
 

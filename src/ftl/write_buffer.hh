@@ -10,7 +10,7 @@
  * downstream user of this simulator will want the knob.
  *
  * Model: a FIFO of dirty logical pages with a high-watermark flusher.
- * A buffered write completes at DRAM latency; rewriting a buffered LPN
+ * A buffered write completes at kDramLatency; rewriting a buffered LPN
  * coalesces; a read of a buffered LPN hits DRAM. When the buffer is
  * full the write bypasses it (write-through), which bounds memory and
  * avoids modelling host-side back-pressure.
@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "flash/geometry.hh"
-#include "sim/time.hh"
 
 namespace ida::ftl {
 
@@ -44,9 +43,6 @@ struct WriteBufferConfig
 
     /** Start destaging when occupancy exceeds this fraction. */
     double flushWatermark = 0.5;
-
-    /** DRAM access latency for buffered reads/writes. */
-    sim::Time dramLatency = 5 * sim::kUsec;
 };
 
 /** Accounting for the buffer's behaviour. */

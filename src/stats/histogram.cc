@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/log.hh"
 
@@ -13,23 +14,52 @@ Histogram::Histogram(double lo, double growth, int buckets)
 {
     if (lo <= 0.0 || growth <= 1.0 || buckets < 1)
         sim::fatal("Histogram: need lo > 0, growth > 1, buckets >= 1");
+    // Start each edge at its exact value, then walk it in ulps to the
+    // formula's own boundary, so the search below reproduces the
+    // formula's rounding sample for sample.
+    const double inf = std::numeric_limits<double>::infinity();
+    edges_.reserve(static_cast<std::size_t>(buckets));
+    for (int k = 1; k <= buckets; ++k) {
+        double e = lo * std::exp(logGrowth_ * static_cast<double>(k - 1));
+        while (bucketByFormula(e) < k)
+            e = std::nextafter(e, inf);
+        while (e > lo && bucketByFormula(std::nextafter(e, 0.0)) >= k)
+            e = std::nextafter(e, 0.0);
+        edges_.push_back(e);
+    }
 }
 
 int
-Histogram::bucketOf(double x) const
+Histogram::bucketByFormula(double x) const
 {
     // The negated comparison also routes NaN into bucket 0, keeping the
     // cast below defined for any input.
     if (!(x >= lo_))
         return 0;
     const int last = static_cast<int>(counts_.size()) - 1;
-    // ida-lint: allow(IDA009) add() calls this only for a new sample
     const double b = 1.0 + std::log(x / lo_) / logGrowth_;
     // +inf (and any huge sample) lands in the overflow bucket without
     // ever reaching an out-of-range float-to-int cast.
     if (!(b < static_cast<double>(last)))
         return last;
     return static_cast<int>(b);
+}
+
+int
+Histogram::bucketOf(double x) const
+{
+    if (!(x >= lo_)) // below the first edge, or NaN
+        return 0;
+    // Count the edges <= x by a binary search whose step is a
+    // conditional move: sample order gives a branch nothing to learn.
+    const double *e = edges_.data();
+    std::size_t n = edges_.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        e = e[half] <= x ? e + half : e;
+        n -= half;
+    }
+    return static_cast<int>(e - edges_.data()) + (*e <= x ? 1 : 0);
 }
 
 void
@@ -49,11 +79,7 @@ Histogram::add(double x)
     }
     if (x < 0.0)
         x = 0.0; // clamps -inf too
-    if (x != lastX_) {
-        lastX_ = x;
-        lastBucket_ = bucketOf(x);
-    }
-    ++counts_[static_cast<std::size_t>(lastBucket_)];
+    ++counts_[static_cast<std::size_t>(bucketOf(x))];
     ++count_;
     sum_ += x;
 }

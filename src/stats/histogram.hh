@@ -13,8 +13,9 @@ namespace ida::stats {
 /**
  * Histogram over non-negative values with geometrically growing buckets.
  *
- * Bucket b covers [lo * g^b, lo * g^(b+1)); values below @p lo land in
- * bucket 0, values beyond the last bucket in the overflow bucket.
+ * Bucket b (1 <= b < buckets) covers [lo * g^(b-1), lo * g^b); values
+ * below @p lo land in bucket 0, values from lo * g^(buckets-1) up in the
+ * overflow bucket.
  * Percentiles are approximate (bucket upper bound), which is plenty for
  * latency reporting.
  */
@@ -42,6 +43,13 @@ class Histogram
     /** Upper bound of bucket @p b. */
     double bucketBound(int b) const;
 
+    /**
+     * Bucket a finite, non-negative @p x lands in: 1 + floor(log(x/lo)
+     * / log(growth)) as computed in doubles, 0 below lo, and the
+     * overflow bucket from there on up.
+     */
+    int bucketOf(double x) const;
+
     const std::vector<std::uint64_t> &buckets() const { return counts_; }
 
     /**
@@ -55,18 +63,16 @@ class Histogram
     void reset();
 
   private:
-    int bucketOf(double x) const;
+    /** Bucket of @p x by the defining formula, 1 + log(x/lo)/log(g). */
+    int bucketByFormula(double x) const;
 
     double lo_;
     double logGrowth_;
     /**
-     * Last (value, bucket) pair: simulated latencies are deterministic
-     * constants, so consecutive adds usually repeat the same value and
-     * the memo skips bucketOf's std::log on the hot attribution path.
-     * Pure cache — hit or miss, the bucket chosen is identical.
+     * edges_[k] is the smallest double bucketByFormula() puts in bucket
+     * k + 1, so bucketOf() is a binary search with no std::log per add.
      */
-    double lastX_ = -1.0;
-    int lastBucket_ = 0;
+    std::vector<double> edges_;
     std::vector<std::uint64_t> counts_; // last entry = overflow
     std::uint64_t count_ = 0;
     double sum_ = 0.0;

@@ -66,20 +66,4 @@ Table::print(std::ostream &os) const
         emit(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
-            if (c + 1 < row.size())
-                os << ',';
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace ida::stats

@@ -1,8 +1,7 @@
 /**
  * @file
  * Plain-text table printer used by the benchmark harnesses to emit the
- * paper's tables and figure series as aligned console output (and
- * optionally CSV).
+ * paper's tables and figure series as aligned console output.
  */
 #pragma once
 
@@ -29,9 +28,6 @@ class Table
 
     /** Render with aligned columns. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV. */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rows() const { return rows_.size(); }
 

@@ -7,11 +7,10 @@
 #include <cstdint>
 
 #include "flash/block.hh"
-#include "sim/arena.hh"
 
 namespace ida::flash::testing {
 
-/** One TLC block of @p pages pages (16 sectors each) in its own arena. */
+/** One TLC block of @p pages pages (16 sectors each). */
 struct OneBlock
 {
     static Geometry
@@ -24,11 +23,10 @@ struct OneBlock
         return g;
     }
 
-    explicit OneBlock(std::uint32_t pages) : table(shape(pages), arena) {}
+    explicit OneBlock(std::uint32_t pages) : table(shape(pages)) {}
 
     Block view() const { return table.block(0); }
 
-    sim::Arena arena{4096};
     BlockTable table;
 };
 

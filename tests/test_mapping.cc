@@ -118,15 +118,6 @@ TEST(Mapping, HighestPhysicalPageRoundTrips)
     EXPECT_EQ(m.reverse(top), kInvalidLpn);
 }
 
-TEST(Mapping, SharesTheSuppliedArenaAtFourBytesPerEntry)
-{
-    sim::Arena arena;
-    MappingTable m(100, 200, &arena);
-    EXPECT_EQ(arena.bytesAllocated(), (100u + 200u) * 4u);
-    m.remap(99, 199);
-    EXPECT_EQ(m.reverse(199), 99u);
-}
-
 TEST(MappingDeath, RemapOntoOccupiedPhysicalPagePanics)
 {
     MappingTable m(10, 20);
@@ -136,7 +127,7 @@ TEST(MappingDeath, RemapOntoOccupiedPhysicalPagePanics)
 
 TEST(MappingDeath, MoreThanThirtyTwoBitsOfPhysicalPagesIsFatal)
 {
-    // Rejected before the private arena is sized (~16 GiB here).
+    // Rejected before either array is sized (~16 GiB here).
     EXPECT_EXIT(MappingTable(1, flash::kMaxPages + 1),
                 ::testing::ExitedWithCode(1),
                 "4294967295 physical pages exceed 4294967294");

@@ -110,7 +110,7 @@ TEST(ReadCacheFtl, MissFillsThenHitServesAtDramLatency)
     sim::Time second{-1};
     f.ftl.hostRead(3, [&](sim::Time t) { second = t; });
     f.events.run();
-    EXPECT_EQ(second, t0 + f.ftl.readCache().config().dramLatency);
+    EXPECT_EQ(second, t0 + ftl::kDramLatency);
     EXPECT_EQ(f.ftl.readCacheStats().hits, 1u);
 }
 

@@ -456,7 +456,7 @@ TEST(SsdDeath, GeometryAboveTheMappingLimitIsRejectedBeforeAllocating)
 {
     // 64 planes x 349526 blocks x 192 pages = 4294975488 pages, just
     // above 2^32: SsdConfig::validate() rejects it before ChipArray sizes
-    // its arena (which would need ~20 GiB for the block arrays alone).
+    // its block table (which would need ~20 GiB on its own).
     SsdConfig cfg = SsdConfig::paperTlc();
     cfg.geometry.blocksPerPlane = 349526;
     EXPECT_EXIT(Ssd ssd(cfg), ::testing::ExitedWithCode(1),

@@ -4,7 +4,9 @@
 # levels, requiring byte-identical output (the determinism contract of
 # src/workload/batch.hh). The fleet layer gets the same treatment one
 # level up: two fleet_demo runs must be byte-identical and must report
-# pastSchedules == 0 (src/fleet/fleet.hh determinism contract). Then run the end-to-end perf gate
+# pastSchedules == 0 (src/fleet/fleet.hh determinism contract). One
+# trace_replay run must print exactly one JSON run record, again with
+# pastSchedules == 0. Then run the end-to-end perf gate
 # (tools/check_perf.py: every BENCHMARK.json workload through perfbench
 # against bench/baselines/perf_*.json), the trace exports and an
 # 8-seed audit sweep on the same tree.
@@ -17,7 +19,7 @@ SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR"
 cmake --build "$BUILD_DIR" --parallel "$(getconf _NPROCESSORS_ONLN)" \
-    --target batch_demo fleet_demo trace_demo
+    --target batch_demo fleet_demo trace_demo trace_replay
 
 # Lint first: the scanner gate is seconds, so a violation fails fast
 # before the minutes of build/run below. Format gate is diff-only and
@@ -70,6 +72,18 @@ if ! grep -q '"pastSchedules": 0' "$OUT_DIR/fleet_run1" || \
     exit 1
 fi
 echo "smoke: OK (fleet deterministic across two runs, pastSchedules == 0)"
+
+# trace_replay's stdout is the run record and nothing else: one JSON
+# object that json.load accepts whole.
+"$BUILD_DIR/examples/trace_replay" --workload hm_1 --scale 0.01 \
+    > "$OUT_DIR/replay.json"
+if ! python3 -c 'import json,sys; r = json.load(open(sys.argv[1])); sys.exit(0 if isinstance(r, dict) and r["pastSchedules"] == 0 else 1)' \
+        "$OUT_DIR/replay.json"; then
+    echo "smoke: FAIL - trace_replay did not print one JSON record with pastSchedules == 0" >&2
+    head -c 2000 "$OUT_DIR/replay.json" >&2
+    exit 1
+fi
+echo "smoke: OK (trace_replay printed one JSON run record, pastSchedules == 0)"
 
 python3 "$SRC_DIR/tools/check_perf.py" "$BUILD_DIR"
 
