@@ -109,7 +109,7 @@ batchOptions(int argc, char **argv)
  * Per-run wall times are reported as a small table on *stderr*: humans
  * get ad-hoc perf observations without digging through the JSON
  * archive, while stdout stays byte-identical across --jobs levels (the
- * determinism contract run_smoke.sh checks — wall clock is the one
+ * determinism contract of workload/batch.hh — wall clock is the one
  * legitimately nondeterministic measurement).
  */
 inline workload::BatchOutcome
@@ -167,7 +167,7 @@ banner(const std::string &what, const std::string &paper_summary)
     std::printf("==============================================================\n");
 }
 
-/** Geometric-mean helper for "average" rows (the paper uses means). */
+/** Arithmetic-mean helper for "average" rows (the paper uses means). */
 inline double
 mean(const std::vector<double> &xs)
 {

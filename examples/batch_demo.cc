@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal workload::runMatrix walkthrough — and the repo's smoke-test
- * workload (tools/run_smoke.sh runs it at -j1 and -j2 and requires
- * byte-identical stdout).
+ * Minimal workload::runMatrix walkthrough. Its stdout is byte-identical
+ * at any --jobs level (the contract Batch.SameResultsAtAnyParallelism
+ * tests); CI's tsan leg runs it at --jobs 4.
  *
  * Builds a tiny 2x2 experiment matrix (two small synthetic workloads,
  * baseline vs IDA-E20, on the tiny test device), executes it through

@@ -8,9 +8,9 @@
  * Usage: export_trace [workload] [scale] > trace.csv
  */
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "workload/batch.hh"
 #include "workload/msr_writer.hh"
 #include "workload/presets.hh"
 
@@ -20,7 +20,8 @@ main(int argc, char **argv)
     using namespace ida;
 
     const std::string name = argc > 1 ? argv[1] : "proj_1";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    const double scale =
+        argc > 2 ? workload::parsePositiveReal(argv[2], "scale") : 0.1;
 
     const workload::WorkloadPreset preset =
         workload::scaled(workload::presetByName(name), scale);

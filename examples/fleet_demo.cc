@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal fleet::runFleetPreset walkthrough — and the fleet smoke
- * workload (tools/run_smoke.sh runs it twice and requires
- * byte-identical stdout, plus pastSchedules == 0).
+ * Minimal fleet::runFleetPreset walkthrough. A repeat run prints
+ * byte-identical stdout with pastSchedules == 0 (the contract
+ * Fleet.ByteIdenticalOnRepeatWithNoPastSchedules tests).
  *
  * Builds a 16-device fleet of tiny devices, replays a short synthetic
  * read-heavy trace striped across the members, and prints the archive

@@ -42,11 +42,11 @@ main()
     // in-block page p), plus one page to close the block.
     std::printf("programming 8 wordlines with the conventional coding\n");
     for (flash::Lpn l = 0; l < 25; ++l)
-        ftl.hostWrite(l, nullptr);
+        ftl.hostWrite(l, 0, nullptr);
     events.run();
 
     // Sculpt the 8 Table I cases: wordline k-1 becomes case k.
-    auto update = [&](flash::Lpn l) { ftl.hostWrite(l, nullptr); };
+    auto update = [&](flash::Lpn l) { ftl.hostWrite(l, 0, nullptr); };
     // case 1: all valid (nothing to do on WL0)
     update(3 * 1 + 0);                        // case 2: LSB invalid
     update(3 * 2 + 1);                        // case 3: CSB invalid

@@ -128,8 +128,8 @@ main(int argc, char **argv)
     workload::RunResult r;
     if (!msrPath.empty()) {
         // Real MSR trace: size the footprint to half the logical space.
-        ssd::Ssd probe(cfg);
-        const std::uint64_t footprint = probe.logicalPages() / 2;
+        const std::uint64_t footprint =
+            ftl::logicalPagesOf(cfg.geometry, cfg.ftl) / 2;
         workload::MsrTrace trace(msrPath, cfg.geometry.pageSizeBytes,
                                  footprint);
         r = workload::runTrace(cfg, trace, footprint, 3 * sim::kDay, 0.3,

@@ -23,50 +23,35 @@ cat(Ts &&...parts)
 
 } // namespace
 
-Auditor::Auditor(ssd::Ssd &ssd) : ssd_(ssd)
-{
-    registerCheck("mapping-block",
-                  [](Auditor &a) { a.checkMappingBlock(); });
-    registerCheck("wordline-cache",
-                  [](Auditor &a) { a.checkWordlineCache(); });
-    registerCheck("ida-coding", [](Auditor &a) { a.checkIdaCoding(); });
-    registerCheck("event-queue", [](Auditor &a) { a.checkEventQueue(); });
-    registerCheck("admission", [](Auditor &a) { a.checkAdmission(); });
-    registerCheck("block-accounting",
-                  [](Auditor &a) { a.checkBlockAccounting(); });
-    registerCheck("sector-validity",
-                  [](Auditor &a) { a.checkSectorValidity(); });
-    registerCheck("cache-coherence",
-                  [](Auditor &a) { a.checkCacheCoherence(); });
-    registerCheck("conservation",
-                  [](Auditor &a) { a.checkConservation(); });
-    base_ = captureBaseline();
-}
+const Auditor::Check Auditor::kCatalog[] = {
+    {"mapping-block", &Auditor::checkMappingBlock},
+    {"wordline-cache", &Auditor::checkWordlineCache},
+    {"ida-coding", &Auditor::checkIdaCoding},
+    {"event-queue", &Auditor::checkEventQueue},
+    {"admission", &Auditor::checkAdmission},
+    {"block-accounting", &Auditor::checkBlockAccounting},
+    {"sector-validity", &Auditor::checkSectorValidity},
+    {"cache-coherence", &Auditor::checkCacheCoherence},
+    {"conservation", &Auditor::checkConservation},
+};
 
-void
-Auditor::registerCheck(std::string name, CheckFn fn)
-{
-    checks_.emplace_back(std::move(name), std::move(fn));
-}
+Auditor::Auditor(ssd::Ssd &ssd) : ssd_(ssd), base_(captureBaseline()) {}
 
 void
 Auditor::fail(std::string detail)
 {
     ++totalViolations_;
-    if (violations_.size() < kMaxStoredViolations) {
-        violations_.push_back(Violation{
-            currentCheck_ ? *currentCheck_ : std::string("manual"),
-            std::move(detail)});
-    }
+    if (violations_.size() < kMaxStoredViolations)
+        violations_.push_back(Violation{currentCheck_, std::move(detail)});
 }
 
 std::size_t
 Auditor::runAll()
 {
     const std::uint64_t before = totalViolations_;
-    for (auto &[name, fn] : checks_) {
-        currentCheck_ = &name;
-        fn(*this);
+    for (const Check &c : kCatalog) {
+        currentCheck_ = c.name;
+        (this->*c.run)();
     }
     currentCheck_ = nullptr;
     ++runs_;

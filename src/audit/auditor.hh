@@ -13,10 +13,10 @@
  *
  * Usage: attach an Auditor to a live Ssd, then either call runAll() at
  * points of interest (e.g. after drain), or maybeRun(every) from a
- * harness drive loop to audit every N executed events. The default
- * check catalog is registered by the constructor; registerCheck() adds
- * custom checks. Violations accumulate and are never cleared by
- * running; a clean system reports zero forever.
+ * harness drive loop to audit every N executed events. The check
+ * catalog is one fixed table, run in the order listed below.
+ * Violations accumulate and are never cleared by running; a clean
+ * system reports zero forever.
  *
  * The auditor is deliberately O(pages) per run and touches no simulator
  * state; it is a debug tool, compiled into the library always but never
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ struct Violation
 /**
  * Walks a live Ssd and verifies cross-layer invariants.
  *
- * Checks registered by default (the catalog; docs/ARCHITECTURE.md):
+ * The catalog, in run order (docs/ARCHITECTURE.md):
  *  - mapping-block:    L2P/P2L inverse agreement, every live mapping
  *                      points at a Valid flash page, per-block
  *                      validCount matches both the Valid-page count
@@ -95,20 +94,15 @@ struct Violation
 class Auditor
 {
   public:
-    using CheckFn = std::function<void(Auditor &)>;
-
     /**
-     * Attach to @p ssd, register the default catalog, and snapshot the
-     * conservation baselines (so attaching mid-run is valid).
+     * Attach to @p ssd and snapshot the conservation baselines (so
+     * attaching mid-run is valid).
      */
     explicit Auditor(ssd::Ssd &ssd);
 
-    /** Add a custom check; it runs after the defaults, in add order. */
-    void registerCheck(std::string name, CheckFn fn);
-
     /**
-     * Run every registered check against the current state; returns
-     * the number of violations found by this run.
+     * Run every check of the catalog against the current state;
+     * returns the number of violations found by this run.
      */
     std::size_t runAll();
 
@@ -126,9 +120,6 @@ class Auditor
      */
     void rebase();
 
-    /** Record a violation against the currently running check. */
-    void fail(std::string detail);
-
     /**
      * Stored violations, capped at 100 entries to keep a badly corrupt
      * run readable; totalViolations() keeps the true count.
@@ -144,8 +135,6 @@ class Auditor
 
     /** One-line status plus the first few violations, for loggers. */
     std::string summary() const;
-
-    ssd::Ssd &ssd() { return ssd_; }
 
   private:
     struct Baseline
@@ -167,7 +156,17 @@ class Auditor
         std::uint32_t rmwInFlight = 0;
     };
 
-    // The default catalog.
+    /** One catalog entry: the name violations carry, and its check. */
+    struct Check
+    {
+        const char *name;
+        void (Auditor::*run)();
+    };
+    static const Check kCatalog[];
+
+    /** Record a violation against the currently running check. */
+    void fail(std::string detail);
+
     void checkMappingBlock();
     void checkWordlineCache();
     void checkIdaCoding();
@@ -181,13 +180,12 @@ class Auditor
     Baseline captureBaseline() const;
 
     ssd::Ssd &ssd_;
-    std::vector<std::pair<std::string, CheckFn>> checks_;
     std::vector<Violation> violations_;
     std::uint64_t totalViolations_ = 0;
     std::uint64_t runs_ = 0;
     std::uint64_t lastAuditExecuted_ = 0;
     Baseline base_;
-    const std::string *currentCheck_ = nullptr;
+    const char *currentCheck_ = nullptr;
 };
 
 } // namespace ida::audit

@@ -11,14 +11,19 @@
 
 namespace ida::ftl {
 
+std::uint64_t
+logicalPagesOf(const flash::Geometry &geom, const FtlConfig &cfg)
+{
+    return static_cast<std::uint64_t>(std::floor(
+        static_cast<double>(geom.pages()) * (1.0 - cfg.overProvision)));
+}
+
 Ftl::Ftl(const flash::Geometry &geom, const FtlConfig &cfg,
          flash::ChipArray &chips, ecc::EccModel ecc,
          sim::EventQueue &events, sim::Rng &rng)
     : geom_(geom), cfg_(cfg), chips_(chips), ecc_(std::move(ecc)),
       events_(events), rng_(rng),
-      logicalPages_(static_cast<std::uint64_t>(
-          std::floor(static_cast<double>(geom.pages()) *
-                     (1.0 - cfg.overProvision)))),
+      logicalPages_(logicalPagesOf(geom, cfg)),
       mapping_(logicalPages_, geom.pages()),
       blocks_(geom, chips),
       allocator_(geom, chips, blocks_,
@@ -150,12 +155,6 @@ Ftl::classifyHostRead(Ppn ppn)
 }
 
 void
-Ftl::hostRead(Lpn lpn, PageDone done)
-{
-    hostRead(lpn, 0, std::move(done));
-}
-
-void
 Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
 {
     ++stats_.hostReads;
@@ -278,12 +277,6 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
 }
 
 void
-Ftl::hostWrite(Lpn lpn, PageDone done)
-{
-    hostWrite(lpn, 0, std::move(done));
-}
-
-void
 Ftl::hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done)
 {
     ++stats_.hostWrites;
@@ -320,12 +313,6 @@ Ftl::hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done)
         return;
     }
     programMerged(lpn, m, std::move(done), true);
-}
-
-void
-Ftl::hostTrim(Lpn lpn)
-{
-    hostTrim(lpn, 0);
 }
 
 void

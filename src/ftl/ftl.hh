@@ -207,6 +207,13 @@ using ReleaseDone = sim::InlineCallback<void(), 24>;
 inline constexpr sim::Time kDramLatency = 5 * sim::kUsec;
 
 /**
+ * Exported logical capacity in pages of a device built from @p geom and
+ * @p cfg: the raw pages minus the over-provisioned share.
+ */
+std::uint64_t logicalPagesOf(const flash::Geometry &geom,
+                             const FtlConfig &cfg);
+
+/**
  * The flash translation layer.
  */
 class Ftl
@@ -227,45 +234,35 @@ class Ftl
     void start();
 
     /**
-     * Host page read. Completion (with the finish time) fires through
-     * @p done. Reads of never-written pages complete immediately.
-     */
-    void hostRead(Lpn lpn, PageDone done);
-
-    /**
-     * Host read of @p sectors of one page (0 = whole page). Served in
-     * priority order write buffer > read cache > flash; only the
-     * sectors no DRAM tier holds are transferred from flash
-     * (hole-merging; see docs/CACHING.md).
+     * Host read of @p sectors of one page (0 = whole page). Completion
+     * (with the finish time) fires through @p done; reads of
+     * never-written pages complete immediately. Served in priority
+     * order write buffer > read cache > flash; only the sectors no
+     * DRAM tier holds are transferred from flash (hole-merging; see
+     * docs/CACHING.md).
      */
     void hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done);
 
-    /** Host page write (update-in-place semantics at the LPN level). */
-    void hostWrite(Lpn lpn, PageDone done);
-
     /**
-     * Host write of @p sectors of one page (0 = whole page). A
-     * sub-page write that cannot be absorbed by the write buffer
-     * triggers a read-modify-write: the surviving flash sectors are
-     * read back and the union is programmed.
+     * Host write of @p sectors of one page (0 = whole page), with
+     * update-in-place semantics at the LPN level. A sub-page write
+     * that cannot be absorbed by the write buffer triggers a
+     * read-modify-write: the surviving flash sectors are read back and
+     * the union is programmed.
      */
     void hostWrite(Lpn lpn, flash::SectorMask sectors, PageDone done);
 
     /**
-     * Host TRIM: drop the mapping of @p lpn and invalidate its flash
-     * copy (and any dirty write-buffer copy, so the dead data is never
+     * Host TRIM of @p sectors of one page (0 = whole page): a whole-page
+     * TRIM drops the mapping of @p lpn and invalidates its flash copy
+     * (and any dirty write-buffer copy, so the dead data is never
      * destaged). A pure metadata operation — completes synchronously
      * with no simulated flash command, like real deallocate commands
-     * that are absorbed by the mapping layer.
-     */
-    void hostTrim(Lpn lpn);
-
-    /**
-     * Host TRIM of @p sectors of one page (0 = whole page). A sub-page
-     * TRIM clears only those sectors; the page (and its mapping) dies
-     * when the last valid sector goes. With sectorMode off, sub-page
-     * TRIMs are dropped entirely (counted in SectorStats) — the
-     * invalidity a page-granular FTL cannot see.
+     * that are absorbed by the mapping layer. A sub-page TRIM clears
+     * only those sectors; the page (and its mapping) dies when the
+     * last valid sector goes. With sectorMode off, sub-page TRIMs are
+     * dropped entirely (counted in SectorStats) — the invalidity a
+     * page-granular FTL cannot see.
      */
     void hostTrim(Lpn lpn, flash::SectorMask sectors);
 

@@ -118,7 +118,7 @@ class ProgressReporter
         std::lock_guard<std::mutex> g(mu_);
         ++completed_;
         // Progress meter contract: stderr only, so stdout stays
-        // byte-identical across --jobs (run_smoke.sh gate).
+        // byte-identical across --jobs (the determinism contract).
         // ida-lint: allow(IDA008) deliberate stderr progress meter
         std::fprintf(stderr, "[%zu/%zu] %s (%.1fs)\n", completed_,
                      total_, tag.c_str(), seconds);

@@ -43,7 +43,7 @@ struct FtlFixture
     void
     writeNow(flash::Lpn lpn)
     {
-        ftl.hostWrite(lpn, nullptr);
+        ftl.hostWrite(lpn, 0, nullptr);
         events.run();
     }
 

@@ -72,7 +72,7 @@ TEST(Auditor, CleanUnderWriteBufferAndTrim)
     // TRIM a mix of mapped, buffered-dirty, and never-written pages;
     // the conservation deltas must keep balancing across them.
     for (flash::Lpn lpn = 0; lpn < 40; ++lpn)
-        w.ssd.ftl().hostTrim(lpn * 17 % 700);
+        w.ssd.ftl().hostTrim(lpn * 17 % 700, 0);
     EXPECT_EQ(a.runAll(), 0u) << a.summary();
 }
 
@@ -126,16 +126,6 @@ TEST(Auditor, MappingBlockCleanWithTheHighestPhysicalPageMapped)
     EXPECT_EQ(ssd.ftl().mapping().lookup(lpn), top);
     EXPECT_EQ(a.runAll(), 0u) << a.summary();
     EXPECT_EQ(a.totalViolations(), 0u) << a.summary();
-}
-
-TEST(Auditor, CustomCheckRunsAndAttributes)
-{
-    WarmSsd w;
-    Auditor a(w.ssd);
-    a.registerCheck("custom", [](Auditor &me) { me.fail("boom"); });
-    EXPECT_EQ(a.runAll(), 1u);
-    EXPECT_TRUE(fired(a, "custom"));
-    EXPECT_EQ(a.violations().front().detail, "boom");
 }
 
 // ---- Negative tests: every default check must fire on corruption. ----
@@ -469,12 +459,18 @@ TEST(AuditorNegative, ConservationCheckCatchesCounterDrift)
 TEST(AuditorNegative, SummaryListsCheckAndDetail)
 {
     WarmSsd w;
+    const flash::Ppn ppn = w.ssd.ftl().mapping().lookup(0);
+    ASSERT_NE(ppn, flash::kInvalidPpn);
+    testing_peers_block::setProgramTime(
+        w.ssd.chips().blockTable(), w.ssd.chips().geometry().blockOf(ppn),
+        w.ssd.events().now() + sim::kDay);
+
     Auditor a(w.ssd);
-    a.registerCheck("named", [](Auditor &me) { me.fail("specific"); });
     a.runAll();
     const std::string s = a.summary();
-    EXPECT_NE(s.find("named"), std::string::npos) << s;
-    EXPECT_NE(s.find("specific"), std::string::npos) << s;
+    EXPECT_NE(s.find("[block-accounting] block "), std::string::npos) << s;
+    EXPECT_NE(s.find("programTime"), std::string::npos) << s;
+    EXPECT_NE(s.find("is in the future"), std::string::npos) << s;
 }
 
 } // namespace

@@ -112,7 +112,7 @@ runScenario(const Scenario &sc)
                 // Whole-page TRIM as a raw FTL metadata op, at its
                 // "arrival" time.
                 ssd.events().schedule(
-                    t, [ftl = &ssd.ftl(), lpn] { ftl->hostTrim(lpn); });
+                    t, [ftl = &ssd.ftl(), lpn] { ftl->hostTrim(lpn, 0); });
             }
             continue;
         }

@@ -65,6 +65,15 @@ quiet(int jobs)
     return opts;
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+}
+
 TEST(Batch, SameResultsAtAnyParallelism)
 {
     const auto specs = tinyMatrix();
@@ -87,6 +96,16 @@ TEST(Batch, SameResultsAtAnyParallelism)
             << " diverged between -j1 and -j4";
         EXPECT_GT(serial.results[i].measuredReads, 0u);
     }
+
+    // The archives the two levels export are byte-identical as well.
+    const std::string dir = testing::TempDir() + "/ida_batch_parallelism/";
+    ASSERT_TRUE(exportResults(dir + "j1.json", "unit_test", {{"scale", "1"}},
+                              specs, serial));
+    ASSERT_TRUE(exportResults(dir + "j4.json", "unit_test", {{"scale", "1"}},
+                              specs, parallel));
+    const std::string j1 = slurp(dir + "j1.json");
+    EXPECT_NE(j1.find("\"tag\": \"b/ida\""), std::string::npos);
+    EXPECT_EQ(j1, slurp(dir + "j4.json"));
 }
 
 TEST(Batch, ResultsIndexedBySpecOrderNotCompletionOrder)
@@ -337,11 +356,7 @@ TEST(JsonWriter, ExportResultsWritesWellFormedFile)
     ASSERT_TRUE(exportResults(path, "unit_test",
                               {{"scale", "0.35"}}, specs, out));
 
-    std::ifstream is(path);
-    ASSERT_TRUE(is.good());
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string json = ss.str();
+    const std::string json = slurp(path);
     EXPECT_NE(json.find("\"harness\": \"unit_test\""), std::string::npos);
     EXPECT_NE(json.find("\"scale\": \"0.35\""), std::string::npos);
     EXPECT_NE(json.find("\"tag\": \"a/base\""), std::string::npos);

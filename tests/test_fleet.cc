@@ -274,9 +274,9 @@ TEST(Fleet, AuditorFlagsInjectedHorizonViolation)
     fleet.run(trace, opt);
 
     // Forge the exact failure mode epoch staging prevents: an event
-    // injected behind a member's clock. Under the Clamp policy (the
-    // non-audit default) the kernel counts it — and the fleet auditor
-    // must refuse to stay green.
+    // injected behind a member's clock. Under the Clamp policy (which
+    // this test selects; Panic is the default) the kernel counts it —
+    // and the fleet auditor must refuse to stay green.
     auto &q = fleet.device(0).events();
     q.setPastSchedulePolicy(sim::PastSchedulePolicy::Clamp);
     // The counter trips at schedule() time; no need to dispatch (and

@@ -24,12 +24,12 @@ TEST(Ftl, WriteThenReadRoundTrip)
 {
     FtlFixture f;
     sim::Time wdone{-1}, rdone{-1};
-    f.ftl.hostWrite(7, [&](sim::Time t) { wdone = t; });
+    f.ftl.hostWrite(7, 0, [&](sim::Time t) { wdone = t; });
     f.events.run();
     EXPECT_GT(wdone, sim::Time{});
     EXPECT_TRUE(f.ftl.mapping().isMapped(7));
 
-    f.ftl.hostRead(7, [&](sim::Time t) { rdone = t; });
+    f.ftl.hostRead(7, 0, [&](sim::Time t) { rdone = t; });
     f.events.run();
     EXPECT_GT(rdone, wdone);
     EXPECT_EQ(f.ftl.stats().hostReads, 1u);
@@ -40,7 +40,7 @@ TEST(Ftl, UnmappedReadCompletesInstantlyAndIsCounted)
 {
     FtlFixture f;
     sim::Time done{-1};
-    f.ftl.hostRead(3, [&](sim::Time t) { done = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, sim::Time{});
     EXPECT_EQ(f.ftl.stats().hostReadsUnmapped, 1u);
@@ -99,14 +99,14 @@ TEST(Ftl, ClassificationCountsLevelsAndSiblingValidity)
     // plane-0 wordline 0 as its LSB, CSB, and MSB pages.
     for (flash::Lpn l = 0; l < 12; ++l)
         f.writeNow(l);
-    f.ftl.hostRead(8, nullptr); // MSB, siblings valid
+    f.ftl.hostRead(8, 0, nullptr); // MSB, siblings valid
     f.events.run();
     const auto &rc = f.ftl.stats().readClass;
     EXPECT_EQ(rc.byLevel[2], 1u);
     EXPECT_EQ(rc.byLevelLowerInvalid[2], 0u);
 
     f.writeNow(0); // update LPN 0 -> its old LSB page invalid
-    f.ftl.hostRead(8, nullptr); // MSB again, now lower-invalid
+    f.ftl.hostRead(8, 0, nullptr); // MSB again, now lower-invalid
     f.events.run();
     EXPECT_EQ(rc.byLevel[2], 2u);
     EXPECT_EQ(rc.byLevelLowerInvalid[2], 1u);
@@ -116,7 +116,7 @@ TEST(Ftl, ResetReadClassificationZeroesWindow)
 {
     FtlFixture f;
     f.writeNow(0);
-    f.ftl.hostRead(0, nullptr);
+    f.ftl.hostRead(0, 0, nullptr);
     f.events.run();
     EXPECT_GT(f.ftl.stats().readClass.byLevel[0], 0u);
     f.ftl.resetReadClassification();

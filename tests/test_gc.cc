@@ -25,7 +25,7 @@ TEST(Gc, ReclaimsSpaceUnderChurn)
     // logical pages with updates.
     for (int round = 0; round < 120; ++round) {
         for (flash::Lpn l = 0; l < 40; ++l)
-            f.ftl.hostWrite(l, nullptr);
+            f.ftl.hostWrite(l, 0, nullptr);
         f.events.run();
     }
     EXPECT_GT(f.ftl.stats().gc.invocations, 0u);
@@ -51,7 +51,7 @@ TEST(Gc, MigratedPagesKeepTheirData)
     f.writeNow(99);
     for (int round = 0; round < 150; ++round) {
         for (flash::Lpn l = 0; l < 30; ++l)
-            f.ftl.hostWrite(l, nullptr);
+            f.ftl.hostWrite(l, 0, nullptr);
         f.events.run();
     }
     ASSERT_GT(f.ftl.stats().gc.invocations, 0u);
@@ -67,7 +67,7 @@ TEST(Gc, ErasesIncrementEraseCounters)
     FtlFixture f(cfg);
     for (int round = 0; round < 150; ++round) {
         for (flash::Lpn l = 0; l < 30; ++l)
-            f.ftl.hostWrite(l, nullptr);
+            f.ftl.hostWrite(l, 0, nullptr);
         f.events.run();
     }
     std::uint64_t erases = 0;
@@ -84,7 +84,7 @@ TEST(Gc, NoGcBelowThreshold)
     FtlFixture f(cfg);
     // Light traffic never drops a 16-block pool to 1.
     for (flash::Lpn l = 0; l < 20; ++l)
-        f.ftl.hostWrite(l, nullptr);
+        f.ftl.hostWrite(l, 0, nullptr);
     f.events.run();
     EXPECT_EQ(f.ftl.stats().gc.invocations, 0u);
 }

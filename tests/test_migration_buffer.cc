@@ -30,7 +30,7 @@ struct Rig : FtlFixture
     fill(flash::Lpn n)
     {
         for (flash::Lpn l = 0; l < n; ++l)
-            ftl.hostWrite(l, nullptr);
+            ftl.hostWrite(l, 0, nullptr);
         events.run();
     }
 };
@@ -99,7 +99,7 @@ TEST(MigrationBuffer, StaleEntriesCompleteWithoutProgramming)
                                      [&](sim::Time) { done = true; }));
     // The host updates the LPN before the flush: the buffered entry is
     // now stale.
-    r.ftl.hostWrite(lpn, nullptr);
+    r.ftl.hostWrite(lpn, 0, nullptr);
     const auto programsBefore = r.chips.stats().programs;
     r.ftl.flushMigrations(0);
     r.events.run();
@@ -114,7 +114,7 @@ TEST(MigrationBuffer, QueueRejectsAlreadyInvalidSource)
     r.fill(48);
     const flash::Lpn lpn = 8;
     const flash::Ppn src = r.ftl.mapping().lookup(lpn);
-    r.ftl.hostWrite(lpn, nullptr); // invalidates src immediately
+    r.ftl.hostWrite(lpn, 0, nullptr); // invalidates src immediately
     EXPECT_FALSE(r.ftl.queueMigration(src, true, nullptr));
 }
 

@@ -100,7 +100,7 @@ TEST(ReadCacheFtl, MissFillsThenHitServesAtDramLatency)
     f.writeNow(3);
 
     sim::Time first{-1};
-    f.ftl.hostRead(3, [&](sim::Time t) { first = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t) { first = t; });
     f.events.run();
     EXPECT_EQ(f.ftl.readCacheStats().misses, 1u);
     EXPECT_EQ(f.ftl.readCacheStats().fills, 1u);
@@ -108,7 +108,7 @@ TEST(ReadCacheFtl, MissFillsThenHitServesAtDramLatency)
 
     const sim::Time t0 = f.events.now();
     sim::Time second{-1};
-    f.ftl.hostRead(3, [&](sim::Time t) { second = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t) { second = t; });
     f.events.run();
     EXPECT_EQ(second, t0 + ftl::kDramLatency);
     EXPECT_EQ(f.ftl.readCacheStats().hits, 1u);
@@ -142,7 +142,7 @@ TEST(ReadCacheFtl, WriteAndTrimInvalidateCachedSectors)
     FtlFixture f(cachedCfg());
     const flash::SectorMask full = f.geom.fullSectorMask();
     f.writeNow(3);
-    f.ftl.hostRead(3, [](sim::Time) {});
+    f.ftl.hostRead(3, 0, [](sim::Time) {});
     f.events.run();
     ASSERT_EQ(f.ftl.readCache().peek(3), full);
 
@@ -166,8 +166,8 @@ TEST(ReadCacheFtl, BufferedReadsDoNotFillTheCache)
 
     // The write sits dirty in the buffer; a read of it is a buffer hit,
     // not a cache fill (the cache only holds flash-backed sectors).
-    f.ftl.hostWrite(3, nullptr);
-    f.ftl.hostRead(3, [](sim::Time) {});
+    f.ftl.hostWrite(3, 0, nullptr);
+    f.ftl.hostRead(3, 0, [](sim::Time) {});
     f.events.run();
     EXPECT_EQ(f.ftl.writeBufferStats().readHits, 1u);
     EXPECT_EQ(f.ftl.readCacheStats().fills, 0u);

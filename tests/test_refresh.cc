@@ -34,7 +34,7 @@ struct RefreshRig : FtlFixture
         // One extra stripe forces the (now full) blocks to be closed:
         // a block only leaves the active state when its successor opens.
         for (flash::Lpn l = 0; l < 4ull * 3 * wls + 4; ++l)
-            ftl.hostWrite(l, nullptr);
+            ftl.hostWrite(l, 0, nullptr);
         events.run();
     }
 
@@ -117,7 +117,7 @@ TEST(RefreshIda, LsbInvalidWordlineIsCase2)
     RefreshRig r(cfg);
     r.fillWordlines(4);
     // Invalidate the LSB of plane-0 WL0 by updating its LPN.
-    r.ftl.hostWrite(r.lpnAt(0, 0), nullptr);
+    r.ftl.hostWrite(r.lpnAt(0, 0), 0, nullptr);
     r.events.run();
     r.ageAndRefresh();
     const flash::Lpn csb = r.lpnAt(0, 1);
@@ -136,7 +136,7 @@ TEST(RefreshIda, CsbInvalidWordlineIsCase3MsbOnly)
     cfg.enableIda = true;
     RefreshRig r(cfg);
     r.fillWordlines(4);
-    r.ftl.hostWrite(r.lpnAt(1, 1), nullptr); // kill CSB of WL1
+    r.ftl.hostWrite(r.lpnAt(1, 1), 0, nullptr); // kill CSB of WL1
     r.events.run();
     r.ageAndRefresh();
     const flash::Lpn msb = r.lpnAt(1, 2);
@@ -155,7 +155,7 @@ TEST(RefreshIda, MsbInvalidWordlineIsMigratedNotAdjusted)
     cfg.enableIda = true;
     RefreshRig r(cfg);
     r.fillWordlines(4);
-    r.ftl.hostWrite(r.lpnAt(2, 2), nullptr); // kill MSB of WL2: case 5
+    r.ftl.hostWrite(r.lpnAt(2, 2), 0, nullptr); // kill MSB of WL2: case 5
     r.events.run();
     const flash::Ppn before = r.ftl.mapping().lookup(r.lpnAt(2, 0));
     r.ageAndRefresh();
@@ -257,7 +257,7 @@ TEST(RefreshIda, Cases13DisabledStillHandlesCase2)
     RefreshRig r(cfg);
     r.fillWordlines(4);
     // Make WL0 of plane 0 a natural case 2 (LSB invalid).
-    r.ftl.hostWrite(r.lpnAt(0, 0), nullptr);
+    r.ftl.hostWrite(r.lpnAt(0, 0), 0, nullptr);
     r.events.run();
     r.ageAndRefresh();
     EXPECT_GT(r.ftl.stats().refresh.adjustedWordlines, 0u);

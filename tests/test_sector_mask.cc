@@ -128,7 +128,7 @@ TEST(SectorMaskFtl, PageModeDropsSubPageTrims)
     EXPECT_EQ(f.ftl.stats().sector.trimsDroppedPageMode, 1u);
     EXPECT_EQ(f.ftl.stats().hostTrims, 0u);
 
-    f.ftl.hostTrim(5);
+    f.ftl.hostTrim(5, 0);
     EXPECT_FALSE(f.ftl.mapping().isMapped(5));
     EXPECT_EQ(f.ftl.stats().hostTrims, 1u);
 }
@@ -143,7 +143,7 @@ TEST(SectorMaskFtl, RmwRetriesWhenTrimRacesTheMergeRead)
     // mapping and retry, still programming exactly once.
     f.ftl.hostWrite(5, 0x000F, nullptr);
     EXPECT_EQ(f.ftl.rmwInFlight(), 1u);
-    f.ftl.hostTrim(5);
+    f.ftl.hostTrim(5, 0);
     f.events.run();
     EXPECT_EQ(f.ftl.rmwInFlight(), 0u);
     EXPECT_EQ(f.ftl.stats().sector.rmwRetries, 1u);
@@ -175,7 +175,7 @@ TEST(SectorMaskFtl, GcMigrationPreservesPartialMasks)
             rng.uniformInt(0, footprint - 1));
         if (lpn == 7)
             continue;
-        f.ftl.hostWrite(lpn, nullptr);
+        f.ftl.hostWrite(lpn, 0, nullptr);
         f.events.run();
     }
     ASSERT_NE(f.ftl.mapping().lookup(7), before)

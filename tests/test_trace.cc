@@ -397,7 +397,7 @@ TEST(TraceCrossCheck, PhaseSumsMatchObservedCompletions)
         if (i % 19 == 18) {
             const flash::Lpn victim = rng.uniformInt(0, footprint - 1);
             dev.events().schedule(arrival, [&dev, victim] {
-                dev.ftl().hostTrim(victim);
+                dev.ftl().hostTrim(victim, 0);
             });
             continue;
         }

@@ -126,7 +126,7 @@ TEST(WriteBufferFtl, WritesCompleteAtDramLatency)
 {
     FtlFixture f(bufferedCfg());
     sim::Time done{-1};
-    f.ftl.hostWrite(3, [&](sim::Time t) { done = t; });
+    f.ftl.hostWrite(3, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, 5 * sim::kUsec);
     // Not yet on flash: the LPN is dirty in DRAM.
@@ -137,9 +137,9 @@ TEST(WriteBufferFtl, WritesCompleteAtDramLatency)
 TEST(WriteBufferFtl, BufferedReadHitsDram)
 {
     FtlFixture f(bufferedCfg());
-    f.ftl.hostWrite(3, nullptr);
+    f.ftl.hostWrite(3, 0, nullptr);
     sim::Time done{-1};
-    f.ftl.hostRead(3, [&](sim::Time t) { done = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, 5 * sim::kUsec);
     EXPECT_EQ(f.ftl.writeBufferStats().readHits, 1u);
@@ -149,7 +149,7 @@ TEST(WriteBufferFtl, WatermarkDestagesToFlash)
 {
     FtlFixture f(bufferedCfg());
     for (flash::Lpn l = 0; l < 12; ++l)
-        f.ftl.hostWrite(l, nullptr);
+        f.ftl.hostWrite(l, 0, nullptr);
     f.events.run();
     EXPECT_TRUE(f.ftl.quiescent());
     const auto &st = f.ftl.writeBufferStats();
@@ -167,7 +167,7 @@ TEST(WriteBufferFtl, RewritingBufferedPageDoesNotDuplicate)
 {
     FtlFixture f(bufferedCfg());
     for (int i = 0; i < 6; ++i)
-        f.ftl.hostWrite(7, nullptr);
+        f.ftl.hostWrite(7, 0, nullptr);
     f.events.run();
     EXPECT_EQ(f.ftl.writeBufferStats().bufferedWrites, 1u);
     EXPECT_EQ(f.ftl.writeBufferStats().coalescedWrites, 5u);
@@ -178,7 +178,7 @@ TEST(WriteBufferFtl, DisabledBufferWritesThrough)
 {
     FtlFixture f; // default config: no buffer
     sim::Time done{-1};
-    f.ftl.hostWrite(3, [&](sim::Time t) { done = t; });
+    f.ftl.hostWrite(3, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_GT(done, sim::kMsec); // a real program happened
     EXPECT_TRUE(f.ftl.mapping().isMapped(3));
