@@ -67,7 +67,11 @@ struct Violation
  *                      with no entry behind now(); an arrival event is
  *                      pending at its oldest run iff it is non-empty;
  *                      inflightRequests() equals FIFO entries plus live
- *                      request slots (Ssd::validateAdmission).
+ *                      request slots; a read request whose pages have
+ *                      all reported has its one completion event
+ *                      pending at (lastDone, lastSeq), and one with
+ *                      pages outstanding has none
+ *                      (Ssd::validateAdmission).
  *  - block-accounting: BlockManager free pools / active flags / in-use
  *                      counter agree with per-block recount; the age
  *                      index holds exactly the closed blocks, keyed by

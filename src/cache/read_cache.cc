@@ -35,11 +35,8 @@ ReadCache::pushFront(std::uint32_t s)
 }
 
 flash::SectorMask
-ReadCache::lookup(flash::Lpn lpn)
+ReadCache::lookupLine(flash::Lpn lpn)
 {
-    // Empty covers disabled too: skip the hash probe entirely.
-    if (lines_.empty())
-        return 0;
     const auto it = lines_.find(lpn);
     if (it == lines_.end())
         return 0;
@@ -59,10 +56,8 @@ ReadCache::peek(flash::Lpn lpn) const
 }
 
 void
-ReadCache::insert(flash::Lpn lpn, flash::SectorMask sectors)
+ReadCache::insertLine(flash::Lpn lpn, flash::SectorMask sectors)
 {
-    if (!enabled() || sectors == 0)
-        return;
     const auto it = lines_.find(lpn);
     if (it != lines_.end()) {
         const std::uint32_t s = it->second;

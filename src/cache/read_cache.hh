@@ -70,9 +70,14 @@ class ReadCache
 
     /**
      * Sectors of @p lpn currently cached (0 when absent); promotes the
-     * line to most-recently-used when present.
+     * line to most-recently-used when present. Inline up to the hash
+     * probe: an empty (or disabled) cache answers without a call.
      */
-    flash::SectorMask lookup(flash::Lpn lpn);
+    flash::SectorMask
+    lookup(flash::Lpn lpn)
+    {
+        return lines_.empty() ? 0 : lookupLine(lpn);
+    }
 
     /** lookup without the LRU promotion (audit checks, peeking). */
     flash::SectorMask peek(flash::Lpn lpn) const;
@@ -80,9 +85,15 @@ class ReadCache
     /**
      * Add @p sectors of @p lpn (read-allocate fill or hole-merge).
      * ORs into an existing line or inserts a new one, evicting the LRU
-     * line when at capacity. No-op when disabled or @p sectors is 0.
+     * line when at capacity. No-op when disabled or @p sectors is 0,
+     * decided inline.
      */
-    void insert(flash::Lpn lpn, flash::SectorMask sectors);
+    void
+    insert(flash::Lpn lpn, flash::SectorMask sectors)
+    {
+        if (enabled() && sectors != 0)
+            insertLine(lpn, sectors);
+    }
 
     /**
      * Coherence: drop @p sectors of @p lpn (host write or TRIM of those
@@ -121,6 +132,8 @@ class ReadCache
         std::uint32_t next;
     };
 
+    flash::SectorMask lookupLine(flash::Lpn lpn);
+    void insertLine(flash::Lpn lpn, flash::SectorMask sectors);
     void unlink(std::uint32_t s);
     void pushFront(std::uint32_t s);
 

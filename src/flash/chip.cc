@@ -12,14 +12,37 @@ namespace ida::flash {
 ChipArray::ChipArray(const Geometry &geom, const FlashTiming &timing,
                      const CodingScheme &coding, sim::EventQueue &events)
     : geom_((geom.validate(), geom)), // before the table sizes itself
-      timing_(timing), coding_(coding),
+      timing_(timing), coding_(coding), decode_(geom_),
       events_(events), table_(geom_)
 {
     if (static_cast<std::uint32_t>(coding_.bits()) != geom_.bitsPerCell)
         sim::fatal("ChipArray: coding scheme bit density does not match "
                    "geometry bitsPerCell");
     dies_.resize(geom_.dies());
+    for (DieId d = 0; d < dies_.size(); ++d)
+        dies_[d].channel = geom_.channelOfDie(d);
     channelFree_.assign(geom_.channels, sim::Time{});
+
+    // One entry per (coding mask, valid level), by Block::readSensings'
+    // rule: the conventional count on a full mask, else the IDA merge's.
+    const int bits = coding_.bits();
+    const LevelMask full = fullMask(bits);
+    readCost_.resize((std::size_t{full} + 1) << 3); // 8 levels per mask
+    for (unsigned m = 1; m <= full; ++m) {
+        const auto mask = static_cast<LevelMask>(m);
+        for (int level = 0; level < bits; ++level) {
+            if (((mask >> level) & 1u) == 0)
+                continue;
+            const int senses = mask == full
+                ? coding_.sensingCount(level)
+                : coding_.idaMerge(mask).sensingCounts[level];
+            ReadCost &c = readCost_[costIndex(mask, level)];
+            c.round = timing_.readLatency(coding_, senses);
+            c.senses = static_cast<std::uint16_t>(senses);
+            c.conventional =
+                static_cast<std::uint16_t>(coding_.sensingCount(level));
+        }
+    }
 }
 
 sim::Time
@@ -31,74 +54,92 @@ ChipArray::transferTimeFor(std::uint32_t sectors) const
     return timing_.pageTransfer * sectors / spp;
 }
 
-sim::Time
-ChipArray::readPage(Ppn ppn, bool host_read, int extra_rounds,
-                    DoneCallback done, Lpn lpn, std::uint32_t sectors)
+std::uint32_t
+ChipArray::parkRead(const PageLocation &at, bool host_read, int extra_rounds,
+                    Lpn lpn, std::uint32_t sectors, sim::Time &round)
 {
-    const BlockId bid = geom_.blockOf(ppn);
-    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    const int senses = table_.block(bid).readSensings(page, coding_);
-    const int conv = coding_.sensingCount(
-        static_cast<int>(geom_.levelOfPage(page)));
+    if (table_.sectorMask(at.ppn) == 0)
+        sim::panic("ChipArray: reading a non-valid page");
+    const ReadCost &c =
+        readCost(table_.block(at.block).wordlineMask(at.wordline), at.level);
     const auto rounds = static_cast<std::uint64_t>(1 + extra_rounds);
-    const sim::Time round = timing_.readLatency(coding_, senses);
-    const sim::Time sense = round * (1 + extra_rounds);
+    const sim::Time sense = c.round * (1 + extra_rounds);
     stats_.retrySenseRounds += static_cast<std::uint64_t>(extra_rounds);
-    stats_.sensingOps += static_cast<std::uint64_t>(senses) * rounds;
-    stats_.sensingOpsConventional +=
-        static_cast<std::uint64_t>(conv) * rounds;
+    stats_.sensingOps += std::uint64_t{c.senses} * rounds;
+    stats_.sensingOpsConventional += std::uint64_t{c.conventional} * rounds;
     stats_.sensingOpsSaved +=
-        static_cast<std::uint64_t>(conv - senses) * rounds;
-    const DieId die = geom_.dieOfBlock(bid);
+        static_cast<std::uint64_t>(c.conventional - c.senses) * rounds;
+    ++stats_.reads;
+    stats_.senseTime += sense;
     const std::uint32_t slot =
-        park(Command::Op::Read, sense, std::move(done),
+        park(Command::Op::Read, sense, nullptr,
              host_read ? trace::SpanKind::HostRead
                        : trace::SpanKind::InternalRead,
-             ppn, die, lpn);
+             at.ppn, at.die, lpn);
     Command &cmd = commands_[slot];
     cmd.hostRead = host_read;
     cmd.transferTime = transferTimeFor(sectors);
     if (cmd.span.traced()) {
-        cmd.span.senses = static_cast<std::uint16_t>(senses);
-        cmd.span.sensesConventional = static_cast<std::uint16_t>(conv);
+        cmd.span.senses = c.senses;
+        cmd.span.sensesConventional = c.conventional;
         cmd.span.retryRounds = static_cast<std::uint8_t>(extra_rounds);
     }
-    enqueue(die, slot);
-    ++stats_.reads;
-    stats_.senseTime += sense;
+    round = c.round;
+    return slot;
+}
+
+sim::Time
+ChipArray::readPage(Ppn ppn, int extra_rounds, DoneCallback done, Lpn lpn,
+                    std::uint32_t sectors)
+{
+    const PageLocation at = decode_(ppn);
+    sim::Time round;
+    const std::uint32_t slot =
+        parkRead(at, false, extra_rounds, lpn, sectors, round);
+    commands_[slot].done = std::move(done);
+    enqueue(at.die, slot);
+    return round;
+}
+
+sim::Time
+ChipArray::readHostPage(const PageLocation &at, int extra_rounds,
+                        ReadDone done, Lpn lpn, std::uint32_t sectors)
+{
+    sim::Time round;
+    const std::uint32_t slot =
+        parkRead(at, true, extra_rounds, lpn, sectors, round);
+    commands_[slot].report = std::move(done);
+    enqueue(at.die, slot);
     return round;
 }
 
 void
 ChipArray::programImmediate(Ppn ppn)
 {
-    const BlockId bid = geom_.blockOf(ppn);
-    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    if (page != table_.block(bid).writePointer())
+    const PageLocation at = decode_(ppn);
+    if (at.page != table_.block(at.block).writePointer())
         sim::panic("ChipArray::programImmediate: out-of-order program");
-    table_.programNext(bid, events_.now());
+    table_.programNext(at.block, events_.now());
 }
 
 void
 ChipArray::programPage(Ppn ppn, DoneCallback done, Lpn lpn, bool host_data,
                        SectorMask sectors)
 {
-    const BlockId bid = geom_.blockOf(ppn);
-    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    if (page != table_.block(bid).writePointer())
+    const PageLocation at = decode_(ppn);
+    if (at.page != table_.block(at.block).writePointer())
         sim::panic("ChipArray::programPage: out-of-order program");
-    table_.programNext(bid, events_.now(), sectors);
+    table_.programNext(at.block, events_.now(), sectors);
 
-    const DieId die = geom_.dieOfBlock(bid);
     const std::uint32_t slot =
         park(Command::Op::Program, timing_.pageProgram, std::move(done),
              host_data ? trace::SpanKind::HostWrite
                        : trace::SpanKind::InternalProgram,
-             ppn, die, lpn);
+             ppn, at.die, lpn);
     commands_[slot].transferTime = transferTimeFor(
         sectors == 0 ? 0 : static_cast<std::uint32_t>(
                                std::popcount(sectors)));
-    enqueue(die, slot);
+    enqueue(at.die, slot);
     ++stats_.programs;
 }
 
@@ -148,7 +189,7 @@ ChipArray::park(Command::Op op, sim::Time busy, DoneCallback done,
     sp.lpn = lpn;
     sp.ppn = ppn;
     sp.die = die;
-    sp.channel = geom_.channelOfDie(die);
+    sp.channel = dies_[die].channel;
     sp.start = events_.now();
     return slot;
 }
@@ -180,8 +221,9 @@ ChipArray::pop(Queue &q)
 void
 ChipArray::finishRead(std::uint32_t slot)
 {
-    // Move the callback out and free the slot before running it: it may
-    // issue another read and reuse this very slot.
+    // An internal read's completion. Move the callback out and free the
+    // slot before running it: it may issue another read and reuse this
+    // very slot.
     DoneCallback done = std::move(commands_[slot].done);
     commands_.release(slot);
     if (done)
@@ -306,7 +348,7 @@ ChipArray::tryStart(DieId die)
     Command &cmd = commands_[slot];
     trace::Span &sp = cmd.span;
     const sim::Time now = events_.now();
-    const std::uint32_t chan = geom_.channelOfDie(die);
+    const std::uint32_t chan = d.channel;
 
     switch (cmd.op) {
       case Command::Op::Read: {
@@ -326,11 +368,10 @@ ChipArray::tryStart(DieId die)
         stats_.dieBusy += sense_done - now;
 
         // The read itself completes after transfer + ECC, independent
-        // of the die becoming free at sense completion. The command
-        // stays in its slot; the event carries only the slot index.
-        const sim::Time completion = ch_end + timing_.eccDecode;
-        // A read's timeline is fully determined here (reads are never
+        // of the die becoming free at sense completion. A read's
+        // timeline is fully determined here (reads are never
         // suspended), so the span closes at die-start time.
+        const sim::Time completion = ch_end + timing_.eccDecode;
         if (sp.traced()) {
             sp.dieStart = now;
             sp.senseEnd = sense_done;
@@ -338,7 +379,15 @@ ChipArray::tryStart(DieId die)
             sp.channelEnd = ch_end;
             closeSpan(sp, completion);
         }
-        events_.schedule(completion, [this, slot] { finishRead(slot); });
+        // An internal read stays in its slot until its completion
+        // event, which carries only the slot index. A host read takes
+        // the seq that event would take and reports below.
+        const bool host = cmd.hostRead;
+        std::uint64_t seq = 0;
+        if (host)
+            seq = events_.reserveSeq();
+        else
+            events_.schedule(completion, [this, slot] { finishRead(slot); });
         if (d.readQ.empty() && d.otherQ.empty() &&
             d.suspended == kNoSlot) {
             // Nothing can start at sense completion and a read parks no
@@ -352,6 +401,15 @@ ChipArray::tryStart(DieId die)
             ++d.endGen;
         } else {
             occupyDie(die, sense_done, false);
+        }
+        if (host) {
+            // Report last, with the die's state settled: the report may
+            // issue new work on this very die. Free the slot first, as
+            // finishRead does.
+            ReadDone report = std::move(commands_[slot].report);
+            commands_.release(slot);
+            if (report)
+                report(completion, seq);
         }
         break;
       }

@@ -16,6 +16,9 @@
  * one slab slot from issue to completion: queued, running, suspended
  * and awaiting its read completion, it is only ever named by the slot's
  * handle, so its callback is parked once and never moved between queues.
+ * The exception is a host read: its timeline is fixed when it reaches
+ * the die, so it reports its completion tick there (ReadDone), leaves
+ * its slot and runs no completion event.
  *
  * Per-command timing (paper Sec. II-C, Table II):
  *  - Read:    sense tR(page) x (1 + retryRounds) on the die, then one
@@ -26,6 +29,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +60,28 @@ namespace ida::flash {
  * (vtable) + 8 (this) must stay within EventQueue::Callback::capacity.
  */
 using DoneCallback = sim::InlineCallback<void(sim::Time), 48>;
+
+/**
+ * A host read's report: its completion tick and the event sequence
+ * number its completion event would have taken (EventQueue::reserveSeq).
+ * A host read never suspends, so its timeline is fixed once it reaches
+ * the die; it reports there and runs no completion event of its own.
+ * Whoever owes the host a completion schedules it at (tick, seq), which
+ * dispatches exactly where the read's own event would have. Same
+ * 48-byte budget as DoneCallback.
+ */
+using ReadDone = sim::InlineCallback<void(sim::Time, std::uint64_t), 48>;
+
+/** One read round's cost for a (wordline coding mask, level) pair. */
+struct ReadCost
+{
+    /** Memory-access latency of one sensing round. */
+    sim::Time round{};
+    /** Sensings of one round under the wordline's coding. */
+    std::uint16_t senses = 0;
+    /** Sensings the conventional coding needs for the level. */
+    std::uint16_t conventional = 0;
+};
 
 /** Aggregate chip-array activity counters. */
 struct ChipStats
@@ -110,13 +136,18 @@ class ChipArray
     BlockTable &blockTable() { return table_; }
     const BlockTable &blockTable() const { return table_; }
 
+    /** Block, die, in-block page, wordline and level of @p ppn. */
+    PageLocation locate(Ppn ppn) const { return decode_(ppn); }
+
     /**
-     * Issue a page read.
+     * Issue an internal page read (GC, refresh, read-modify-write): it
+     * queues behind host reads, and @p done runs at its completion
+     * tick from its own completion event.
      *
      * The sensing count is taken from the page's wordline coding mode at
-     * issue time. @p host_read selects the priority class;
-     * @p extra_rounds adds read-retry re-sensings (each costs the page's
-     * full memory-access latency again; paper Sec. V-F).
+     * issue time. @p extra_rounds adds read-retry re-sensings (each
+     * costs the page's full memory-access latency again; paper
+     * Sec. V-F).
      *
      * @p lpn is attribution metadata only (the host LPN being served,
      * kInvalidLpn for internal reads); it never affects timing. Passed
@@ -134,9 +165,39 @@ class ChipArray
      * Returns the memory-access latency of one sensing round, as
      * charged to this read.
      */
-    sim::Time readPage(Ppn ppn, bool host_read, int extra_rounds,
-                       DoneCallback done, Lpn lpn = kInvalidLpn,
-                       std::uint32_t sectors = 0);
+    sim::Time readPage(Ppn ppn, int extra_rounds, DoneCallback done,
+                       Lpn lpn = kInvalidLpn, std::uint32_t sectors = 0);
+
+    /**
+     * Issue a host read of the page at @p at (from locate()), served
+     * before every other die operation (read-first scheduling). Timing
+     * and arguments as readPage, but @p done runs when the read
+     * reaches the die, with (completion tick, seq) — see ReadDone. The
+     * command leaves inflight() at that point.
+     */
+    sim::Time readHostPage(const PageLocation &at, int extra_rounds,
+                           ReadDone done, Lpn lpn = kInvalidLpn,
+                           std::uint32_t sectors = 0);
+
+    /**
+     * The read cost table: one round's cost of reading @p level on a
+     * wordline coded with valid-level mask @p mask (fullMask(bits) =
+     * conventional). Built once at construction from
+     * Block::readSensings' rule and FlashTiming::readLatency; defined
+     * for levels @p mask holds.
+     */
+    const ReadCost &
+    readCost(LevelMask mask, std::uint32_t level) const
+    {
+        return readCost_[costIndex(mask, level)];
+    }
+
+    /** One round of a conventional read of @p level. */
+    sim::Time
+    conventionalRound(std::uint32_t level) const
+    {
+        return readCost(fullMask(coding_.bits()), level).round;
+    }
 
     /**
      * Program the next in-order page of @p ppn's block; @p ppn must be
@@ -170,7 +231,11 @@ class ChipArray
 
     const ChipStats &stats() const { return stats_; }
 
-    /** Pending + running commands across all dies (for drain checks). */
+    /**
+     * Commands issued and not yet complete, for drain checks: queued,
+     * running or suspended, plus internal reads awaiting their
+     * completion event. A host read counts until it reaches the die.
+     */
     std::uint64_t inflight() const { return commands_.live(); }
 
     /**
@@ -189,10 +254,11 @@ class ChipArray
     /**
      * A flash command, parked in one slot of commands_ from issue to
      * completion: queued on its die (linked through `next`), running or
-     * suspended there (Die::running, Die::suspended), or, for a read
-     * past its die stage, awaiting the completion event, which captures
-     * only {this, slot}. The span is stamped only when a recorder was
-     * attached at issue (span.traced()).
+     * suspended there (Die::running, Die::suspended), or, for an
+     * internal read past its die stage, awaiting the completion event,
+     * which captures only {this, slot}. A host read leaves its slot
+     * when it reaches the die. The span is stamped only when a
+     * recorder was attached at issue (span.traced()).
      */
     struct Command
     {
@@ -206,6 +272,8 @@ class ChipArray
         /** Channel occupancy: pageTransfer scaled by the sector count. */
         sim::Time transferTime{};
         DoneCallback done;
+        /** A host read's report (readHostPage); `done` stays empty. */
+        ReadDone report;
         trace::Span span;
     };
 
@@ -220,6 +288,7 @@ class ChipArray
 
     struct Die
     {
+        std::uint32_t channel = 0;
         Queue readQ;
         Queue otherQ;
         bool busy = false;
@@ -252,7 +321,17 @@ class ChipArray
         sim::Time suspendedRemaining{};
     };
 
+    static std::size_t
+    costIndex(LevelMask mask, std::uint32_t level)
+    {
+        return std::size_t{mask} << 3 | level; // levels < 8 (bits <= 6)
+    }
+
     sim::Time transferTimeFor(std::uint32_t sectors) const;
+    /** Charge and park a read of @p at; its callback is set by the caller. */
+    std::uint32_t parkRead(const PageLocation &at, bool host_read,
+                           int extra_rounds, Lpn lpn, std::uint32_t sectors,
+                           sim::Time &round);
     /** Park a new command in a slot; its span opens when traced. */
     std::uint32_t park(Command::Op op, sim::Time busy, DoneCallback done,
                        trace::SpanKind kind, Ppn ppn, DieId die, Lpn lpn);
@@ -270,7 +349,10 @@ class ChipArray
     const Geometry geom_;
     const FlashTiming timing_;
     const CodingScheme coding_;
+    const PpnDecoder decode_;
     sim::EventQueue &events_;
+    /** ReadCost per costIndex(mask, level). */
+    std::vector<ReadCost> readCost_;
 
     BlockTable table_;
     std::vector<Die> dies_;

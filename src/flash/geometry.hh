@@ -231,4 +231,86 @@ struct Geometry
     std::uint64_t planeOfBlock(BlockId b) const { return b / blocksPerPlane; }
 };
 
+/**
+ * Division of a 32-bit value by a divisor fixed at construction, as one
+ * multiply (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+ * Computation", 2019): with M = ceil(2^64 / d), n / d is the high word
+ * of M * n for every n < 2^32. M does not fit 64 bits for d = 1, which
+ * divides by passing n through.
+ */
+class Divider32
+{
+  public:
+    explicit Divider32(std::uint32_t d)
+        : m_(d == 1 ? 0 : ~std::uint64_t{0} / d + 1)
+    {
+    }
+
+    std::uint32_t
+    operator()(std::uint32_t n) const
+    {
+        __extension__ typedef unsigned __int128 U128;
+        if (m_ == 0)
+            return n;
+        return static_cast<std::uint32_t>((U128{m_} * n) >> 64);
+    }
+
+  private:
+    std::uint64_t m_;
+};
+
+/** Where one PPN sits, as PpnDecoder finds it. */
+struct PageLocation
+{
+    Ppn ppn = 0;
+    BlockId block = 0;
+    DieId die = 0;
+    std::uint32_t page = 0;     // within block
+    std::uint32_t wordline = 0; // within block
+    std::uint32_t level = 0;    // 0 = LSB
+};
+
+/**
+ * Geometry::blockOf, dieOfBlock, wordlineOfPage and levelOfPage of one
+ * PPN in a single pass of three reciprocal multiplies, with no 64-bit
+ * division: PPNs are below kMaxPages < 2^32, so Divider32 applies.
+ * Divides by bitsPerCell first, so the global wordline (PPN /
+ * bitsPerCell) yields the block and the block the die.
+ */
+class PpnDecoder
+{
+  public:
+    explicit PpnDecoder(const Geometry &g)
+        : bits_(g.bitsPerCell), wordlinesPerBlock_(g.wordlinesPerBlock()),
+          pagesPerBlock_(g.pagesPerBlock), byBits_(g.bitsPerCell),
+          byWordlines_(g.wordlinesPerBlock()),
+          byBlocksPerDie_(g.planesPerDie * g.blocksPerPlane)
+    {
+    }
+
+    PageLocation
+    operator()(Ppn ppn) const
+    {
+        const auto p = static_cast<std::uint32_t>(ppn);
+        const std::uint32_t gwl = byBits_(p);
+        const std::uint32_t block = byWordlines_(gwl);
+        PageLocation at;
+        at.ppn = ppn;
+        at.block = block;
+        at.die = byBlocksPerDie_(block);
+        at.page = p - block * pagesPerBlock_;
+        at.wordline = gwl - block * wordlinesPerBlock_;
+        at.level = p - gwl * bits_;
+        return at;
+    }
+
+  private:
+    std::uint32_t bits_;
+    std::uint32_t wordlinesPerBlock_;
+    std::uint32_t pagesPerBlock_;
+    Divider32 byBits_;
+    Divider32 byWordlines_;
+    Divider32 byBlocksPerDie_;
+};
+
 } // namespace ida::flash

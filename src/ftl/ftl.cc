@@ -138,24 +138,30 @@ Ftl::countIdaEligibleWordlines() const
 }
 
 void
-Ftl::classifyHostRead(Ppn ppn)
+Ftl::classifyHostRead(const flash::PageLocation &at)
 {
     // One invalid-level-mask probe against the block's incrementally
     // maintained cache (flash/block.hh), no loop over the lower levels.
-    const auto page = static_cast<std::uint32_t>(ppn % geom_.pagesPerBlock);
-    const std::uint32_t level = geom_.levelOfPage(page);
-    const std::uint32_t wl = geom_.wordlineOfPage(page);
-    const auto &blk = chips_.block(geom_.blockOf(ppn));
-
+    const auto &blk = chips_.block(at.block);
     ReadClassStats &rc = stats_.readClass;
-    ++rc.byLevel[level];
-    const auto below = static_cast<flash::LevelMask>((1u << level) - 1);
-    if ((blk.invalidLevelMask(wl) & below) != 0)
-        ++rc.byLevelLowerInvalid[level];
+    ++rc.byLevel[at.level];
+    const auto below = static_cast<flash::LevelMask>((1u << at.level) - 1);
+    if ((blk.invalidLevelMask(at.wordline) & below) != 0)
+        ++rc.byLevelLowerInvalid[at.level];
 }
 
 void
-Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
+Ftl::reportNow(ReadDone &done, sim::Time t)
+{
+    // The seq the read's completion event would take, were it
+    // scheduled here.
+    const std::uint64_t seq = events_.reserveSeq();
+    if (done)
+        done(t, seq);
+}
+
+void
+Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, ReadDone done)
 {
     ++stats_.hostReads;
     flash::SectorMask need =
@@ -165,15 +171,13 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
 
     const flash::SectorMask dirty = wbuf_.dirtyMask(lpn);
     if ((need & ~dirty) == 0) {
-        // The freshest copy is still in controller DRAM. The completion
-        // time is known now, so the event captures {done, t} instead of
-        // dragging a `this` along just to re-read the clock.
+        // The freshest copy is still in controller DRAM.
         wbuf_.noteReadHit();
         const sim::Time t = events_.now() + kDramLatency;
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                    events_.now(), t);
-        events_.schedule(t, [done = std::move(done), t] { done(t); });
+        reportNow(done, t);
         return;
     }
 
@@ -186,7 +190,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::CacheReadHit, lpn,
                                    events_.now(), t);
-        events_.schedule(t, [done = std::move(done), t] { done(t); });
+        reportNow(done, t);
         return;
     }
 
@@ -201,7 +205,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
             if (tracer_)
                 tracer_->recordInstant(trace::SpanKind::WbufReadHit, lpn,
                                        events_.now(), t);
-            events_.schedule(t, [done = std::move(done), t] { done(t); });
+            reportNow(done, t);
             return;
         }
         // Never-written data: served without touching the flash array.
@@ -210,7 +214,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         if (tracer_)
             tracer_->recordInstant(trace::SpanKind::UnmappedRead, lpn, t,
                                    t);
-        events_.schedule(t, [done = std::move(done), t] { done(t); });
+        reportNow(done, t);
         return;
     }
 
@@ -237,7 +241,7 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
         } else if (tracer_) {
             tracer_->recordInstant(trace::SpanKind::UnmappedRead, lpn, t, t);
         }
-        events_.schedule(t, [done = std::move(done), t] { done(t); });
+        reportNow(done, t);
         return;
     }
 
@@ -251,9 +255,9 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
     if ((need & ~(dirty | cached | fv)) != 0)
         ++stats_.sector.zeroFillReads;
 
-    classifyHostRead(src);
-    const auto page = static_cast<std::uint32_t>(src % geom_.pagesPerBlock);
-    const flash::Block blk = chips_.block(geom_.blockOf(src));
+    const flash::PageLocation at = chips_.locate(src);
+    classifyHostRead(at);
+    const flash::Block blk = chips_.block(at.block);
     const int rounds = ecc_.retryRounds(
         blk.eraseCount(), events_.now() - blk.programTime(), rng_);
 
@@ -262,17 +266,16 @@ Ftl::hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done)
     // the audited invariant cached ⊆ flashValid ∪ wbufDirty.
     rcache_.insert(lpn, need & (fv | dirty));
 
-    const sim::Time actual =
-        chips_.readPage(src, true, rounds, std::move(done), lpn,
-                        static_cast<std::uint32_t>(std::popcount(fetch)));
+    const sim::Time actual = chips_.readHostPage(
+        at, rounds, std::move(done), lpn,
+        static_cast<std::uint32_t>(std::popcount(fetch)));
 
     // IDA benefit accounting: latency saved vs the conventional coding.
-    if (blk.isIdaWordline(geom_.wordlineOfPage(page))) {
+    if (blk.isIdaWordline(at.wordline)) {
         auto &rc = stats_.readClass;
         ++rc.idaServed;
-        const sim::Time conv = chips_.timing().conventionalReadLatency(
-            chips_.coding(), static_cast<int>(geom_.levelOfPage(page)));
-        rc.idaSavings += (conv - actual) * (1 + rounds);
+        rc.idaSavings +=
+            (chips_.conventionalRound(at.level) - actual) * (1 + rounds);
     }
 }
 
@@ -403,7 +406,7 @@ Ftl::programMerged(Lpn lpn, flash::SectorMask sectors, PageDone done,
     pendingRmw_[slot] = PendingRmw{lpn, old, sectors, host_write,
                                    std::move(done)};
     ++stats_.sector.rmwReads;
-    chips_.readPage(old, false, 0,
+    chips_.readPage(old, 0,
                     [this, slot](sim::Time) { finishRmw(slot); },
                     kInvalidLpn,
                     static_cast<std::uint32_t>(std::popcount(keep)));

@@ -193,6 +193,14 @@ struct FtlStats
 using PageDone = flash::DoneCallback;
 
 /**
+ * Host-read completion report: (completion tick, seq of the completion
+ * event the read would have run; see flash::ReadDone). Called once the
+ * tick is known — when a flash read reaches the die, or at once for a
+ * read served from DRAM or never written.
+ */
+using ReadDone = flash::ReadDone;
+
+/**
  * Block-release continuation for eraseAndRelease. Deliberately tiny
  * (24-byte storage): GC captures {this, plane}, refresh captures
  * {this}, and the whole thing still has to nest inside the erase
@@ -234,14 +242,15 @@ class Ftl
     void start();
 
     /**
-     * Host read of @p sectors of one page (0 = whole page). Completion
-     * (with the finish time) fires through @p done; reads of
-     * never-written pages complete immediately. Served in priority
-     * order write buffer > read cache > flash; only the sectors no
-     * DRAM tier holds are transferred from flash (hole-merging; see
+     * Host read of @p sectors of one page (0 = whole page). @p done
+     * reports the completion tick and its seq (ReadDone) as soon as the
+     * tick is known, possibly before this returns; reads of
+     * never-written pages complete at once. Served in priority order
+     * write buffer > read cache > flash; only the sectors no DRAM tier
+     * holds are transferred from flash (hole-merging; see
      * docs/CACHING.md).
      */
-    void hostRead(Lpn lpn, flash::SectorMask sectors, PageDone done);
+    void hostRead(Lpn lpn, flash::SectorMask sectors, ReadDone done);
 
     /**
      * Host write of @p sectors of one page (0 = whole page), with
@@ -375,7 +384,9 @@ class Ftl
     friend class GcJob;
     friend class RefreshJob;
 
-    void classifyHostRead(Ppn ppn);
+    void classifyHostRead(const flash::PageLocation &at);
+    /** Report a host read served without flash, completing at @p t. */
+    void reportNow(ReadDone &done, sim::Time t);
 
     /**
      * Clear @p m from @p lpn's flash copy, if mapped, unmapping @p lpn

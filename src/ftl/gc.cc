@@ -28,7 +28,7 @@ GcJob::start()
         // Only the still-valid sectors need the channel: partially
         // invalid pages transfer proportionally less.
         ftl_.chips().readPage(
-            base + p, false, 0, [this](sim::Time) { opDone(); },
+            base + p, 0, [this](sim::Time) { opDone(); },
             flash::kInvalidLpn,
             static_cast<std::uint32_t>(std::popcount(blk.sectorMask(p))));
     }

@@ -47,7 +47,7 @@ RefreshJob::start()
         ++pending_;
         // Partially invalid pages transfer only their valid sectors.
         ftl_.chips().readPage(
-            base + p, false, 0, [this](sim::Time) { opDone(); },
+            base + p, 0, [this](sim::Time) { opDone(); },
             flash::kInvalidLpn,
             static_cast<std::uint32_t>(std::popcount(blk.sectorMask(p))));
     }
@@ -182,7 +182,7 @@ RefreshJob::advance()
                 continue; // host invalidated it meanwhile
             ++pending_;
             ++stats.extraReads;
-            chips.readPage(p, false, 0, [this](sim::Time) { opDone(); },
+            chips.readPage(p, 0, [this](sim::Time) { opDone(); },
                            flash::kInvalidLpn,
                            static_cast<std::uint32_t>(
                                std::popcount(blk.sectorMask(page))));

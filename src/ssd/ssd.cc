@@ -113,7 +113,9 @@ std::uint32_t
 Ssd::acquireSlot(R &&req)
 {
     const std::uint32_t slot = requestSlots_.acquire();
-    requestSlots_[slot] = RequestSlot{std::forward<R>(req)};
+    RequestSlot &rs = requestSlots_[slot];
+    rs = RequestSlot{std::forward<R>(req)};
+    rs.pending = rs.req.pageCount;
     return slot;
 }
 
@@ -272,30 +274,51 @@ Ssd::dispatchSlot(std::uint32_t slot)
         return;
     }
 
-    requestSlots_[slot].pending = pageCount;
     for (std::uint32_t i = 0; i < pageCount; ++i) {
         const flash::Lpn lpn = startPage + i;
         const flash::SectorMask mask =
             pageMaskOf(startSector, sectorCount, i);
-        ftl::PageDone done{[this, slot](sim::Time when) {
-            pageDone(slot, when);
-        }};
         if (isRead)
-            ftl_->hostRead(lpn, mask, std::move(done));
+            ftl_->hostRead(lpn, mask,
+                           [this, slot](sim::Time when, std::uint64_t seq) {
+                               pageRead(slot, when, seq);
+                           });
         else
-            ftl_->hostWrite(lpn, mask, std::move(done));
+            ftl_->hostWrite(lpn, mask, [this, slot](sim::Time when) {
+                pageWritten(slot, when);
+            });
     }
 }
 
 void
-Ssd::pageDone(std::uint32_t slot, sim::Time when)
+Ssd::pageRead(std::uint32_t slot, sim::Time when, std::uint64_t seq)
+{
+    RequestSlot &rs = requestSlots_[slot];
+    if (when > rs.lastDone || (when == rs.lastDone && seq > rs.lastSeq)) {
+        rs.lastDone = when;
+        rs.lastSeq = seq;
+    }
+    if (--rs.pending > 0)
+        return;
+    events_.schedule(rs.lastDone, rs.lastSeq,
+                     [this, slot] { finishRequest(slot); });
+}
+
+void
+Ssd::pageWritten(std::uint32_t slot, sim::Time when)
 {
     RequestSlot &rs = requestSlots_[slot];
     rs.lastDone = std::max(rs.lastDone, when);
-    if (--rs.pending > 0)
-        return;
+    if (--rs.pending == 0)
+        finishRequest(slot);
+}
+
+void
+Ssd::finishRequest(std::uint32_t slot)
+{
     // Move the request out and recycle the slot before any callback
     // runs: the completion may submit again and reuse this very slot.
+    RequestSlot &rs = requestSlots_[slot];
     const HostRequest req = std::exchange(rs.req, HostRequest{});
     const sim::Time lastDone = rs.lastDone;
     requestSlots_.release(slot);
@@ -365,6 +388,23 @@ Ssd::validateAdmission(std::string *why) const
 
     if (std::string slab; !requestSlots_.validate(&slab))
         return fail("request slots: " + slab);
+    requestSlots_.forEachLive([&](const RequestSlot &rs) {
+        // Writes complete without this event, and a read whose first
+        // page has not reported has no (tick, seq) yet. (A TRIM is
+        // live only before dispatch, with nothing reported.)
+        if (!bad.empty() || !rs.req.isRead ||
+            rs.pending == rs.req.pageCount)
+            return;
+        const bool armed = events_.contains(rs.lastDone, rs.lastSeq);
+        if (rs.pending == 0 && !armed)
+            bad = "read request reported every page but no completion "
+                  "event is pending at its (lastDone, lastSeq)";
+        else if (rs.pending != 0 && armed)
+            bad = "read request with pages outstanding already has an "
+                  "event at its (lastDone, lastSeq)";
+    });
+    if (!bad.empty())
+        return fail(bad);
     const std::uint64_t live = requestSlots_.live();
     if (inflightRequests_ != arrivals_.size() + live)
         return fail("inflightRequests " +

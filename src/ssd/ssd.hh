@@ -176,8 +176,10 @@ class Ssd
      * is sorted by (arrival, seq) with no entry behind now(); an
      * arrival event is pending at the oldest run's (arrival, seq) iff
      * the FIFO is non-empty; the request slots' free list is sound
-     * (sim::Slab::validate); and inflightRequests() equals the FIFO's
-     * entries plus the live request slots. O(FIFO + slots).
+     * (sim::Slab::validate); inflightRequests() equals the FIFO's
+     * entries plus the live request slots; and a read request has its
+     * one completion event pending at its latest page's (tick, seq)
+     * once every page has reported, and none before. O(FIFO + slots).
      *
      * Returns true when every invariant holds; otherwise false, with a
      * description of the first failure in @p why (when non-null).
@@ -193,12 +195,20 @@ class Ssd
      * page-completion callback captures {this, slot} (16 bytes) instead
      * of a full HostRequest — and so requests allocate nothing in the
      * steady state. `link` chains a run awaiting dispatch.
+     *
+     * A read's pages report (tick, seq) as their ticks become known
+     * (ftl::ReadDone); (lastDone, lastSeq) keeps the latest, and the
+     * last report schedules the request's one completion event there,
+     * where the latest page's own event would have dispatched. A
+     * write's pages complete through their own events.
      */
     struct RequestSlot
     {
         HostRequest req;
+        /** Pages not yet reported (reads) or completed (writes). */
         std::uint32_t pending = 0;
         sim::Time lastDone{};
+        std::uint64_t lastSeq = 0;
         std::uint32_t link = sim::kNoSlot;
     };
 
@@ -221,7 +231,10 @@ class Ssd
     void admitHead();
     void dispatchSlot(std::uint32_t slot);
     void dispatchRun(std::uint32_t head);
-    void pageDone(std::uint32_t slot, sim::Time when);
+    void pageRead(std::uint32_t slot, sim::Time when, std::uint64_t seq);
+    void pageWritten(std::uint32_t slot, sim::Time when);
+    /** Recycle a completed request's slot, notify and account it. */
+    void finishRequest(std::uint32_t slot);
 
     /**
      * Sector mask of the @p i-th page of a request with the given

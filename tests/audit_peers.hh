@@ -130,9 +130,29 @@ struct BlockManagerPeer
     }
 };
 
-/** Reaches into ssd::Ssd's arrival FIFO. */
+/** Reaches into ssd::Ssd's arrival FIFO and request slots. */
 struct SsdPeer
 {
+    /**
+     * Apply @p f to every read request whose pages have all reported,
+     * i.e. whose one completion event is pending; returns how many.
+     */
+    template <typename F>
+    static std::size_t
+    forReportedReads(ssd::Ssd &s, F &&f)
+    {
+        std::size_t n = 0;
+        // The slab only hands out const views; the Ssd is not const.
+        s.requestSlots_.forEachLive([&](const ssd::Ssd::RequestSlot &c) {
+            auto &rs = const_cast<ssd::Ssd::RequestSlot &>(c);
+            if (rs.req.isRead && rs.pending == 0) {
+                f(rs.lastDone, rs.pending);
+                ++n;
+            }
+        });
+        return n;
+    }
+
     /** Drop the oldest waiting request without uncounting it. */
     static void
     dropOldestArrival(ssd::Ssd &s)

@@ -45,7 +45,7 @@ struct ModelConfig
     /** Ops admitted between drain-and-validate points. */
     std::uint64_t batchOps = 250;
     /** Audit cadence in executed events (maybeRun during the drive). */
-    std::uint64_t auditEvery = 2'000;
+    std::uint64_t auditEvery = 1'800;
 };
 
 /** What a model run observed; the test asserts on these. */

@@ -375,6 +375,72 @@ TEST(AuditorNegative, AdmissionCheckCatchesUnsortedFifo)
     EXPECT_TRUE(fired(a, "admission")) << a.summary();
 }
 
+/**
+ * WarmSsd plus one 2-page read whose pages have reached their idle
+ * dies and reported: the request's completion event is pending.
+ */
+struct ReportedReadSsd : WarmSsd
+{
+    ReportedReadSsd()
+    {
+        ssd::HostRequest r;
+        r.arrival = ssd.events().now();
+        r.startPage = 1;
+        r.pageCount = 2;
+        ssd.submit(r);
+        ssd.events().runUntil(ssd.events().now()); // dispatch only
+    }
+
+    std::size_t
+    reported()
+    {
+        return ida::audit::testing::SsdPeer::forReportedReads(
+            ssd, [](sim::Time &, std::uint32_t &) {});
+    }
+};
+
+TEST(Auditor, ReportedReadIsClean)
+{
+    ReportedReadSsd p;
+    ASSERT_EQ(p.reported(), 1u);
+    Auditor a(p.ssd);
+    EXPECT_EQ(a.runAll(), 0u) << a.summary();
+    p.ssd.events().run();
+    EXPECT_EQ(p.reported(), 0u);
+    EXPECT_EQ(a.runAll(), 0u) << a.summary();
+}
+
+TEST(AuditorNegative, AdmissionCheckCatchesMovedReadCompletion)
+{
+    // The request now expects its completion a nanosecond after the
+    // (tick, seq) its event fires at.
+    ReportedReadSsd p;
+    ASSERT_EQ(ida::audit::testing::SsdPeer::forReportedReads(
+                  p.ssd, [](sim::Time &last, std::uint32_t &) {
+                      last += sim::Time{1};
+                  }),
+              1u);
+
+    Auditor a(p.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "admission")) << a.summary();
+}
+
+TEST(AuditorNegative, AdmissionCheckCatchesCompletionBeforeLastPage)
+{
+    // A page still outstanding, yet the completion event is scheduled.
+    ReportedReadSsd p;
+    ASSERT_EQ(ida::audit::testing::SsdPeer::forReportedReads(
+                  p.ssd, [](sim::Time &, std::uint32_t &pending) {
+                      pending = 1;
+                  }),
+              1u);
+
+    Auditor a(p.ssd);
+    EXPECT_GT(a.runAll(), 0u);
+    EXPECT_TRUE(fired(a, "admission")) << a.summary();
+}
+
 TEST(AuditorNegative, BlockAccountingCheckCatchesPoolFlagDrift)
 {
     WarmSsd w;

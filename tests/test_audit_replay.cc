@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -146,7 +147,7 @@ runScenario(const Scenario &sc)
     for (sim::Time step{}; step <= horizon;
          step += step < t ? 50 * sim::kMsec : 2 * sim::kSec) {
         ssd.events().runUntil(step);
-        auditor.maybeRun(500);
+        auditor.maybeRun(450);
     }
     ssd.events().runUntil(horizon);
     auditor.runAll();
@@ -199,6 +200,7 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
     const int nSeeds = replaySeeds();
 
     std::uint64_t refreshes = 0, idaRefreshes = 0, trims = 0;
+    std::uint64_t audits = 0, executed = 0;
     for (int s = 1; s <= nSeeds; ++s) {
         Scenario sc;
         sc.seed = static_cast<std::uint64_t>(s);
@@ -210,6 +212,8 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
         const ReplayResult res = runScenario(sc);
         EXPECT_GE(res.audits, 2u) << "seed " << s
                                   << ": the auditor never ran";
+        audits += res.audits;
+        executed += res.executed;
         refreshes += res.refreshes;
         if (sc.ida)
             idaRefreshes += res.idaRefreshes;
@@ -225,6 +229,11 @@ TEST(AuditReplay, SeededWorkloadsStayClean)
                 << " (of " << sc.ops << ")";
         }
     }
+    // Audit density, for comparing harness strength across changes
+    // that alter the number of events a replay executes.
+    std::printf("audit replay: %d seeds, %llu audits over %llu events\n",
+                nSeeds, static_cast<unsigned long long>(audits),
+                static_cast<unsigned long long>(executed));
     // The harness must actually exercise the paths it claims to cover —
     // a replay that never refreshes or trims audits nothing interesting.
     EXPECT_GT(refreshes, 0u);

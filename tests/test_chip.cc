@@ -8,9 +8,13 @@
 #include <vector>
 
 #include "flash/chip.hh"
+#include "host_read.hh"
+#include "trace/recorder.hh"
 
 namespace ida::flash {
 namespace {
+
+using flash::testing::hostRead;
 
 Geometry
 tinyGeom()
@@ -46,7 +50,7 @@ TEST(Chip, SingleReadLatencyBreakdown)
     Fixture f;
     f.fillBlock(0);
     sim::Time done{-1};
-    f.chips.readPage(0, true, 0, [&](sim::Time t) { done = t; });
+    hostRead(f.chips, 0, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     // LSB read: 50us sense + 48us transfer + 20us ECC.
     EXPECT_EQ(done, (50 + 48 + 20) * sim::kUsec);
@@ -57,7 +61,7 @@ TEST(Chip, MsbReadUsesTier2Latency)
     Fixture f;
     f.fillBlock(0);
     sim::Time done{-1};
-    f.chips.readPage(2, true, 0, [&](sim::Time t) { done = t; });
+    hostRead(f.chips, 2, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, (150 + 48 + 20) * sim::kUsec);
 }
@@ -67,7 +71,7 @@ TEST(Chip, RetryRoundsMultiplySensing)
     Fixture f;
     f.fillBlock(0);
     sim::Time done{-1};
-    f.chips.readPage(2, true, 2, [&](sim::Time t) { done = t; });
+    hostRead(f.chips, 2, 2, [&](sim::Time t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, (3 * 150 + 48 + 20) * sim::kUsec);
     EXPECT_EQ(f.chips.stats().retrySenseRounds, 2u);
@@ -80,7 +84,7 @@ TEST(Chip, IdaWordlineReadsFaster)
     f.chips.blockTable().invalidate(0);
     sim::Time done{-1};
     f.chips.adjustWordline(0, 0, 0b110, nullptr);
-    f.chips.readPage(2, true, 0, [&](sim::Time t) { done = t; });
+    hostRead(f.chips, 2, 0, [&](sim::Time t) { done = t; });
     f.events.run();
     // MSB after LSB-invalid merge reads at the CSB tier (100us); the
     // read queues behind the 2.3ms adjustment on the same die.
@@ -94,8 +98,7 @@ TEST(Chip, DieSerializesCommands)
     f.fillBlock(0);
     std::vector<sim::Time> done;
     for (int i = 0; i < 3; ++i)
-        f.chips.readPage(0, true, 0,
-                         [&](sim::Time t) { done.push_back(t); });
+        hostRead(f.chips, 0, 0, [&](sim::Time t) { done.push_back(t); });
     f.events.run();
     ASSERT_EQ(done.size(), 3u);
     // Senses pipeline 50us apart (die released at sense completion; the
@@ -113,9 +116,9 @@ TEST(Chip, IndependentDiesRunInParallel)
     const BlockId b2 = f.geom.blocksPerPlane; // first block of plane 1
     f.fillBlock(b2);
     std::vector<sim::Time> done;
-    f.chips.readPage(0, true, 0, [&](sim::Time t) { done.push_back(t); });
-    f.chips.readPage(f.geom.firstPpnOf(b2), true, 0,
-                     [&](sim::Time t) { done.push_back(t); });
+    hostRead(f.chips, 0, 0, [&](sim::Time t) { done.push_back(t); });
+    hostRead(f.chips, f.geom.firstPpnOf(b2), 0,
+             [&](sim::Time t) { done.push_back(t); });
     f.events.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], done[1]); // different dies and channels
@@ -134,7 +137,7 @@ TEST(Chip, ReadFirstSchedulingJumpsWrites)
     f.chips.programPage(f.geom.firstPpnOf(1) + 1, [&](sim::Time) {
         order.push_back(2);
     });
-    f.chips.readPage(0, true, 0, [&](sim::Time) { order.push_back(3); });
+    hostRead(f.chips, 0, 0, [&](sim::Time) { order.push_back(3); });
     f.events.run();
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], 1);
@@ -153,7 +156,7 @@ TEST(Chip, NonHostReadsDoNotJumpTheQueue)
     f.chips.programPage(f.geom.firstPpnOf(1) + 1, [&](sim::Time) {
         order.push_back(2);
     });
-    f.chips.readPage(0, false, 0, [&](sim::Time) { order.push_back(3); });
+    f.chips.readPage(0, 0, [&](sim::Time) { order.push_back(3); });
     f.events.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -184,11 +187,13 @@ TEST(Chip, InflightDrainsToZero)
     Fixture f;
     f.fillBlock(0);
     for (int i = 0; i < 5; ++i)
-        f.chips.readPage(0, true, 0, nullptr);
+        hostRead(f.chips, 0, 0, nullptr);
     // Die ops without a callback count too, and must drain as well.
     f.chips.programPage(f.geom.firstPpnOf(1), nullptr);
     f.chips.eraseBlock(2, nullptr);
-    EXPECT_EQ(f.chips.inflight(), 7u);
+    // The first read reached the idle die and left: a host read counts
+    // only until die start. The other four wait behind it.
+    EXPECT_EQ(f.chips.inflight(), 6u);
     f.events.run();
     EXPECT_EQ(f.chips.inflight(), 0u);
 }
@@ -198,7 +203,7 @@ TEST(Chip, StatsCountCommands)
     Fixture f;
     f.fillBlock(0);
     f.chips.blockTable().invalidate(0);
-    f.chips.readPage(1, true, 0, nullptr);
+    hostRead(f.chips, 1, 0, nullptr);
     f.chips.programPage(f.geom.firstPpnOf(1), nullptr);
     f.chips.eraseBlock(2, nullptr);
     f.chips.adjustWordline(0, 0, 0b110, nullptr);
@@ -225,9 +230,9 @@ TEST(Chip, ChannelContentionSerializesTransfersWhenEnabled)
         chips.programImmediate(g.firstPpnOf(g.blocksPerPlane) + p);
     }
     std::vector<sim::Time> done;
-    chips.readPage(0, true, 0, [&](sim::Time x) { done.push_back(x); });
-    chips.readPage(g.firstPpnOf(g.blocksPerPlane), true, 0,
-                   [&](sim::Time x) { done.push_back(x); });
+    hostRead(chips, 0, 0, [&](sim::Time x) { done.push_back(x); });
+    hostRead(chips, g.firstPpnOf(g.blocksPerPlane), 0,
+             [&](sim::Time x) { done.push_back(x); });
     events.run();
     ASSERT_EQ(done.size(), 2u);
     // Senses run in parallel (both 50us) but transfers serialize.
@@ -276,6 +281,112 @@ TEST(ChipDeath, OutOfOrderProgramPanics)
 {
     Fixture f;
     EXPECT_DEATH(f.chips.programPage(1, nullptr), "out-of-order");
+}
+
+/**
+ * The read cost table equals the reference path it replaced: for every
+ * coding mask a wordline can carry and every level the mask keeps,
+ * Block::readSensings gives the sensings and FlashTiming::readLatency
+ * one round's latency. One wordline per mask, so each is read under the
+ * mask it was adjusted to.
+ */
+TEST(ChipReadCost, TableMatchesReadSensingsAndReadLatency)
+{
+    const struct
+    {
+        const char *name;
+        CodingScheme (*make)();
+        FlashTiming timing;
+    } cases[] = {
+        {"tlc124", &CodingScheme::tlc124, FlashTiming{}},
+        {"tlc232", &CodingScheme::tlc232,
+         FlashTiming::tlcWithDeltaTr(30 * sim::kUsec)},
+        {"mlc12", &CodingScheme::mlc12, FlashTiming::mlcDefaults()},
+        {"qlc1248", &CodingScheme::qlc1248, FlashTiming{}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const CodingScheme scheme = c.make();
+        const auto bits = static_cast<std::uint32_t>(scheme.bits());
+        Geometry g = tinyGeom();
+        g.bitsPerCell = bits;
+        g.pagesPerBlock = bits * 16; // a wordline for every mask
+        sim::EventQueue events;
+        ChipArray chips(g, c.timing, scheme, events);
+        for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p)
+            chips.programImmediate(p);
+
+        const LevelMask full = fullMask(scheme.bits());
+        std::uint32_t wl = 0;
+        for (unsigned m = 1; m <= full; ++m, ++wl) {
+            const auto mask = static_cast<LevelMask>(m);
+            if (mask != full) {
+                for (std::uint32_t level = 0; level < bits; ++level) {
+                    if (((mask >> level) & 1u) == 0)
+                        chips.blockTable().invalidate(
+                            g.pageOfWordline(wl, level));
+                }
+                chips.blockTable().applyIda(0, wl, mask);
+            }
+            for (std::uint32_t level = 0; level < bits; ++level) {
+                if (((mask >> level) & 1u) == 0)
+                    continue;
+                SCOPED_TRACE(::testing::Message()
+                             << "mask " << m << ", level " << level);
+                const int senses = chips.block(0).readSensings(
+                    g.pageOfWordline(wl, level), scheme);
+                const ReadCost &cost = chips.readCost(mask, level);
+                EXPECT_EQ(cost.senses, senses);
+                EXPECT_EQ(cost.conventional,
+                          scheme.sensingCount(static_cast<int>(level)));
+                EXPECT_EQ(cost.round,
+                          c.timing.readLatency(scheme, senses));
+            }
+        }
+        for (std::uint32_t level = 0; level < bits; ++level)
+            EXPECT_EQ(chips.conventionalRound(level),
+                      c.timing.conventionalReadLatency(
+                          scheme, static_cast<int>(level)));
+    }
+}
+
+/**
+ * locate() agrees with Geometry's arithmetic, and each read runs on
+ * the channel Geometry assigns its die (the span records both).
+ */
+TEST(Chip, LocateAndChannelMatchGeometry)
+{
+    sim::EventQueue events;
+    Geometry g;
+    g.channels = 3;
+    g.chipsPerChannel = 2;
+    g.diesPerChip = 2;
+    g.planesPerDie = 3;
+    g.blocksPerPlane = 5;
+    g.pagesPerBlock = 12;
+    ChipArray chips(g, FlashTiming{}, CodingScheme::tlc124(), events);
+    for (Ppn p = 0; p < g.pages(); ++p) {
+        const PageLocation at = chips.locate(p);
+        ASSERT_EQ(at.ppn, p);
+        ASSERT_EQ(at.block, g.blockOf(p));
+        ASSERT_EQ(at.die, g.dieOfBlock(at.block));
+        ASSERT_EQ(at.page, g.decode(p).page);
+    }
+
+    trace::Recorder rec(trace::Recorder::Options{true});
+    chips.setTracer(&rec);
+    const BlockId blocksPerDie = BlockId{g.planesPerDie} * g.blocksPerPlane;
+    for (DieId d = 0; d < g.dies(); ++d) {
+        const Ppn p = g.firstPpnOf(d * blocksPerDie);
+        chips.programImmediate(p);
+        hostRead(chips, p, 0, nullptr);
+    }
+    events.run();
+    ASSERT_EQ(rec.spans().size(), g.dies());
+    for (const trace::Span &sp : rec.spans()) {
+        EXPECT_EQ(sp.die, g.dieOfBlock(g.blockOf(sp.ppn)));
+        EXPECT_EQ(sp.channel, g.channelOfDie(sp.die));
+    }
 }
 
 } // namespace

@@ -29,7 +29,7 @@ TEST(Ftl, WriteThenReadRoundTrip)
     EXPECT_GT(wdone, sim::Time{});
     EXPECT_TRUE(f.ftl.mapping().isMapped(7));
 
-    f.ftl.hostRead(7, 0, [&](sim::Time t) { rdone = t; });
+    f.ftl.hostRead(7, 0, [&](sim::Time t, std::uint64_t) { rdone = t; });
     f.events.run();
     EXPECT_GT(rdone, wdone);
     EXPECT_EQ(f.ftl.stats().hostReads, 1u);
@@ -40,7 +40,7 @@ TEST(Ftl, UnmappedReadCompletesInstantlyAndIsCounted)
 {
     FtlFixture f;
     sim::Time done{-1};
-    f.ftl.hostRead(3, 0, [&](sim::Time t) { done = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t, std::uint64_t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, sim::Time{});
     EXPECT_EQ(f.ftl.stats().hostReadsUnmapped, 1u);

@@ -14,6 +14,7 @@
  * shrink by re-running with smaller ops.
  */
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -51,6 +52,10 @@ TEST(FtlModel, PageMappedSeededOpsStayClean)
         EXPECT_EQ(out.auditViolations, 0u)
             << "seed " << seed << ": " << out.auditSummary;
         EXPECT_GT(out.audits, 0u);
+        std::printf("ftl model: seed %llu, %llu audits over %llu events\n",
+                    static_cast<unsigned long long>(seed),
+                    static_cast<unsigned long long>(out.audits),
+                    static_cast<unsigned long long>(out.executedEvents));
         // The sequence must actually exercise the interesting paths.
         EXPECT_GT(out.unmappedReads, 0u) << "seed " << seed;
         EXPECT_GT(out.refreshes, 0u) << "seed " << seed;

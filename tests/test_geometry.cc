@@ -4,7 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "flash/geometry.hh"
+#include "sim/rng.hh"
 
 namespace ida::flash {
 namespace {
@@ -167,6 +171,83 @@ TEST(GeometryDeath, ValidateRejectsAPageCountThatOverflowsSixtyFourBits)
     g.bitsPerCell = 1;
     EXPECT_EXIT(g.validate(), ::testing::ExitedWithCode(1),
                 "exceeds 4294967294 pages");
+}
+
+TEST(Divider32, MatchesDivisionAcrossThe32BitRange)
+{
+    sim::Rng rng(32);
+    for (const std::uint32_t d :
+         {1u, 2u, 3u, 7u, 12u, 192u, 1000003u, 0x7FFF'FFFFu, 0x8000'0000u,
+          0xFFFF'FFFEu, 0xFFFF'FFFFu}) {
+        const Divider32 div(d);
+        std::vector<std::uint32_t> ns = {0u, 1u, d - 1, d, d + 1,
+                                         0xFFFF'FFFEu, 0xFFFF'FFFFu};
+        for (int i = 0; i < 2000; ++i)
+            ns.push_back(static_cast<std::uint32_t>(
+                rng.uniformInt(0, 0xFFFF'FFFFu)));
+        for (const std::uint32_t n : ns)
+            ASSERT_EQ(div(n), n / d) << n << " / " << d;
+    }
+}
+
+/**
+ * PpnDecoder's one pass equals Geometry's divisions for seeded PPNs,
+ * including shapes whose divisors are 1 (one bit per cell, one page per
+ * block, one block per die) and shapes whose PPNs fill 32 bits.
+ */
+TEST(PpnDecoder, MatchesGeometryArithmetic)
+{
+    std::vector<Geometry> shapes;
+    shapes.push_back(paperShape());
+    Geometry one;
+    one.channels = one.chipsPerChannel = one.diesPerChip = 1;
+    one.planesPerDie = one.blocksPerPlane = 1;
+    one.pagesPerBlock = 1;
+    one.bitsPerCell = 1;
+    shapes.push_back(one);
+    Geometry slc = paperShape();
+    slc.bitsPerCell = 1;
+    slc.pagesPerBlock = 1;
+    shapes.push_back(slc);
+    Geometry odd;
+    odd.channels = 3;
+    odd.chipsPerChannel = 5;
+    odd.diesPerChip = 7;
+    odd.planesPerDie = 3;
+    odd.blocksPerPlane = 61001;
+    odd.pagesPerBlock = 222;
+    odd.bitsPerCell = 6;
+    shapes.push_back(odd); // 4,265,689,930 pages
+    Geometry limit;
+    limit.channels = limit.chipsPerChannel = limit.diesPerChip = 1;
+    limit.planesPerDie = 1;
+    limit.blocksPerPlane = 0x7FFF'FFFFu;
+    limit.pagesPerBlock = 2;
+    limit.bitsPerCell = 2;
+    shapes.push_back(limit); // exactly kMaxPages
+
+    sim::Rng rng(7);
+    for (const Geometry &g : shapes) {
+        g.validate();
+        SCOPED_TRACE(::testing::Message() << g.pages() << " pages");
+        const PpnDecoder decode(g);
+        std::vector<Ppn> ppns = {0, g.pages() - 1, g.pagesPerBlock - 1,
+                                 g.pages() / 2};
+        for (int i = 0; i < 5000; ++i)
+            ppns.push_back(rng.uniformInt(0, g.pages() - 1));
+        for (const Ppn p : ppns) {
+            const PageLocation at = decode(p);
+            const PageAddr a = g.decode(p);
+            ASSERT_EQ(at.ppn, p);
+            ASSERT_EQ(at.block, g.blockOf(p)) << p;
+            ASSERT_EQ(at.page, a.page) << p;
+            ASSERT_EQ(at.wordline, g.wordlineOfPage(a.page)) << p;
+            ASSERT_EQ(at.level, g.levelOfPage(a.page)) << p;
+            ASSERT_EQ(at.die, g.dieOfBlock(at.block)) << p;
+            ASSERT_EQ(at.die, g.dieOf(a)) << p;
+            ASSERT_EQ(g.channelOfDie(at.die), a.channel) << p;
+        }
+    }
 }
 
 } // namespace

@@ -354,13 +354,15 @@ TEST(InlineCallbackAlloc, ChipArrayQueuedCommandsAreAllocationFree)
         std::uint64_t done = 0;
         const auto burst = [&] {
             const auto cb = [&done](Time) { ++done; };
+            const auto read_cb = [&done](Time, std::uint64_t) { ++done; };
             chips.eraseBlock(1, cb);
             for (std::uint32_t p = 0; p < 4; ++p)
                 chips.programPage(geom.firstPpnOf(1) + p, cb);
             for (std::uint32_t p = 0; p < 16; ++p)
-                chips.readPage(p % geom.pagesPerBlock, true, 0, cb);
+                chips.readHostPage(chips.locate(p % geom.pagesPerBlock), 0,
+                                   read_cb);
             q.runUntil(q.now() + 6 * kMsec); // erase done, programs run
-            chips.readPage(0, true, 0, cb);
+            chips.readHostPage(chips.locate(0), 0, read_cb);
             q.run();
         };
 

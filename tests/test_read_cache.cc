@@ -100,7 +100,7 @@ TEST(ReadCacheFtl, MissFillsThenHitServesAtDramLatency)
     f.writeNow(3);
 
     sim::Time first{-1};
-    f.ftl.hostRead(3, 0, [&](sim::Time t) { first = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t, std::uint64_t) { first = t; });
     f.events.run();
     EXPECT_EQ(f.ftl.readCacheStats().misses, 1u);
     EXPECT_EQ(f.ftl.readCacheStats().fills, 1u);
@@ -108,7 +108,7 @@ TEST(ReadCacheFtl, MissFillsThenHitServesAtDramLatency)
 
     const sim::Time t0 = f.events.now();
     sim::Time second{-1};
-    f.ftl.hostRead(3, 0, [&](sim::Time t) { second = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t, std::uint64_t) { second = t; });
     f.events.run();
     EXPECT_EQ(second, t0 + ftl::kDramLatency);
     EXPECT_EQ(f.ftl.readCacheStats().hits, 1u);
@@ -120,19 +120,19 @@ TEST(ReadCacheFtl, PartialLineMergesHolesFromFlash)
     f.writeNow(3);
 
     // First read caches only the low quarter...
-    f.ftl.hostRead(3, 0x000F, [](sim::Time) {});
+    f.ftl.hostRead(3, 0x000F, [](sim::Time, std::uint64_t) {});
     f.events.run();
     EXPECT_EQ(f.ftl.readCache().peek(3), 0x000Fu);
 
     // ...the wider re-read fetches only the missing sectors (a merged
     // fill) and grows the line; a third read is then a pure hit.
-    f.ftl.hostRead(3, 0x00FF, [](sim::Time) {});
+    f.ftl.hostRead(3, 0x00FF, [](sim::Time, std::uint64_t) {});
     f.events.run();
     EXPECT_EQ(f.ftl.readCacheStats().mergedFills, 1u);
     EXPECT_EQ(f.ftl.stats().sector.mergedReads, 1u);
     EXPECT_EQ(f.ftl.readCache().peek(3), 0x00FFu);
 
-    f.ftl.hostRead(3, 0x00FF, [](sim::Time) {});
+    f.ftl.hostRead(3, 0x00FF, [](sim::Time, std::uint64_t) {});
     f.events.run();
     EXPECT_EQ(f.ftl.readCacheStats().hits, 1u);
 }
@@ -142,7 +142,7 @@ TEST(ReadCacheFtl, WriteAndTrimInvalidateCachedSectors)
     FtlFixture f(cachedCfg());
     const flash::SectorMask full = f.geom.fullSectorMask();
     f.writeNow(3);
-    f.ftl.hostRead(3, 0, [](sim::Time) {});
+    f.ftl.hostRead(3, 0, [](sim::Time, std::uint64_t) {});
     f.events.run();
     ASSERT_EQ(f.ftl.readCache().peek(3), full);
 
@@ -167,7 +167,7 @@ TEST(ReadCacheFtl, BufferedReadsDoNotFillTheCache)
     // The write sits dirty in the buffer; a read of it is a buffer hit,
     // not a cache fill (the cache only holds flash-backed sectors).
     f.ftl.hostWrite(3, 0, nullptr);
-    f.ftl.hostRead(3, 0, [](sim::Time) {});
+    f.ftl.hostRead(3, 0, [](sim::Time, std::uint64_t) {});
     f.events.run();
     EXPECT_EQ(f.ftl.writeBufferStats().readHits, 1u);
     EXPECT_EQ(f.ftl.readCacheStats().fills, 0u);
@@ -216,7 +216,7 @@ TEST(ReadCacheFtl, CoherenceHoldsUnderBufferedChurn)
             static_cast<flash::SectorMask>(flash::lowSectorMask(n) << lo);
         const double k = rng.uniform01();
         if (k < 0.55)
-            f.ftl.hostRead(lpn, mask, [](sim::Time) {});
+            f.ftl.hostRead(lpn, mask, [](sim::Time, std::uint64_t) {});
         else if (k < 0.90)
             f.ftl.hostWrite(lpn, mask, nullptr);
         else

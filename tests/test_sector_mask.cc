@@ -197,13 +197,13 @@ TEST(SectorMaskFtl, SubPageReadsZeroFillHoles)
     // Reading only trimmed sectors needs no flash at all; reading a
     // range that straddles the hole still senses once and zero-fills.
     sim::Time done{-1};
-    f.ftl.hostRead(5, 0x000F, [&](sim::Time t) { done = t; });
+    f.ftl.hostRead(5, 0x000F, [&](sim::Time t, std::uint64_t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, f.events.now());
     EXPECT_EQ(f.ftl.stats().sector.zeroFillReads, 1u);
 
     const std::uint64_t zf = f.ftl.stats().sector.zeroFillReads;
-    f.ftl.hostRead(5, 0x0FF0, [](sim::Time) {});
+    f.ftl.hostRead(5, 0x0FF0, [](sim::Time, std::uint64_t) {});
     f.events.run();
     EXPECT_EQ(f.ftl.stats().sector.zeroFillReads, zf + 1);
 }

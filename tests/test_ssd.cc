@@ -3,6 +3,7 @@
  * Device-level tests: request dispatch, response accounting, warm-up
  * windows, and configuration validation.
  */
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "ssd/ssd.hh"
+#include "trace/recorder.hh"
 
 namespace ida::ssd {
 namespace {
@@ -412,6 +414,118 @@ TEST(SsdAdmission, FutureArrivalsDoNotFillTheEventQueue)
     EXPECT_EQ(completed, kRequests);
     EXPECT_TRUE(ssd.drained());
     EXPECT_LE(ssd.events().poolSize(), 1024u);
+}
+
+/** tiny() with two dies per chip: four dies, one per page below. */
+SsdConfig
+fourDieTiny()
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.geometry.diesPerChip = 2;
+    return cfg;
+}
+
+/** Die of the flash page @p lpn is mapped to. */
+flash::DieId
+dieOfLpn(const Ssd &ssd, flash::Lpn lpn)
+{
+    return ssd.chips().locate(ssd.ftl().mapping().lookup(lpn)).die;
+}
+
+/**
+ * A host read reports its completion tick when it reaches the die, and
+ * the request runs one completion event for all of its pages: on an
+ * idle device a 4-page read over 4 dies executes its arrival and its
+ * completion and nothing else, and onComplete fires once, at the
+ * latest page's completion. Writes still complete page by page.
+ */
+TEST(SsdReadCompletion, OneEventPerReadRequest)
+{
+    Ssd ssd(fourDieTiny());
+    ssd.preloadSequential(ssd.logicalPages() / 2);
+    ssd.enableTracing(/*retain_spans=*/true);
+    flash::Lpn start = 0;
+    for (;; ++start) {
+        ASSERT_LT(start + 4, ssd.logicalPages() / 2) << "no 4-die run";
+        std::vector<flash::DieId> dies;
+        for (flash::Lpn l = start; l < start + 4; ++l)
+            dies.push_back(dieOfLpn(ssd, l));
+        std::sort(dies.begin(), dies.end());
+        if (std::unique(dies.begin(), dies.end()) == dies.end())
+            break;
+    }
+
+    std::vector<sim::Time> completions;
+    HostRequest r;
+    r.startPage = start;
+    r.pageCount = 4;
+    r.onComplete = [&](sim::Time t) { completions.push_back(t); };
+    const std::uint64_t before = ssd.events().executed();
+    ssd.submit(r);
+    ssd.events().run();
+    EXPECT_EQ(ssd.events().executed() - before, 2u);
+    ASSERT_EQ(completions.size(), 1u);
+    sim::Time latest{};
+    for (const trace::Span &sp : ssd.tracer()->spans()) {
+        if (sp.kind == trace::SpanKind::HostRead)
+            latest = std::max(latest, sp.complete);
+    }
+    EXPECT_GT(latest, sim::Time{});
+    EXPECT_EQ(completions.front(), latest);
+    EXPECT_TRUE(ssd.drained());
+
+    completions.clear();
+    r.arrival = ssd.events().now();
+    r.isRead = false;
+    const std::uint64_t writes_before = ssd.events().executed();
+    ssd.submit(r);
+    ssd.events().run();
+    EXPECT_EQ(ssd.events().executed() - writes_before, 1u + 4u)
+        << "arrival plus one completion event per programmed page";
+    EXPECT_EQ(completions.size(), 1u);
+}
+
+/**
+ * Two read requests whose last pages complete at the same tick finish
+ * in the order those pages reached the die, the order their per-page
+ * completion events used to dispatch in, not the order of submission.
+ * X and A share die 0, so A starts when X's LSB sense ends (50 us) and
+ * its CSB read ends at 50 + 100 + 68 us; B's MSB read starts on die 1 at
+ * once and ends at 150 + 68 us, the same tick.
+ */
+TEST(SsdReadCompletion, SameTickCompletionsKeepDieStartOrder)
+{
+    Ssd ssd(fourDieTiny());
+    const std::uint64_t footprint = ssd.logicalPages() / 2;
+    ssd.preloadSequential(footprint);
+    const auto find = [&](flash::DieId die, std::uint32_t level) {
+        for (flash::Lpn l = 0; l < footprint; ++l) {
+            const flash::PageLocation at =
+                ssd.chips().locate(ssd.ftl().mapping().lookup(l));
+            if (at.die == die && at.level == level)
+                return l;
+        }
+        ADD_FAILURE() << "no page at die " << die << ", level " << level;
+        return flash::Lpn{0};
+    };
+    std::vector<HostRequest> run(3);
+    std::vector<std::pair<char, sim::Time>> order;
+    const char names[] = {'X', 'A', 'B'};
+    const flash::Lpn lpns[] = {find(0, 0), find(0, 1), find(1, 2)};
+    for (int i = 0; i < 3; ++i) {
+        run[i].startPage = lpns[i];
+        run[i].onComplete = [&order, name = names[i]](sim::Time t) {
+            order.emplace_back(name, t);
+        };
+    }
+    ssd.submitBatch(run);
+    ssd.events().run();
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0].first, 'X');
+    EXPECT_EQ(order[1].first, 'B');
+    EXPECT_EQ(order[2].first, 'A');
+    EXPECT_EQ(order[1].second, order[2].second);
+    EXPECT_EQ(order[1].second, (150 + 48 + 20) * sim::kUsec);
 }
 
 TEST(Ssd, FeasibleGcThresholdsDrainASlowWriteStream)

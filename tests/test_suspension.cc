@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "flash/chip.hh"
+#include "host_read.hh"
 
 namespace ida::flash {
 namespace {
+
+using flash::testing::hostRead;
 
 Geometry
 oneDieGeom()
@@ -52,7 +55,7 @@ TEST(Suspension, ReadInterruptsProgram)
     r.chips->programPage(r.geom.firstPpnOf(1),
                          [&](sim::Time t) { prog_done = t; });
     r.events.runUntil(500 * sim::kUsec); // program is mid-flight
-    r.chips->readPage(0, true, 0, [&](sim::Time t) { read_done = t; });
+    hostRead(*r.chips, 0, 0, [&](sim::Time t) { read_done = t; });
     r.events.run();
 
     // The read ran immediately: 50us sense + 48 + 20 from t=500us.
@@ -72,7 +75,7 @@ TEST(Suspension, DisabledReadWaitsBehindProgram)
     sim::Time read_done{-1};
     r.chips->programPage(r.geom.firstPpnOf(1), nullptr);
     r.events.runUntil(500 * sim::kUsec);
-    r.chips->readPage(0, true, 0, [&](sim::Time t) { read_done = t; });
+    hostRead(*r.chips, 0, 0, [&](sim::Time t) { read_done = t; });
     r.events.run();
     // Without suspension, the read starts when the program ends.
     EXPECT_EQ(read_done, (48 + 2300 + 50 + 48 + 20) * sim::kUsec);
@@ -88,8 +91,8 @@ TEST(Suspension, MultipleReadsDrainBeforeResume)
                          [&](sim::Time t) { prog_done = t; });
     r.events.runUntil(100 * sim::kUsec);
     for (int i = 0; i < 3; ++i)
-        r.chips->readPage(0, true, 0,
-                          [&](sim::Time t) { reads.push_back(t); });
+        hostRead(*r.chips, 0, 0,
+                 [&](sim::Time t) { reads.push_back(t); });
     r.events.run();
     ASSERT_EQ(reads.size(), 3u);
     // Reads pipeline at 50us sense intervals from t=100us.
@@ -107,7 +110,7 @@ TEST(Suspension, EraseIsSuspendableToo)
     sim::Time erase_done{-1}, read_done{-1};
     r.chips->eraseBlock(2, [&](sim::Time t) { erase_done = t; });
     r.events.runUntil(sim::kMsec);
-    r.chips->readPage(0, true, 0, [&](sim::Time t) { read_done = t; });
+    hostRead(*r.chips, 0, 0, [&](sim::Time t) { read_done = t; });
     r.events.run();
     EXPECT_EQ(read_done, (1000 + 50 + 68) * sim::kUsec);
     EXPECT_EQ(erase_done, (3000 + 50 + 20) * sim::kUsec);
@@ -119,7 +122,7 @@ TEST(Suspension, NonHostReadsDoNotSuspend)
     sim::Time read_done{-1};
     r.chips->programPage(r.geom.firstPpnOf(1), nullptr);
     r.events.runUntil(500 * sim::kUsec);
-    r.chips->readPage(0, false, 0, [&](sim::Time t) { read_done = t; });
+    r.chips->readPage(0, 0, [&](sim::Time t) { read_done = t; });
     r.events.run();
     EXPECT_EQ(r.chips->stats().suspensions, 0u);
     EXPECT_EQ(read_done, (48 + 2300 + 50 + 48 + 20) * sim::kUsec);
@@ -133,7 +136,7 @@ TEST(Suspension, SuspendedOpResumesBeforeNewPrograms)
         order.push_back(1); // the suspended program
     });
     r.events.runUntil(500 * sim::kUsec);
-    r.chips->readPage(0, true, 0, [&](sim::Time) { order.push_back(2); });
+    hostRead(*r.chips, 0, 0, [&](sim::Time) { order.push_back(2); });
     r.chips->programPage(r.geom.firstPpnOf(1) + 1, [&](sim::Time) {
         order.push_back(3); // a later program must wait
     });

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "flash/chip.hh"
+#include "host_read.hh"
 #include "ssd/config.hh"
 #include "ssd/ssd.hh"
 #include "stats/json_writer.hh"
@@ -29,6 +30,8 @@
 
 namespace ida {
 namespace {
+
+using flash::testing::hostRead;
 
 using trace::Span;
 using trace::SpanKind;
@@ -157,7 +160,7 @@ TEST(TracePhases, SuspendedProgramSpanCoversTheSuspension)
     chips.programPage(g.firstPpnOf(1),
                       [&](sim::Time t) { prog_done = t; }, 5, true);
     events.runUntil(500 * sim::kUsec); // the program is mid-flight
-    chips.readPage(0, true, 0, [&](sim::Time t) { read_done = t; }, 9);
+    hostRead(chips, 0, 0, [&](sim::Time t) { read_done = t; }, 9);
     events.run();
     ASSERT_EQ(chips.stats().suspensions, 1u);
     ASSERT_EQ(rec.spans().size(), 2u);
@@ -321,8 +324,8 @@ TEST(TraceChipCounters, SensingSavingsMatchFig5)
     events.run();
 
     const auto before = chips.stats();
-    chips.readPage(g.pageOfWordline(0, 1), true, 0, [](sim::Time) {});
-    chips.readPage(g.pageOfWordline(0, 2), true, 0, [](sim::Time) {});
+    hostRead(chips, g.pageOfWordline(0, 1), 0, [](sim::Time) {});
+    hostRead(chips, g.pageOfWordline(0, 2), 0, [](sim::Time) {});
     events.run();
     const auto &after = chips.stats();
     EXPECT_EQ(after.sensingOps - before.sensingOps, 3u);
@@ -348,9 +351,9 @@ TEST(TraceChipCounters, ConventionalReadsSaveNothing)
     for (std::uint32_t p = 0; p < g.pagesPerBlock; ++p)
         chips.programImmediate(p);
     // One read per level, one retry round on the MSB: ops count rounds.
-    chips.readPage(0, true, 0, [](sim::Time) {});
-    chips.readPage(1, true, 0, [](sim::Time) {});
-    chips.readPage(2, true, 1, [](sim::Time) {});
+    hostRead(chips, 0, 0, [](sim::Time) {});
+    hostRead(chips, 1, 0, [](sim::Time) {});
+    hostRead(chips, 2, 1, [](sim::Time) {});
     events.run();
     const auto &st = chips.stats();
     EXPECT_EQ(st.sensingOps, 1u + 2u + 4u * 2u);

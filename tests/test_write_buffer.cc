@@ -139,7 +139,7 @@ TEST(WriteBufferFtl, BufferedReadHitsDram)
     FtlFixture f(bufferedCfg());
     f.ftl.hostWrite(3, 0, nullptr);
     sim::Time done{-1};
-    f.ftl.hostRead(3, 0, [&](sim::Time t) { done = t; });
+    f.ftl.hostRead(3, 0, [&](sim::Time t, std::uint64_t) { done = t; });
     f.events.run();
     EXPECT_EQ(done, 5 * sim::kUsec);
     EXPECT_EQ(f.ftl.writeBufferStats().readHits, 1u);
